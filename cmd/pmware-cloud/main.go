@@ -10,8 +10,7 @@
 //	             [-commit-batch 128] [-commit-linger 0s]
 //	             [-discover-workers 4] [-discover-queue 64] [-max-body 64MiB]
 //	             [-event-queue 64] [-event-history 256] [-event-heartbeat 15s]
-//	             [-pprof :6060] [-slow-request 0s]
-//	             [-store pmware-store.json] [-world-seed 2014]
+//	             [-pprof :6060] [-slow-request 0s] [-world-seed 2014]
 //
 // With -data-dir the instance runs on the durable storage engine: every
 // mutation is journaled to a per-shard write-ahead log, snapshots compact the
@@ -43,10 +42,6 @@
 // epoch and replication cursors, and -coord runs the embedded coordinator —
 // exactly one node per cluster should pass it — which health-probes the
 // members and pushes failover ring versions.
-//
-// The legacy -store JSON file, when given, is loaded on startup (if present)
-// and saved on SIGINT/SIGTERM; it can be combined with -data-dir to migrate
-// an old store file into a durable data directory.
 //
 // The -pprof side listener also serves /metrics: a JSON (or, with
 // ?format=text, expvar-style) dump of the process-wide observability
@@ -94,7 +89,6 @@ func main() {
 	eventHeartbeat := flag.Duration("event-heartbeat", cloud.DefaultEventHeartbeat, "SSE heartbeat period on idle event subscriptions")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this side address (empty = disabled)")
 	slowReq := flag.Duration("slow-request", 0, "log API requests slower than this threshold (0 = disabled)")
-	storePath := flag.String("store", "", "legacy JSON persistence file (optional)")
 	worldSeed := flag.Int64("world-seed", 2014, "seed of the synthetic world for the cell database")
 	extent := flag.Float64("extent", 2600, "world half-extent in meters (must match the simulation)")
 	clusterSpec := flag.String("cluster", "", "cluster membership as comma-separated id=url pairs (e.g. a=http://h1:8080,b=http://h2:8080); empty = single node")
@@ -126,14 +120,14 @@ func main() {
 	var store *cloud.Store
 	var cnode *cloud.ClusterNode
 	var coordinator *cluster.Coordinator
+	storeCfg, err := buildStoreConfig(*dataDir, *fsyncMode, *fsyncEvery, *shards, *commitBatch, *commitLinger, *compactEvery)
+	if err != nil {
+		log.Fatalf("open store: %v", err)
+	}
 	if *clusterSpec != "" {
 		peers, self, err := parseClusterSpec(*clusterSpec, *nodeID, *advertiseURL)
 		if err != nil {
 			log.Fatalf("cluster: %v", err)
-		}
-		storeCfg, err := buildStoreConfig(*dataDir, *fsyncMode, *fsyncEvery, *shards, *commitBatch, *commitLinger, *compactEvery)
-		if err != nil {
-			log.Fatalf("open store: %v", err)
 		}
 		rd := *replDir
 		if rd == "" && *dataDir != "" {
@@ -157,17 +151,9 @@ func main() {
 			log.Printf("embedded coordinator probing %d members every %s", len(peers), *coordInterval)
 		}
 	} else {
-		var err error
-		store, err = openStore(*dataDir, *fsyncMode, *fsyncEvery, *shards, *commitBatch, *commitLinger, *compactEvery)
+		store, err = openStore(*dataDir, storeCfg)
 		if err != nil {
 			log.Fatalf("open store: %v", err)
-		}
-	}
-	if *storePath != "" {
-		if err := store.Load(*storePath); err == nil {
-			log.Printf("loaded store from %s (%d users)", *storePath, store.UserCount())
-		} else if !os.IsNotExist(unwrapPathError(err)) {
-			log.Printf("warning: could not load %s: %v", *storePath, err)
 		}
 	}
 
@@ -188,7 +174,7 @@ func main() {
 
 	api := &http.Server{Addr: *addr, Handler: server.Handler()}
 
-	// On SIGINT/SIGTERM drain both listeners; the save/close sequence then
+	// On SIGINT/SIGTERM drain both listeners; the close sequence then
 	// runs on the main goroutine after ListenAndServe returns, so the side
 	// listener can never outlive the API server (or the process).
 	sigs := make(chan os.Signal, 1)
@@ -215,14 +201,6 @@ func main() {
 	}
 
 	code := 0
-	if *storePath != "" {
-		if err := store.Save(*storePath); err != nil {
-			log.Printf("save failed: %v", err)
-			code = 1
-		} else {
-			log.Printf("store saved to %s", *storePath)
-		}
-	}
 	// Stop the discovery workers before the store goes away under them.
 	server.Close()
 	if coordinator != nil {
@@ -282,8 +260,8 @@ func parseClusterSpec(spec, selfID, advertise string) ([]cluster.Node, cluster.N
 	return peers, self, nil
 }
 
-// buildStoreConfig assembles the StoreConfig a cluster node opens its store
-// with (dir may be empty for memory-only).
+// buildStoreConfig assembles the StoreConfig the node opens its store with
+// (dir may be empty for memory-only).
 func buildStoreConfig(dir, fsyncMode string, fsyncEvery time.Duration, shards, commitBatch int, commitLinger time.Duration, compactEvery int) (cloud.StoreConfig, error) {
 	cfg := cloud.StoreConfig{
 		Shards:         shards,
@@ -303,43 +281,15 @@ func buildStoreConfig(dir, fsyncMode string, fsyncEvery time.Duration, shards, c
 }
 
 // openStore builds the in-memory store or opens (and recovers) a durable one.
-func openStore(dir, fsyncMode string, fsyncEvery time.Duration, shards, commitBatch int, commitLinger time.Duration, compactEvery int) (*cloud.Store, error) {
+func openStore(dir string, cfg cloud.StoreConfig) (*cloud.Store, error) {
 	if dir == "" {
 		return cloud.NewStore(nil), nil
 	}
-	policy, err := storage.ParseSyncPolicy(fsyncMode)
-	if err != nil {
-		return nil, err
-	}
-	store, err := cloud.OpenStore(dir, cloud.StoreConfig{
-		Shards:         shards,
-		Sync:           policy,
-		SyncEvery:      fsyncEvery,
-		CompactEvery:   compactEvery,
-		CommitMaxBatch: commitBatch,
-		CommitLinger:   commitLinger,
-	})
+	store, err := cloud.OpenStore(dir, cfg)
 	if err != nil {
 		return nil, err
 	}
 	log.Printf("durable store open at %s (fsync=%s, %d data shards, %d users recovered)",
-		dir, policy, store.ShardCount(), store.UserCount())
+		dir, cfg.Sync, store.ShardCount(), store.UserCount())
 	return store, nil
-}
-
-// unwrapPathError digs out the fs-level error so missing files are not
-// treated as load failures.
-func unwrapPathError(err error) error {
-	for {
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return err
-		}
-		inner := u.Unwrap()
-		if inner == nil {
-			return err
-		}
-		err = inner
-	}
 }

@@ -6,16 +6,19 @@
 //
 // Usage:
 //
-//	pmware-sim [-participants 16] [-days 14] [-seed 2014] [-http] [-save store.json]
+//	pmware-sim [-participants 16] [-days 14] [-seed 2014] [-http [-data-dir DIR]]
 //
 // With -http the entire study runs through a real loopback HTTP cloud
 // instance (registration, GCA offload, profile sync, geolocation) instead of
-// the in-process adapter.
+// the in-process adapter. Adding -data-dir runs that instance on a durable
+// store rooted at DIR — the same directory layout pmware-cloud -data-dir
+// serves, so the study's output can be served directly afterwards.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -30,14 +33,28 @@ import (
 )
 
 func main() {
-	participants := flag.Int("participants", 16, "number of participants")
-	days := flag.Int("days", 14, "study duration in days")
-	seed := flag.Int64("seed", 2014, "master random seed")
-	useHTTP := flag.Bool("http", false, "run the cloud instance over loopback HTTP")
-	social := flag.Bool("social", false, "enable Bluetooth social discovery between participants")
-	showMap := flag.Bool("map", false, "render an ASCII map of all discovered places (Figure 5b)")
-	save := flag.String("save", "", "save the cloud store to this JSON file afterwards")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, runs the study, and writes the
+// report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pmware-sim", flag.ExitOnError)
+	participants := fs.Int("participants", 16, "number of participants")
+	days := fs.Int("days", 14, "study duration in days")
+	seed := fs.Int64("seed", 2014, "master random seed")
+	useHTTP := fs.Bool("http", false, "run the cloud instance over loopback HTTP")
+	social := fs.Bool("social", false, "enable Bluetooth social discovery between participants")
+	showMap := fs.Bool("map", false, "render an ASCII map of all discovered places (Figure 5b)")
+	dataDir := fs.String("data-dir", "", "durable data directory for the -http cloud instance (WAL + snapshots); empty = in-memory")
+	fs.Parse(args) // ExitOnError: a bad flag never returns
+	if *dataDir != "" && !*useHTTP {
+		fs.Usage()
+		return fmt.Errorf("-data-dir needs -http: without it the study runs no cloud store")
+	}
 
 	cfg := study.DefaultConfig()
 	cfg.Participants = *participants
@@ -45,33 +62,49 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Social = *social
 
-	var store *cloud.Store
+	stop := func() error { return nil }
 	if *useHTTP {
 		// Build the same world the study will generate, for the cell DB.
 		w := world.Generate(cfg.World, rand.New(rand.NewSource(cfg.Seed)))
-		store = cloud.NewStore(nil)
+		store := cloud.NewStore(nil)
+		if *dataDir != "" {
+			var err error
+			if store, err = cloud.OpenStore(*dataDir, cloud.StoreConfig{}); err != nil {
+				return fmt.Errorf("open store: %w", err)
+			}
+		}
 		server := cloud.NewServer(store, cloud.WithCellDatabase(cloud.NewCellDatabase(w, 150)))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			log.Fatalf("listen: %v", err)
+			store.Close()
+			return fmt.Errorf("listen: %w", err)
 		}
+		srv := &http.Server{Handler: server.Handler()}
 		go func() {
-			if err := http.Serve(ln, server.Handler()); err != nil {
+			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				log.Printf("cloud server: %v", err)
 			}
 		}()
+		// Stop serving and the discovery workers before the store closes
+		// under them; Close compacts, so the next open replays nothing.
+		stop = func() error {
+			srv.Close()
+			server.Close()
+			return store.Close()
+		}
 		cfg.CloudBaseURL = "http://" + ln.Addr().String()
 		log.Printf("cloud instance on %s", cfg.CloudBaseURL)
 	}
 
 	res, err := study.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if cerr := stop(); err == nil && cerr != nil {
+		err = fmt.Errorf("close store: %w", cerr)
 	}
-	if err := study.WriteReport(os.Stdout, res); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err != nil {
+		return err
+	}
+	if err := study.WriteReport(out, res); err != nil {
+		return err
 	}
 	if *showMap {
 		var centers []geo.LatLng
@@ -79,17 +112,10 @@ func main() {
 			centers = append(centers, pr.PlaceCenters...)
 		}
 		m, skipped := viz.PlacesMap(res.World, centers, 100, 36)
-		fmt.Printf("\nall places discovered during the study (Figure 5b); %s, %d not geolocated:\n", m.Summary(), skipped)
-		if err := m.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		fmt.Fprintf(out, "\nall places discovered during the study (Figure 5b); %s, %d not geolocated:\n", m.Summary(), skipped)
+		if err := m.Render(out); err != nil {
+			return err
 		}
 	}
-	if *save != "" && store != nil {
-		if err := store.Save(*save); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ncloud store saved to %s\n", *save)
-	}
+	return nil
 }

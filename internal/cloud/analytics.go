@@ -14,68 +14,19 @@ import (
 //
 // Queries answer from the store's incremental per-user index (index.go) under
 // the shard read lock — no per-query deep copy of the history. Each exported
-// method keeps an unexported scan* twin that recomputes from scratch via
-// ProfileRange; the twins are the reference implementation the equivalence
-// property test pins the index against, and the pre-index baseline the
-// serving benchmarks measure speedups from. Both sides fold visits in the
-// same order (dates ascending, within-day profile order), so floating-point
-// results agree byte-for-byte, not just approximately.
+// method has an unexported scan* twin in analytics_scan_test.go that
+// recomputes from scratch via ProfileRange; the twins are the reference
+// implementation the equivalence property test pins the index against, and
+// the pre-index baseline the serving benchmarks measure speedups from. Both
+// sides fold visits in the same order (dates ascending, within-day profile
+// order), so floating-point results agree byte-for-byte, not just
+// approximately.
 type Analytics struct {
 	store *Store
 }
 
 // NewAnalytics returns an engine over the store.
 func NewAnalytics(store *Store) *Analytics { return &Analytics{store: store} }
-
-// arrival carries one true arrival plus its unit-circle coordinates on the
-// 24 h cycle (the circular-mean folds sum cosTh/sinTh in arrival order).
-type arrival struct {
-	secOfDay     int
-	weekday      time.Weekday
-	at           time.Time
-	cosTh, sinTh float64
-}
-
-func newArrival(v *profile.PlaceVisit) arrival {
-	sec := v.Arrive.Hour()*3600 + v.Arrive.Minute()*60 + v.Arrive.Second()
-	th := float64(sec) / 86400 * 2 * math.Pi
-	return arrival{
-		secOfDay: sec, weekday: v.Arrive.Weekday(), at: v.Arrive,
-		cosTh: math.Cos(th), sinTh: math.Sin(th),
-	}
-}
-
-// scanArrivalsAt is the from-scratch reference: deep-copy the history and
-// rescan it.
-func (a *Analytics) scanArrivalsAt(userID, placeID string) []arrival {
-	profiles := a.store.ProfileRange(userID, "", "")
-	var out []arrival
-	var prevDay *profile.DayProfile
-	for _, day := range profiles {
-		for _, v := range day.Places {
-			if v.PlaceID != placeID {
-				continue
-			}
-			if isMidnightContinuation(v, prevDay, placeID) {
-				continue
-			}
-			out = append(out, newArrival(&v))
-		}
-		prevDay = day
-	}
-	return out
-}
-
-// isMidnightContinuation detects the second half of a visit split at the day
-// boundary: arrival exactly at 00:00 while the previous day's profile ends
-// with the same place at 24:00.
-func isMidnightContinuation(v profile.PlaceVisit, prevDay *profile.DayProfile, placeID string) bool {
-	if prevDay == nil || len(prevDay.Places) == 0 {
-		return false
-	}
-	last := prevDay.Places[len(prevDay.Places)-1]
-	return continuesPrevDay(&v, &last, placeID)
-}
 
 // TypicalArrival answers "at what time does the user typically reach this
 // place?" — e.g. the likely time the user reaches home in the evening. It
@@ -97,22 +48,6 @@ func (a *Analytics) TypicalArrival(userID, placeID string) (secOfDay int, n int)
 		}
 	})
 	return secOfDay, n
-}
-
-func (a *Analytics) scanTypicalArrival(userID, placeID string) (secOfDay int, n int) {
-	return typicalFromArrivals(a.scanArrivalsAt(userID, placeID))
-}
-
-func typicalFromArrivals(arrivals []arrival) (secOfDay int, n int) {
-	if len(arrivals) == 0 {
-		return 0, 0
-	}
-	var sx, sy float64
-	for _, ar := range arrivals {
-		sx += ar.cosTh
-		sy += ar.sinTh
-	}
-	return circularMeanSec(sx, sy), len(arrivals)
 }
 
 // circularMeanSec maps summed unit-circle coordinates back to the mean
@@ -147,10 +82,6 @@ func (a *Analytics) PredictNextVisit(userID, placeID string, after time.Time) (n
 	return next, confident
 }
 
-func (a *Analytics) scanPredictNextVisit(userID, placeID string, after time.Time) (time.Time, bool) {
-	return predictFromArrivals(a.scanArrivalsAt(userID, placeID), after)
-}
-
 // weekdayAcc accumulates one weekday's circular-mean terms.
 type weekdayAcc struct {
 	sx, sy float64
@@ -179,20 +110,6 @@ func predictFromWeekdays(byWD *[7]weekdayAcc, total int, after time.Time) (time.
 	return time.Time{}, false
 }
 
-func predictFromArrivals(arrivals []arrival, after time.Time) (time.Time, bool) {
-	if len(arrivals) < 2 {
-		return time.Time{}, false
-	}
-	var byWD [7]weekdayAcc
-	for _, ar := range arrivals {
-		acc := &byWD[ar.weekday]
-		acc.sx += ar.cosTh
-		acc.sy += ar.sinTh
-		acc.n++
-	}
-	return predictFromWeekdays(&byWD, len(arrivals), after)
-}
-
 // VisitFrequency answers "how often does the user visit this place?" as
 // visits per week over the observed profile span.
 func (a *Analytics) VisitFrequency(userID, placeID string) (perWeek float64, total int) {
@@ -204,15 +121,6 @@ func (a *Analytics) VisitFrequency(userID, placeID string) (perWeek float64, tot
 		perWeek = perWeekOver(ux.dates[0], ux.dates[len(ux.dates)-1], total)
 	})
 	return perWeek, total
-}
-
-func (a *Analytics) scanVisitFrequency(userID, placeID string) (perWeek float64, total int) {
-	profiles := a.store.ProfileRange(userID, "", "")
-	if len(profiles) == 0 {
-		return 0, 0
-	}
-	total = len(a.scanArrivalsAt(userID, placeID))
-	return perWeekOver(profiles[0].Date, profiles[len(profiles)-1].Date, total), total
 }
 
 // perWeekOver converts a visit count over [firstDate, lastDate] (inclusive)
@@ -235,38 +143,6 @@ func (a *Analytics) DwellStats(userID, placeID string) DwellStatsResponse {
 	a.store.viewIndex(userID, func(ux *userIndex) {
 		stays = indexDwells(ux, placeID)
 	})
-	return dwellSummary(placeID, stays)
-}
-
-func (a *Analytics) scanDwellStats(userID, placeID string) DwellStatsResponse {
-	profiles := a.store.ProfileRange(userID, "", "")
-	var stays []time.Duration
-	var open *profile.PlaceVisit
-	var openDur time.Duration
-	flush := func() {
-		if open != nil {
-			stays = append(stays, openDur)
-			open = nil
-			openDur = 0
-		}
-	}
-	for _, day := range profiles {
-		for i := range day.Places {
-			v := day.Places[i]
-			if v.PlaceID != placeID {
-				continue
-			}
-			if open != nil && v.Arrive.Equal(open.Arrive.Add(openDur)) {
-				openDur += v.Duration()
-				continue
-			}
-			flush()
-			vv := v
-			open = &vv
-			openDur = v.Duration()
-		}
-	}
-	flush()
 	return dwellSummary(placeID, stays)
 }
 
@@ -298,25 +174,4 @@ func (a *Analytics) FrequencyByLabel(userID, label string) (perWeek float64, tot
 		perWeek = perWeekOver(ux.dates[0], ux.dates[len(ux.dates)-1], total)
 	})
 	return perWeek, total
-}
-
-func (a *Analytics) scanFrequencyByLabel(userID, label string) (perWeek float64, total int) {
-	profiles := a.store.ProfileRange(userID, "", "")
-	if len(profiles) == 0 {
-		return 0, 0
-	}
-	var prevDay *profile.DayProfile
-	for _, day := range profiles {
-		for _, v := range day.Places {
-			if v.Label != label {
-				continue
-			}
-			if isMidnightContinuation(v, prevDay, v.PlaceID) {
-				continue
-			}
-			total++
-		}
-		prevDay = day
-	}
-	return perWeekOver(profiles[0].Date, profiles[len(profiles)-1].Date, total), total
 }

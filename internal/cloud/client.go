@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -70,27 +69,24 @@ type Client struct {
 	traceLen  int64
 	traceHash uint64
 
-	// wire is the preferred request/response encoding; jsonOnly latches true
-	// the first time a peer answers 415 to a binary request, downgrading
-	// this client to JSON for its lifetime (the peer predates the codec —
-	// asking again next call would just burn a round-trip every time).
-	wire     WireCodec
-	jsonOnly atomic.Bool
+	// wire is the request/response encoding this client speaks.
+	wire WireCodec
 
 	// router, when set (WithCluster), routes each call by the consistent-hash
 	// ring instead of baseURL and drives failover across nodes.
 	router *clusterRouter
 }
 
-// WireCodec selects the client's preferred wire encoding.
+// WireCodec selects the client's wire encoding.
 type WireCodec int
 
 const (
 	// WireJSON is the historical reflective-JSON wire — the default, and
 	// what every peer understands.
 	WireJSON WireCodec = iota
-	// WireBinary negotiates application/x-pmware-bin (DESIGN.md §14),
-	// falling back to JSON transparently against peers without the codec.
+	// WireBinary speaks application/x-pmware-bin (DESIGN.md §14) for every
+	// message that has a binary encoding. There is no downgrade: a peer that
+	// answers 415 fails the call with that status.
 	WireBinary
 )
 
@@ -113,20 +109,13 @@ func ParseWireCodec(s string) (WireCodec, error) {
 	return WireJSON, fmt.Errorf("cloud: unknown wire codec %q", s)
 }
 
-// WithWireCodec sets the preferred wire encoding.
+// WithWireCodec sets the wire encoding.
 func WithWireCodec(wc WireCodec) ClientOption {
 	return func(c *Client) { c.wire = wc }
 }
 
-// useBinary reports whether the next request should speak binary.
-func (c *Client) useBinary() bool { return c.wire == WireBinary && !c.jsonOnly.Load() }
-
-// fallbackToJSON latches the sticky JSON downgrade after a 415.
-func (c *Client) fallbackToJSON() {
-	if !c.jsonOnly.Swap(true) {
-		c.m.wireFallbacks.Inc()
-	}
-}
+// useBinary reports whether requests speak binary.
+func (c *Client) useBinary() bool { return c.wire == WireBinary }
 
 // ClientOption customizes a Client.
 type ClientOption func(*Client)
@@ -262,9 +251,7 @@ func StatusCode(err error) (status int, ok bool) {
 // call performs one request under the retry policy. withAuth attaches the
 // bearer token; idempotent enables automatic retry on transient errors. The
 // request body is marshalled once (binary when the active wire codec has an
-// encoding for it, JSON otherwise) and replayed per attempt. A binary call
-// rejected 415 — a peer without the codec — downgrades the client to JSON
-// and replays the whole call.
+// encoding for it, JSON otherwise) and replayed per attempt.
 func (c *Client) call(ctx context.Context, method, path string, query url.Values, body, into any, withAuth, idempotent bool) error {
 	var rt *routeSession
 	if c.router != nil {
@@ -283,23 +270,16 @@ func (c *Client) call(ctx context.Context, method, path string, query url.Values
 	}
 	useBin := false
 	var payload []byte
-	marshal := func() error {
-		useBin, payload = false, nil
-		if body == nil {
-			return nil
-		}
+	if body != nil {
 		if c.useBinary() {
-			if data, ok := appendWire(nil, body); ok {
-				useBin, payload = true, data
-				return nil
+			payload, useBin = appendWire(nil, body)
+		}
+		if !useBin {
+			var err error
+			if payload, err = json.Marshal(body); err != nil {
+				return fmt.Errorf("marshal request: %w", err)
 			}
 		}
-		data, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("marshal request: %w", err)
-		}
-		payload = data
-		return nil
 	}
 	run := func() error {
 		attempt := 0
@@ -315,20 +295,7 @@ func (c *Client) call(ctx context.Context, method, path string, query url.Values
 			return err
 		})
 	}
-	if err := marshal(); err != nil {
-		return err
-	}
 	err := run()
-	if useBin {
-		var se *statusError
-		if errors.As(err, &se) && se.Status == http.StatusUnsupportedMediaType {
-			c.fallbackToJSON()
-			if merr := marshal(); merr != nil {
-				return merr
-			}
-			err = run()
-		}
-	}
 	if rt != nil {
 		// A 421 is answered before the request touches any state, so one
 		// whole-call replay on the owner the router just adopted is always
@@ -360,9 +327,8 @@ func (c *Client) doOnce(ctx context.Context, method, u string, payload []byte, b
 		}
 	}
 	if into != nil && c.useBinary() && wireDecodable(into) {
-		// Offer binary but accept JSON: a peer without the codec ignores the
-		// preference and answers JSON, which finishResponse decodes by the
-		// response's own Content-Type — the fallback costs nothing.
+		// Offer binary but accept JSON: finishResponse decodes by the
+		// response's own Content-Type, so a JSON answer costs nothing.
 		req.Header.Set("Accept", ContentTypeBinary+", application/json;q=0.5")
 	}
 	if withAuth {
@@ -394,10 +360,9 @@ func (c *Client) doOnce(ctx context.Context, method, u string, payload []byte, b
 // finishResponse classifies one HTTP response and, for 2xx, decodes the body
 // into `into` by the RESPONSE's Content-Type — the server only answers
 // binary when the request offered it, and a JSON answer to a
-// binary-accepting request is the compatibility fallback working, not an
-// error. Every body byte read is counted into
-// client_wire_bytes_received_total. Shared by the buffered, streaming-ingest
-// and streaming-discover paths.
+// binary-accepting request is not an error. Every body byte read is counted
+// into client_wire_bytes_received_total. Shared by the buffered,
+// streaming-ingest and streaming-discover paths.
 func (c *Client) finishResponse(resp *http.Response, into any) error {
 	if resp.StatusCode/100 != 2 {
 		switch {
@@ -567,16 +532,10 @@ func (c *Client) DiscoverPlacesContext(ctx context.Context, obs []trace.GSMObser
 }
 
 // discoverCall routes one discover upload: framed binary streaming when the
-// binary wire is active (with the one-time JSON downgrade if the peer
-// answers 415), the buffered JSON call otherwise.
+// binary wire is active, the buffered JSON call otherwise.
 func (c *Client) discoverCall(ctx context.Context, req *DiscoverPlacesRequest, out *DiscoverPlacesResponse) error {
 	if c.useBinary() {
-		err := c.discoverBinary(ctx, req, out)
-		var se *statusError
-		if !errors.As(err, &se) || se.Status != http.StatusUnsupportedMediaType {
-			return err
-		}
-		c.fallbackToJSON()
+		return c.discoverBinary(ctx, req, out)
 	}
 	return c.authedCall(ctx, http.MethodPost, PathPlacesDiscover, nil, req, out, true)
 }

@@ -28,7 +28,6 @@ import (
 //	client_delta_fallbacks_total            deltas rejected 409, re-sent as full uploads
 //	client_wire_bytes_sent_total            request body bytes written, any codec
 //	client_wire_bytes_received_total        response body bytes read, any codec
-//	client_wire_json_fallbacks_total        binary requests downgraded after a 415
 //	client_cluster_failovers_total          candidate advances on conn error / 5xx
 //	client_cluster_redirects_total          421 redirects adopted from X-PMWare-Owner
 type clientMetrics struct {
@@ -46,7 +45,6 @@ type clientMetrics struct {
 	deltaFallbacks *obs.Counter
 	wireSentBytes  *obs.Counter
 	wireRecvBytes  *obs.Counter
-	wireFallbacks  *obs.Counter
 
 	clusterFailovers *obs.Counter
 	clusterRedirects *obs.Counter
@@ -71,7 +69,6 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 		deltaFallbacks: reg.Counter("client_delta_fallbacks_total"),
 		wireSentBytes:  reg.Counter("client_wire_bytes_sent_total"),
 		wireRecvBytes:  reg.Counter("client_wire_bytes_received_total"),
-		wireFallbacks:  reg.Counter("client_wire_json_fallbacks_total"),
 
 		clusterFailovers: reg.Counter("client_cluster_failovers_total"),
 		clusterRedirects: reg.Counter("client_cluster_redirects_total"),

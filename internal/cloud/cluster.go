@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // This file is the node side of the horizontal PCI cluster (DESIGN.md §15):
@@ -32,71 +33,56 @@ func StableUserID(imei, email string) string {
 	return fmt.Sprintf("u%016x", h.Sum64())
 }
 
-// ApplyShipped journals one replicated record verbatim into the named
-// engine and shard (cluster.Applier). Shipped records bypass the write gate:
-// they never enqueue on this node's own stream, and they only touch users
-// owned by the sending primary — disjoint from any export this node cuts.
-// The replay into in-memory state is deferred (storage.AppendShipped):
-// durability is what the ack promises, and materializeReplicas runs before
-// this node serves or exports the replicated users.
-func (s *Store) ApplyShipped(engine uint8, shard int, rec []byte) error {
+// engineFor resolves a ShipRecord's engine byte to the engine that journals
+// it, rejecting an engine or shard outside this store's layout.
+func (s *Store) engineFor(engine uint8, shard int) (*storage.Engine, error) {
+	var eng *storage.Engine
 	switch engine {
 	case cluster.EngineMain:
-		if shard < 0 || shard >= s.eng.NumShards() {
-			return fmt.Errorf("cloud: shipped record for main shard %d of %d", shard, s.eng.NumShards())
-		}
-		return s.eng.AppendShipped(shard, rec)
+		eng = s.eng
 	case cluster.EngineTrace:
-		if shard < 0 || shard >= s.traceEng.NumShards() {
-			return fmt.Errorf("cloud: shipped record for trace shard %d of %d", shard, s.traceEng.NumShards())
-		}
-		return s.traceEng.AppendShipped(shard, rec)
+		eng = s.traceEng
+	default:
+		return nil, fmt.Errorf("cloud: record for unknown engine %d", engine)
 	}
-	return fmt.Errorf("cloud: shipped record for unknown engine %d", engine)
+	if shard < 0 || shard >= eng.NumShards() {
+		return nil, fmt.Errorf("cloud: record for engine %d shard %d of %d", engine, shard, eng.NumShards())
+	}
+	return eng, nil
 }
 
-// ApplyShippedBatch journals a contiguous run of replicated records
-// (cluster.BatchApplier), grouped per engine shard so each shard pays one
+// ApplyShippedBatch journals a contiguous run of replicated records verbatim
+// (cluster.Applier), grouped per engine shard so each shard pays one
 // group-commit wait for the whole run instead of one per record — with a
-// non-zero commit linger the per-record path costs a full linger each,
-// which stalls the stream and everything queued behind it. Stream order is
+// non-zero commit linger a per-record apply would cost a full linger each,
+// stalling the stream and everything queued behind it. Stream order is
 // preserved within each shard, and per-shard WALs are the only place
-// replication order exists, so the journaled bytes are identical to the
-// per-record path's.
+// replication order exists. Shipped records bypass the write gate: they
+// never enqueue on this node's own stream, and they only touch users owned
+// by the sending primary — disjoint from any export this node cuts. The
+// replay into in-memory state is deferred (storage.AppendShippedBatch):
+// durability is what the ack promises, and materializeReplicas runs before
+// this node serves or exports the replicated users.
 func (s *Store) ApplyShippedBatch(recs []cluster.ShipRecord) error {
 	type dest struct {
-		engine uint8
-		shard  int
+		eng   *storage.Engine
+		shard int
 	}
 	groups := map[dest][][]byte{}
 	var order []dest
 	for _, rec := range recs {
-		switch rec.Engine {
-		case cluster.EngineMain:
-			if rec.Shard < 0 || rec.Shard >= s.eng.NumShards() {
-				return fmt.Errorf("cloud: shipped record for main shard %d of %d", rec.Shard, s.eng.NumShards())
-			}
-		case cluster.EngineTrace:
-			if rec.Shard < 0 || rec.Shard >= s.traceEng.NumShards() {
-				return fmt.Errorf("cloud: shipped record for trace shard %d of %d", rec.Shard, s.traceEng.NumShards())
-			}
-		default:
-			return fmt.Errorf("cloud: shipped record for unknown engine %d", rec.Engine)
+		eng, err := s.engineFor(rec.Engine, rec.Shard)
+		if err != nil {
+			return err
 		}
-		d := dest{engine: rec.Engine, shard: rec.Shard}
+		d := dest{eng: eng, shard: rec.Shard}
 		if _, ok := groups[d]; !ok {
 			order = append(order, d)
 		}
 		groups[d] = append(groups[d], rec.Rec)
 	}
 	for _, d := range order {
-		var err error
-		if d.engine == cluster.EngineMain {
-			err = s.eng.AppendShippedBatch(d.shard, groups[d])
-		} else {
-			err = s.traceEng.AppendShippedBatch(d.shard, groups[d])
-		}
-		if err != nil {
+		if err := d.eng.AppendShippedBatch(d.shard, groups[d]); err != nil {
 			return err
 		}
 	}
@@ -114,24 +100,16 @@ func (s *Store) materializeReplicas() error {
 }
 
 // applyImported journals a handed-off record through the full primary
-// mutation path: unlike ApplyShipped it ships onward to this node's own
+// mutation path: unlike ApplyShippedBatch it ships onward to this node's own
 // follower, because an imported user is now this node's to replicate.
 func (s *Store) applyImported(engine uint8, shard int, rec []byte) error {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	switch engine {
-	case cluster.EngineMain:
-		if shard < 0 || shard >= s.eng.NumShards() {
-			return fmt.Errorf("cloud: imported record for main shard %d of %d", shard, s.eng.NumShards())
-		}
-		return s.eng.ApplyRecord(shard, rec)
-	case cluster.EngineTrace:
-		if shard < 0 || shard >= s.traceEng.NumShards() {
-			return fmt.Errorf("cloud: imported record for trace shard %d of %d", shard, s.traceEng.NumShards())
-		}
-		return s.traceEng.ApplyRecord(shard, rec)
+	eng, err := s.engineFor(engine, shard)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("cloud: imported record for unknown engine %d", engine)
+	return eng.ApplyRecord(shard, rec)
 }
 
 // userIDs returns every registered user ID.
@@ -218,7 +196,7 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 // half of the export-then-drop pair, and only the gate makes the pair
 // atomic against writes (a write landing between the export snapshot and
 // the drop would be acknowledged and then deleted). The drops are journaled
-// but deliberately NOT shipped (ApplyShipped path): this node's follower
+// but deliberately NOT shipped (storage.Engine.ApplyShipped): this node's follower
 // may be the very node that just imported the users as their new primary,
 // and a shipped drop would delete its primary copy. The follower's replica
 // copy goes stale instead — harmless, because serving is ring-gated, and
@@ -232,17 +210,18 @@ func (s *Store) dropUsersLocked(uids []string) error {
 				key = deviceKey(u.IMEI, u.Email)
 			}
 		})
-		// Eager (not the deferred AppendShipped path): the dropped users must
-		// vanish from in-memory state before the handoff acks.
-		drop := func(eng uint8, shard int, rec any) error {
+		// Eager (not the deferred AppendShippedBatch path): the dropped users
+		// must vanish from in-memory state before the handoff acks.
+		drop := func(engine uint8, shard int, rec any) error {
 			b, err := json.Marshal(rec)
 			if err != nil {
 				return err
 			}
-			if eng == cluster.EngineMain {
-				return s.eng.ApplyShipped(shard, b)
+			eng, err := s.engineFor(engine, shard)
+			if err != nil {
+				return err
 			}
-			return s.traceEng.ApplyShipped(shard, b)
+			return eng.ApplyShipped(shard, b)
 		}
 		idx, _ := s.dataFor(uid)
 		if err := drop(cluster.EngineMain, idx, &walRecord{Op: opDropUser, UserID: uid}); err != nil {

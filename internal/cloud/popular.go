@@ -238,8 +238,8 @@ func (px *PopularIndex) Places(k int, radiusM float64) []PopularPlace {
 		}
 		all = append(all, c.pts...)
 	})
-	// Drop cache entries for users no longer in the store (legacy Load can
-	// replace the population wholesale).
+	// Drop cache entries for users no longer in the store (a cluster handoff
+	// drops the users it moved away).
 	for u := range px.byUser {
 		if !seen[u] {
 			delete(px.byUser, u)

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,7 +86,6 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	if after := userStateJSON(t, s2, uid); after != before {
 		t.Errorf("state diverged across restart:\nbefore: %s\nafter:  %s", before, after)
 	}
@@ -96,6 +97,34 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	reg2, err := s2.Register("imei-1", "a@b.c")
 	if err != nil || reg2.UserID != uid {
 		t.Errorf("device identity lost across restart: %v, %v", reg2.UserID, err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An intact WAL record whose op the store does not know (here the retired
+	// whole-shard import) must fail the open, not be skipped: skipping would
+	// silently drop whatever the record carried.
+	wals, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("shard-%03d", s2.dataShard(uid)), "wal-*.log"))
+	if len(wals) != 1 {
+		t.Fatalf("want one live WAL after close, got %v", wals)
+	}
+	rec := []byte(`{"op":"load_shard","data":{"places":{}}}`)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(rec)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(rec))
+	f, err := os.OpenFile(wals[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame, rec...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if s3, err := OpenStore(dir, StoreConfig{Now: fixedNow(simclock.Epoch)}); err == nil {
+		s3.Close()
+		t.Error("OpenStore replayed past a load_shard record")
+	} else if !strings.Contains(err.Error(), "load_shard") {
+		t.Errorf("OpenStore error does not name the op: %v", err)
 	}
 }
 
@@ -397,37 +426,5 @@ func TestStoreReadsAreDeepCopies(t *testing.T) {
 	prof.Places[0].PlaceID = "mutated-after-put"
 	if got, _ := s.Profile(uid, "2014-09-09"); got.Places[0].PlaceID != "p0" {
 		t.Error("PutProfile retained the caller's profile")
-	}
-}
-
-// TestSaveIsAtomic: Save must leave either the old or the new file, never a
-// torn one, and no temp droppings.
-func TestSaveAtomicReplacesPrevious(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.json")
-	s := NewStore(fixedNow(simclock.Epoch))
-	reg, _ := s.Register("imei-1", "a@b.c")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutProfile(reg.UserID, mkProfile(reg.UserID, "2014-09-01")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "store.json" {
-		t.Fatalf("save left droppings: %v", ents)
-	}
-	s2 := NewStore(fixedNow(simclock.Epoch))
-	if err := s2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.Profile(reg.UserID, "2014-09-01"); !ok {
-		t.Error("second save not visible after load")
 	}
 }

@@ -24,11 +24,9 @@ const (
 	opSetRoutes   = "set_routes"
 	opPutProfile  = "put_profile"
 	opAddContacts = "add_contacts"
-	opLoadMeta    = "load_meta"  // legacy Save-file import: replace meta keyspace
-	opLoadShard   = "load_shard" // legacy Save-file import: replace one data shard
-	opSyncUser    = "sync_user"  // cluster resync/handoff: replace one user's data wholesale
-	opDropUser    = "drop_user"  // cluster handoff: remove one user's data from this node
-	opDropMeta    = "drop_meta"  // cluster handoff: remove one user's registration
+	opSyncUser    = "sync_user" // cluster resync/handoff: replace one user's data wholesale
+	opDropUser    = "drop_user" // cluster handoff: remove one user's data from this node
+	opDropMeta    = "drop_meta" // cluster handoff: remove one user's registration
 )
 
 // walRecord is the journaled form of every Store mutation. One struct for
@@ -48,10 +46,6 @@ type walRecord struct {
 	Routes     []RouteWire         `json:"routes,omitempty"`
 	Profile    *profile.DayProfile `json:"profile,omitempty"`
 	Encounters []profile.Encounter `json:"encounters,omitempty"`
-
-	// load ops
-	Meta *metaSnapshot `json:"meta,omitempty"`
-	Data *dataSnapshot `json:"data,omitempty"`
 
 	// opSyncUser: the user's whole per-day history (Places/Routes/Encounters
 	// above carry the rest of the wholesale state).
@@ -82,16 +76,6 @@ func (m *metaState) apply(rec *walRecord) error {
 		}
 		m.users[rec.User.ID] = rec.User
 		m.byDevice[rec.DeviceKey] = rec.User.ID
-	case opLoadMeta:
-		if rec.Meta == nil {
-			return fmt.Errorf("cloud: load_meta record without payload")
-		}
-		if rec.Meta.Users != nil {
-			m.users = rec.Meta.Users
-		}
-		if rec.Meta.ByDevice != nil {
-			m.byDevice = rec.Meta.ByDevice
-		}
 	case opDropMeta:
 		delete(m.users, rec.UserID)
 		delete(m.byDevice, rec.DeviceKey)
@@ -181,15 +165,6 @@ type dataSnapshot struct {
 	Contacts map[string][]profile.Encounter            `json:"contacts"`
 }
 
-func newDataSnapshot() *dataSnapshot {
-	return &dataSnapshot{
-		Places:   map[string][]PlaceWire{},
-		Routes:   map[string][]RouteWire{},
-		Profiles: map[string]map[string]*profile.DayProfile{},
-		Contacts: map[string][]profile.Encounter{},
-	}
-}
-
 // apply is the single mutation path: live Store calls and crash-recovery
 // replay both go through it, so a replayed log reproduces the exact state
 // the acknowledged calls built.
@@ -251,11 +226,6 @@ func (d *dataState) apply(rec *walRecord) error {
 		ux.putDay(rec.Profile)
 	case opAddContacts:
 		d.contacts[rec.UserID] = append(d.contacts[rec.UserID], rec.Encounters...)
-	case opLoadShard:
-		if rec.Data == nil {
-			return fmt.Errorf("cloud: load_shard record without payload")
-		}
-		d.install(rec.Data)
 	case opSyncUser:
 		// Wholesale replacement of one user (cluster resync/handoff). Only
 		// this user's entries change; the rest of the shard — which may be

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -663,137 +662,4 @@ func (s *Store) forEachPlacesGen(fn func(userID string, gen uint64, places []Pla
 			}
 		})
 	}
-}
-
-// snapshot is the legacy whole-store persisted form (Save/Load and the sim
-// tooling); the engine's per-shard snapshots use metaSnapshot/dataSnapshot.
-type snapshot struct {
-	Users    map[string]*User                          `json:"users"`
-	ByDevice map[string]string                         `json:"by_device"`
-	Places   map[string][]PlaceWire                    `json:"places"`
-	Routes   map[string][]RouteWire                    `json:"routes"`
-	Profiles map[string]map[string]*profile.DayProfile `json:"profiles"`
-	Contacts map[string][]profile.Encounter            `json:"contacts"`
-}
-
-// Save writes the store (minus live tokens) to path as JSON, via a temp
-// file in the same directory plus rename — a crash mid-save can never
-// corrupt a previous save. Kept as a compatibility export (sim tooling, the
-// legacy -store flag); durable deployments use OpenStore instead.
-func (s *Store) Save(path string) error {
-	snap := snapshot{
-		Users:    map[string]*User{},
-		ByDevice: map[string]string{},
-		Places:   map[string][]PlaceWire{},
-		Routes:   map[string][]RouteWire{},
-		Profiles: map[string]map[string]*profile.DayProfile{},
-		Contacts: map[string][]profile.Encounter{},
-	}
-	s.eng.View(0, func() {
-		for id, u := range s.meta.users {
-			cu := *u
-			snap.Users[id] = &cu
-		}
-		for k, v := range s.meta.byDevice {
-			snap.ByDevice[k] = v
-		}
-	})
-	for i, d := range s.data {
-		s.eng.View(i+1, func() {
-			for u, ps := range d.places {
-				snap.Places[u] = clonePlaces(ps)
-			}
-			for u, rs := range d.routes {
-				snap.Routes[u] = cloneRoutes(rs)
-			}
-			for u, days := range d.profiles {
-				m := map[string]*profile.DayProfile{}
-				for date, p := range days {
-					m[date] = cloneProfile(p)
-				}
-				snap.Profiles[u] = m
-			}
-			for u, es := range d.contacts {
-				snap.Contacts[u] = slices.Clone(es)
-			}
-		})
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cloud: marshal store: %w", err)
-	}
-	return writeJSONAtomic(path, data)
-}
-
-// writeJSONAtomic writes data via temp file + rename in path's directory.
-func writeJSONAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// Load replaces the store contents from a Save file. Tokens are not
-// restored; devices must re-register. On a durable store the loaded state
-// is journaled like any other mutation.
-func (s *Store) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("cloud: read store: %w", err)
-	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("cloud: parse store: %w", err)
-	}
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-
-	// Meta shard: replace users/device index wholesale.
-	err = s.eng.Mutate(0, func() ([]byte, error) {
-		rec := &walRecord{Op: opLoadMeta, Meta: &metaSnapshot{Users: snap.Users, ByDevice: snap.ByDevice}}
-		if err := s.meta.apply(rec); err != nil {
-			return nil, err
-		}
-		return json.Marshal(rec)
-	})
-	if err != nil {
-		return err
-	}
-
-	// Partition per-user data by owning shard, then replace each shard's
-	// keyspace with its slice of the snapshot.
-	parts := make([]*dataSnapshot, len(s.data))
-	for i := range parts {
-		parts[i] = newDataSnapshot()
-	}
-	for u, v := range snap.Places {
-		parts[s.dataShard(u)-1].Places[u] = v
-	}
-	for u, v := range snap.Routes {
-		parts[s.dataShard(u)-1].Routes[u] = v
-	}
-	for u, v := range snap.Profiles {
-		parts[s.dataShard(u)-1].Profiles[u] = v
-	}
-	for u, v := range snap.Contacts {
-		parts[s.dataShard(u)-1].Contacts[u] = v
-	}
-	for i, d := range s.data {
-		rec := &walRecord{Op: opLoadShard, Data: parts[i]}
-		err := s.eng.Mutate(i+1, func() ([]byte, error) {
-			if err := d.apply(rec); err != nil {
-				return nil, err
-			}
-			return json.Marshal(rec)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -193,49 +192,5 @@ func TestRoutesMinFrequency(t *testing.T) {
 	}
 	if got := s.Routes("u1", 2); len(got) != 1 || got[0].ID != 0 {
 		t.Errorf("frequent routes = %v", got)
-	}
-}
-
-func TestSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.json")
-
-	s := NewStore(fixedNow(simclock.Epoch))
-	reg, _ := s.Register("imei-1", "a@b.c")
-	s.SetPlaces(reg.UserID, []PlaceWire{{ID: 0, Label: "Home"}})
-	day, _ := time.Parse(profile.DateFormat, "2014-09-01")
-	_ = s.PutProfile(reg.UserID, &profile.DayProfile{
-		UserID: reg.UserID, Date: "2014-09-01",
-		Places: []profile.PlaceVisit{{PlaceID: "p0", Arrive: day.Add(time.Hour), Depart: day.Add(2 * time.Hour)}},
-	})
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := NewStore(fixedNow(simclock.Epoch))
-	if err := s2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if s2.UserCount() != 1 {
-		t.Error("users not restored")
-	}
-	if got := s2.Places(reg.UserID); len(got) != 1 || got[0].Label != "Home" {
-		t.Error("places not restored")
-	}
-	if _, ok := s2.Profile(reg.UserID, "2014-09-01"); !ok {
-		t.Error("profiles not restored")
-	}
-	// Tokens do not survive.
-	if _, err := s2.Authenticate(reg.Token); err == nil {
-		t.Error("token survived persistence")
-	}
-	// Same device re-registers to the same user.
-	reg2, _ := s2.Register("imei-1", "a@b.c")
-	if reg2.UserID != reg.UserID {
-		t.Error("device identity lost across persistence")
-	}
-	// Load errors.
-	if err := s2.Load(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("loading missing file should fail")
 	}
 }

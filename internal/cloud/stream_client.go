@@ -38,12 +38,6 @@ func (c *Client) StreamObservations(ctx context.Context, obs []trace.GSMObservat
 	_, gen := c.snapshotToken()
 	res, err := c.streamOnce(ctx, obs, batchSize)
 	var se *statusError
-	if errors.As(err, &se) && se.Status == http.StatusUnsupportedMediaType && c.useBinary() {
-		// The peer predates the binary codec: downgrade and restream as
-		// JSON. Nothing was appended (the 415 precedes ingest).
-		c.fallbackToJSON()
-		res, err = c.streamOnce(ctx, obs, batchSize)
-	}
 	if errors.As(err, &se) && se.Status == http.StatusUnauthorized {
 		if rerr := c.recoverToken(ctx, gen); rerr == nil {
 			res, err = c.streamOnce(ctx, obs, batchSize)

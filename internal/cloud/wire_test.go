@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gsm"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -359,17 +358,13 @@ func TestBinaryUpload413(t *testing.T) {
 	if !errors.Is(err, ErrRequestTooLarge) {
 		t.Fatalf("binary oversized upload: err = %v, want ErrRequestTooLarge", err)
 	}
-	if n := c.m.wireFallbacks.Value(); n != 0 {
-		t.Errorf("413 latched the JSON downgrade (fallbacks = %d); only 415 may", n)
-	}
 }
 
-// --- downgrade against a JSON-only peer -----------------------------------
+// --- no downgrade against a peer that refuses the codec ---------------------
 
-// jsonOnlyPeer emulates a server that predates the codec: binary request
-// bodies are refused with 415, and the Accept header is ignored (dropped),
-// so every response comes back JSON.
-func jsonOnlyPeer(next http.Handler) http.Handler {
+// binaryRefusingPeer emulates a server without the codec: binary request
+// bodies are refused with 415.
+func binaryRefusingPeer(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("Content-Type") == ContentTypeBinary {
 			w.Header().Set("Content-Type", "application/json")
@@ -377,51 +372,35 @@ func jsonOnlyPeer(next http.Handler) http.Handler {
 			fmt.Fprint(w, `{"error":"unsupported media type"}`)
 			return
 		}
-		r.Header.Del("Accept")
 		next.ServeHTTP(w, r)
 	})
 }
 
-// TestBinaryClientAgainstJSONOnlyPeer: a binary-preferring client meeting an
-// old peer downgrades to JSON after one 415 — transparently, stickily, and
-// counted once — and every call still succeeds.
-func TestBinaryClientAgainstJSONOnlyPeer(t *testing.T) {
-	h := newDeltaHarness(t, nil, jsonOnlyPeer)
-	c := h.newClient(t, "imei-old-peer", WithWireCodec(WireBinary))
-
-	obs := synthDays(2)
-	got, err := c.DiscoverPlaces(obs)
-	if err != nil {
-		t.Fatalf("discover against JSON-only peer: %v", err)
+// TestBinaryClient415IsAnError: a client configured WireBinary speaks
+// binary. A peer that answers 415 fails the call with that status after
+// exactly one request, on the buffered, streamed-discover and streaming-ingest
+// paths alike — nothing is re-marshalled, replayed, or remembered.
+func TestBinaryClient415IsAnError(t *testing.T) {
+	h := newDeltaHarness(t, nil, binaryRefusingPeer)
+	c := h.newClient(t, "imei-415", WithWireCodec(WireBinary))
+	calls := []struct {
+		name string
+		do   func() error
+	}{
+		{"discover", func() error { _, err := c.DiscoverPlaces(synthDays(2)); return err }},
+		{"stream", func() error { _, err := c.StreamObservations(t.Context(), synthDays(1), 0); return err }},
+		{"profile put", func() error { return c.SyncProfile(synthProfiles(1)[0]) }},
+		{"discover again", func() error { _, err := c.DiscoverPlaces(synthDays(2)); return err }},
 	}
-	want := gsm.Discover(obs, gsm.DefaultParams()).Places
-	if g, w := canonicalWire(t, got), canonicalWire(t, want); g != w {
-		t.Errorf("places after downgrade diverge from batch GCA:\n got %s\nwant %s", g, w)
-	}
-	if n := c.m.wireFallbacks.Value(); n != 1 {
-		t.Errorf("wire fallbacks = %d, want exactly 1 (the downgrade is sticky)", n)
-	}
-
-	// Subsequent calls — including the streaming path — go straight to JSON
-	// with no further 415 round-trips.
-	res, err := c.StreamObservations(t.Context(), synthDays(3), 0)
-	if err != nil {
-		t.Fatalf("stream after downgrade: %v", err)
-	}
-	if res.Appended != obsPerSynthDay {
-		t.Errorf("stream appended %d, want %d", res.Appended, obsPerSynthDay)
-	}
-	if n := c.m.wireFallbacks.Value(); n != 1 {
-		t.Errorf("wire fallbacks after more calls = %d, want still 1", n)
-	}
-
-	// A stream-first client downgrades through the streaming path too.
-	c2 := h.newClient(t, "imei-old-peer-2", WithWireCodec(WireBinary))
-	if _, err := c2.StreamObservations(t.Context(), synthDays(1), 0); err != nil {
-		t.Fatalf("stream-first against JSON-only peer: %v", err)
-	}
-	if n := c2.m.wireFallbacks.Value(); n != 1 {
-		t.Errorf("stream-first wire fallbacks = %d, want 1", n)
+	for _, tc := range calls {
+		before := c.m.attempts.Value()
+		err := tc.do()
+		if status, ok := StatusCode(err); !ok || status != http.StatusUnsupportedMediaType {
+			t.Errorf("%s: err = %v, want http 415", tc.name, err)
+		}
+		if n := c.m.attempts.Value() - before; n != 1 {
+			t.Errorf("%s: %d requests, want exactly 1", tc.name, n)
+		}
 	}
 }
 
@@ -621,10 +600,7 @@ func TestBinaryE2EMatchesJSON(t *testing.T) {
 	}
 
 	// The whole point: the binary client moved far fewer bytes for the same
-	// workload, no downgrade fired, and the server served binary.
-	if n := cb.m.wireFallbacks.Value(); n != 0 {
-		t.Errorf("binary client fell back to JSON %d times against a binary-capable server", n)
-	}
+	// workload, and the server served binary.
 	jsonBytes := cj.m.wireSentBytes.Value() + cj.m.wireRecvBytes.Value()
 	binBytes := cb.m.wireSentBytes.Value() + cb.m.wireRecvBytes.Value()
 	if binBytes == 0 || jsonBytes == 0 {

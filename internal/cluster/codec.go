@@ -9,10 +9,9 @@ import (
 // most of its bytes (and decode CPU) on field names and base64 — a tax paid
 // per shipped record on both ends of every batch POST. Batches instead
 // travel as a version byte followed by uvarint-framed fields, the same
-// idiom as the cloud wire codec (DESIGN.md §14) and the storage WAL. The
-// receiver negotiates by Content-Type: ContentTypeReplBinary selects this
-// codec, anything else is the JSON path, so mixed-version nodes
-// interoperate. Resync and cursor traffic is rare and stays JSON.
+// idiom as the cloud wire codec (DESIGN.md §14) and the storage WAL. It is
+// the only batch encoding: the receiver answers any other Content-Type 415.
+// Resync and cursor traffic is rare and stays JSON.
 //
 // Layout:
 //
@@ -26,13 +25,12 @@ import (
 //	uvarint len(Records)
 //	per record: engine byte, uvarint Shard, uvarint len(Rec), Rec bytes
 
-// ContentTypeReplBinary is the negotiated binary replication media type.
+// ContentTypeReplBinary is the replication batch media type.
 const ContentTypeReplBinary = "application/x-pmware-repl"
 
 // replWireVersion is the first byte of every binary batch. v2 added the
-// sender's ring version to the stream header (stream admission control); a
-// v1 peer's batches fail the version check and fall back through its JSON
-// retry like any mixed-version pair.
+// sender's ring version to the stream header (stream admission control);
+// any other version fails the decode.
 const replWireVersion = 2
 
 // EncodeBatchBinary appends the batch's binary encoding to buf (reusing its

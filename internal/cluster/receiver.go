@@ -14,21 +14,14 @@ import (
 )
 
 // Applier is what the receiver needs from the node's store: journal one
-// shipped record verbatim into the named engine and shard.
-type Applier interface {
-	ApplyShipped(engine uint8, shard int, rec []byte) error
-}
-
-// BatchApplier is an optional Applier fast path: journal one contiguous run
-// of shipped records, grouped so each engine shard pays roughly one
-// group-commit wait for the whole run instead of one per record (with a
-// non-zero commit linger, the per-record path costs a full linger each).
-// An error reports the whole run as unapplied even though some shards'
-// groups may already be durable; that is safe because batch-apply errors
+// contiguous run of shipped records verbatim into their engines and shards,
+// grouped so each engine shard pays roughly one group-commit wait for the
+// whole run. An error reports the whole run as unapplied even though some
+// shards' groups may already be durable; that is safe because apply errors
 // are terminal — a poisoned shard or a corrupt record — and the stream
 // cannot continue past them anyway (the primary degrades and the follower
 // is healed by resync or replacement).
-type BatchApplier interface {
+type Applier interface {
 	ApplyShippedBatch(recs []ShipRecord) error
 }
 
@@ -73,8 +66,7 @@ type streamCursor struct {
 
 // ReceiverConfig configures a node's receiver.
 type ReceiverConfig struct {
-	// Applier journals shipped records (the cloud store). If it also
-	// implements BatchApplier, runs are applied through the batch path.
+	// Applier journals shipped records (the cloud store).
 	Applier Applier
 	// Dir persists cursors and the dirty marker ("" = memory-only: every
 	// restart resyncs).
@@ -210,60 +202,42 @@ func (r *Receiver) Cursor(from string) (epoch, seq uint64) {
 	return ss.c.Epoch, ss.c.Seq
 }
 
-func (r *Receiver) validShards(data, trace int) error {
-	if data != r.cfg.DataShards || trace != r.cfg.TraceShards {
-		return fmt.Errorf("shard layout mismatch: stream %d/%d vs local %d/%d (key placement would differ)",
-			data, trace, r.cfg.DataShards, r.cfg.TraceShards)
+// admit runs the stream admission checks batches and resyncs share — the
+// sender's shard layout must match (key placement would differ otherwise)
+// and VerifyStream must accept its ring version — counting and logging a
+// refusal. what names the request kind for the log line.
+func (r *Receiver) admit(what, from string, dataShards, traceShards int, ringVersion uint64) error {
+	var err error
+	if dataShards != r.cfg.DataShards || traceShards != r.cfg.TraceShards {
+		err = fmt.Errorf("shard layout mismatch: stream %d/%d vs local %d/%d (key placement would differ)",
+			dataShards, traceShards, r.cfg.DataShards, r.cfg.TraceShards)
+	} else if r.cfg.VerifyStream != nil {
+		err = r.cfg.VerifyStream(from, ringVersion)
 	}
-	return nil
+	if err != nil {
+		r.rejected.Inc()
+		r.logf("cluster: refused %s from %s: %v", what, from, err)
+	}
+	return err
 }
 
-func (r *Receiver) verifyStream(from string, ringVersion uint64) error {
-	if r.cfg.VerifyStream == nil {
-		return nil
-	}
-	return r.cfg.VerifyStream(from, ringVersion)
-}
-
-// applyRun journals one contiguous run of records, preferring the batch
-// path (one commit wait per engine shard) over per-record applies. The
-// serial fallback reports the applied prefix on error; the batch path
-// reports zero (see BatchApplier for why that is safe).
-func (r *Receiver) applyRun(recs []ShipRecord) (applied int, errStr string) {
-	if ba, ok := r.cfg.Applier.(BatchApplier); ok {
-		if err := ba.ApplyShippedBatch(recs); err != nil {
-			return 0, fmt.Sprintf("apply batch: %v", err)
-		}
-		return len(recs), ""
-	}
-	for i, rec := range recs {
-		if err := r.cfg.Applier.ApplyShipped(rec.Engine, rec.Shard, rec.Rec); err != nil {
-			return i, fmt.Sprintf("apply record %d: %v", i, err)
-		}
-	}
-	return len(recs), ""
-}
-
-// HandleBatch is the PathReplBatch endpoint. The batch body is negotiated
-// by Content-Type: the binary framing (codec.go) on the hot path, JSON from
-// older peers.
+// HandleBatch is the PathReplBatch endpoint. The body is the binary batch
+// framing (codec.go); any other Content-Type is answered 415 before a byte
+// of it is read.
 func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) {
-	var b BatchRequest
-	if req.Header.Get("Content-Type") == ContentTypeReplBinary {
-		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Decoded records alias body, which stays reachable for as long as
-		// the engine parks them — no per-record copy.
-		dec, err := DecodeBatchBinary(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		b = *dec
-	} else if err := json.NewDecoder(req.Body).Decode(&b); err != nil {
+	if req.Header.Get("Content-Type") != ContentTypeReplBinary {
+		http.Error(w, "replication batches must be "+ContentTypeReplBinary, http.StatusUnsupportedMediaType)
+		return
+	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// Decoded records alias body, which stays reachable for as long as the
+	// engine parks them — no per-record copy.
+	b, err := DecodeBatchBinary(body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -274,28 +248,22 @@ func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) {
 	c := ss.c
 	r.mu.Unlock()
 	resp := BatchResponse{Acked: c.Seq}
-	switch {
-	case r.validShards(b.DataShards, b.TraceShards) != nil:
-		resp.Error = r.validShards(b.DataShards, b.TraceShards).Error()
-		r.rejected.Inc()
-	case r.verifyStream(b.From, b.RingVersion) != nil:
-		resp.Error = r.verifyStream(b.From, b.RingVersion).Error()
-		r.rejected.Inc()
-	case b.Epoch != c.Epoch || b.Start != c.Seq+1:
+	if err := r.admit("batch", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
+		resp.Error = err.Error()
+	} else if b.Epoch != c.Epoch || b.Start != c.Seq+1 {
 		// A stream this follower cannot prove contiguous: wrong epoch
 		// (primary restarted, or follower never met this primary) or a gap.
 		resp.Resync = true
 		r.rejected.Inc()
-	default:
-		applied, errStr := r.applyRun(b.Records)
+	} else if err := r.cfg.Applier.ApplyShippedBatch(b.Records); err != nil {
+		resp.Error = fmt.Sprintf("apply batch: %v", err)
+	} else {
+		n := uint64(len(b.Records))
 		r.mu.Lock()
-		ss.c.Seq += uint64(applied)
+		ss.c.Seq += n
 		resp.Acked = ss.c.Seq
 		r.mu.Unlock()
-		r.applied.Add(uint64(applied))
-		if errStr != "" {
-			resp.Error = errStr
-		}
+		r.applied.Add(n)
 		// No cursor persist here: a crash discards cursors via the dirty
 		// marker regardless, so only clean close and resync re-baselines
 		// write the file.
@@ -317,22 +285,13 @@ func (r *Receiver) HandleSync(w http.ResponseWriter, req *http.Request) {
 	ss.apply.Lock()
 	defer ss.apply.Unlock()
 	resp := SyncResponse{}
-	if err := r.validShards(b.DataShards, b.TraceShards); err != nil {
+	if err := r.admit("resync", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
 		resp.Error = err.Error()
-		r.rejected.Inc()
 		writeJSON(w, resp)
 		return
 	}
-	if err := r.verifyStream(b.From, b.RingVersion); err != nil {
-		resp.Error = err.Error()
-		r.rejected.Inc()
-		r.logf("cluster: refused resync from %s: %v", b.From, err)
-		writeJSON(w, resp)
-		return
-	}
-	applied, errStr := r.applyRun(b.Records)
-	if errStr != "" {
-		resp.Error = fmt.Sprintf("apply sync: %s", errStr)
+	if err := r.cfg.Applier.ApplyShippedBatch(b.Records); err != nil {
+		resp.Error = fmt.Sprintf("apply sync: %v", err)
 		writeJSON(w, resp)
 		return
 	}
@@ -340,7 +299,7 @@ func (r *Receiver) HandleSync(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	ss.c = c
 	r.mu.Unlock()
-	r.syncRecords.Add(uint64(applied))
+	r.syncRecords.Add(uint64(len(b.Records)))
 	if err := r.persist(b.From, c); err != nil {
 		resp.Error = fmt.Sprintf("persist cursor: %v", err)
 		writeJSON(w, resp)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -17,22 +18,13 @@ import (
 // request a restarted pre-failover primary uses to wholesale-replace its
 // promoted heir's data.
 
-// recApplier records every applied record; failAfter poisons applies past
-// the given count (-1 = never fail).
+// recApplier records every applied record and counts the runs it was handed.
 type recApplier struct {
 	recs    []ShipRecord
 	batches int
 }
 
-func (a *recApplier) ApplyShipped(engine uint8, shard int, rec []byte) error {
-	a.recs = append(a.recs, ShipRecord{Engine: engine, Shard: shard, Rec: rec})
-	return nil
-}
-
-// batchApplier additionally implements the BatchApplier fast path.
-type batchApplier struct{ recApplier }
-
-func (a *batchApplier) ApplyShippedBatch(recs []ShipRecord) error {
+func (a *recApplier) ApplyShippedBatch(recs []ShipRecord) error {
 	a.recs = append(a.recs, recs...)
 	a.batches++
 	return nil
@@ -58,8 +50,8 @@ func openTestReceiver(t *testing.T, applier Applier, verify func(string, uint64)
 
 func postBatch(t *testing.T, r *Receiver, b BatchRequest) BatchResponse {
 	t.Helper()
-	body, _ := json.Marshal(b)
-	req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(body))
+	req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(EncodeBatchBinary(nil, &b)))
+	req.Header.Set("Content-Type", ContentTypeReplBinary)
 	w := httptest.NewRecorder()
 	r.HandleBatch(w, req)
 	var resp BatchResponse
@@ -179,11 +171,13 @@ func TestReceiverAdmissionRejectsTakenOverSender(t *testing.T) {
 	}
 }
 
-// TestReceiverBatchApplierPath pins the batch fast path: an Applier that
-// implements BatchApplier gets one ApplyShippedBatch call per admitted run
-// (not one apply per record), and the cursor advances by the full run.
-func TestReceiverBatchApplierPath(t *testing.T) {
-	applier := &batchApplier{}
+// TestReceiverAppliesRunsAsBatches pins the one apply path: the Applier gets
+// one ApplyShippedBatch call per admitted run (not one apply per record),
+// and the cursor advances by the full run. A batch that is not the binary
+// framing — here the same batch as JSON — is answered 415 with nothing
+// applied and the cursor where it was.
+func TestReceiverAppliesRunsAsBatches(t *testing.T) {
+	applier := &recApplier{}
 	r, _ := openTestReceiver(t, applier, nil)
 
 	if resp := postSync(t, r, SyncRequest{
@@ -204,5 +198,23 @@ func TestReceiverBatchApplierPath(t *testing.T) {
 	}
 	if len(applier.recs) != 8 {
 		t.Fatalf("applied %d records, want 8", len(applier.recs))
+	}
+
+	body, _ := json.Marshal(BatchRequest{
+		From: "A", Epoch: 1, Start: 6,
+		DataShards: 2, TraceShards: 1, Records: testRecords(2),
+	})
+	req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	r.HandleBatch(w, req)
+	if w.Code != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON batch: status %d, want 415", w.Code)
+	}
+	if applier.batches != 2 || len(applier.recs) != 8 {
+		t.Fatalf("JSON batch applied records: %d runs, %d records", applier.batches, len(applier.recs))
+	}
+	if e, s := r.Cursor("A"); e != 1 || s != 5 {
+		t.Fatalf("JSON batch moved cursor to %d/%d, want 1/5", e, s)
 	}
 }

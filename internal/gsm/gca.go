@@ -177,7 +177,8 @@ func cosine(a, b map[world.CellID]float64) float64 {
 // a positive MergeOverlap only the pairs the index yields need scoring. The
 // surviving comparisons fan out across a goroutine pool. The resulting
 // partition — and therefore the output — is identical to the quadratic
-// reference kept below (pinned by TestMergePrunedMatchesQuadratic): places
+// reference in gca_quadratic_test.go (pinned by
+// TestMergePrunedMatchesQuadratic): places
 // depend only on which segments end up in the same union class, never on
 // the order unions happen.
 func mergeSegments(segs []Segment, g *Graph, p Params) []*Place {
@@ -287,45 +288,6 @@ func similarPairs(expanded []map[world.CellID]float64, threshold float64) [][2]i
 		}
 	}
 	return out
-}
-
-// mergeSegmentsQuadratic is the original all-pairs merge pass, kept as the
-// correctness reference for the pruned+parallel mergeSegments.
-func mergeSegmentsQuadratic(segs []Segment, g *Graph, p Params) []*Place {
-	n := len(segs)
-	if n == 0 {
-		return nil
-	}
-	expanded := make([]map[world.CellID]float64, n)
-	for i, s := range segs {
-		expanded[i] = expandedWeights(s, g, p)
-	}
-
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	for i := 0; i < n; i++ {
-		for k := i + 1; k < n; k++ {
-			if find(i) == find(k) {
-				continue
-			}
-			if cosine(expanded[i], expanded[k]) >= p.MergeOverlap {
-				union(i, k)
-			}
-		}
-	}
-
-	return groupPlaces(segs, find, p)
 }
 
 // groupPlaces materializes one Place per union class, ordered by first

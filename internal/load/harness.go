@@ -200,9 +200,8 @@ func (r *Runner) Run() (*Report, error) {
 		r.logf("cluster: %d targets, %d failovers, %d redirects",
 			report.Measured.Cluster.Targets, report.Measured.Cluster.Failovers, report.Measured.Cluster.Redirects)
 	}
-	r.logf("wire: %s codec, %d bytes sent, %d bytes received, %d json fallbacks",
-		report.Measured.Wire.Codec, report.Measured.Wire.BytesSent,
-		report.Measured.Wire.BytesReceived, report.Measured.Wire.JSONFallbacks)
+	r.logf("wire: %s codec, %d bytes sent, %d bytes received",
+		report.Measured.Wire.Codec, report.Measured.Wire.BytesSent, report.Measured.Wire.BytesReceived)
 	if err := report.Check(); err != nil {
 		return nil, err
 	}
@@ -215,7 +214,6 @@ func (r *Runner) wireReport() *WireReport {
 		Codec:         r.wire.String(),
 		BytesSent:     r.clientReg.Counter("client_wire_bytes_sent_total").Value(),
 		BytesReceived: r.clientReg.Counter("client_wire_bytes_received_total").Value(),
-		JSONFallbacks: r.clientReg.Counter("client_wire_json_fallbacks_total").Value(),
 	}
 }
 

@@ -81,14 +81,11 @@ type MeasuredReport struct {
 
 // WireReport is the client-side wire accounting: which codec the harness
 // spoke and how many body bytes crossed the wire in each direction, summed
-// across every simulated user's client. JSONFallbacks counts clients a 415
-// downgraded to JSON — nonzero against a binary-capable server means the
-// run did not measure the codec it claims.
+// across every simulated user's client.
 type WireReport struct {
 	Codec         string `json:"codec"`
 	BytesSent     uint64 `json:"bytes_sent"`
 	BytesReceived uint64 `json:"bytes_received"`
-	JSONFallbacks uint64 `json:"json_fallbacks,omitempty"`
 }
 
 // ClusterReport is the client-side routing accounting for a cluster run:

@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -41,8 +39,8 @@ type ShardState interface {
 // no longer needed (whether or not encode ran or succeeded). encode must
 // produce exactly the bytes Snapshot would have produced at capture time —
 // recovery and the cluster's byte-identical-directory equivalence depend on
-// it. States that do not implement the extension keep the legacy in-lock
-// encode path.
+// it. A state without the extension is encoded with Snapshot under the lock
+// instead.
 type SnapshotViewer interface {
 	SnapshotView() (encode func(io.Writer) error, release func(), err error)
 }
@@ -173,8 +171,8 @@ type shard struct {
 	// per shard. compactCond (on mu) wakes waiters when it clears.
 	compacting  bool
 	compactCond *sync.Cond
-	// pending holds replica records journaled via AppendShipped but not yet
-	// replayed into state; materializeLocked drains it before any snapshot.
+	// pending holds replica records journaled via AppendShippedBatch but not
+	// yet replayed into state; materializeLocked drains it before any snapshot.
 	pending [][]byte
 	m       *engineMetrics
 }
@@ -249,32 +247,19 @@ func Open(opts Options, states []ShardState) (*Engine, error) {
 
 	// Recover shards concurrently: each shard's snapshot restore + WAL
 	// replay is independent, so boot costs roughly the largest shard, not
-	// the sum. First error (by shard index, for determinism) wins; every
-	// shard that did open is closed again on failure.
-	workers := e.workerCount()
-	errs := make([]error, len(states))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, st := range states {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, st ShardState) {
-			defer func() { <-sem; wg.Done() }()
-			dir := filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", i))
-			sh, err := openShard(dir, st, opts, m)
-			if err != nil {
-				errs[i] = fmt.Errorf("storage: shard %d: %w", i, err)
-				return
-			}
-			e.shards[i] = sh
-		}(i, st)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	// the sum. Every shard that did open is closed again on failure.
+	err := e.forEachShard(func(i int) error {
+		dir := filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", i))
+		sh, err := openShard(dir, states[i], opts, m)
 		if err != nil {
-			e.closeOpened()
-			return nil, err
+			return fmt.Errorf("storage: shard %d: %w", i, err)
 		}
+		e.shards[i] = sh
+		return nil
+	})
+	if err != nil {
+		e.closeOpened()
+		return nil, err
 	}
 	return e, nil
 }
@@ -465,35 +450,6 @@ func parseSeq(name, prefix, suffix string) (uint64, error) {
 	return seq, nil
 }
 
-// readSnapshotFile validates and unwraps a CRC-framed snapshot.
-func readSnapshotFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < frameHeaderSize {
-		return nil, fmt.Errorf("storage: snapshot too short")
-	}
-	ln := binary.LittleEndian.Uint32(data[0:4])
-	crc := binary.LittleEndian.Uint32(data[4:8])
-	if int(ln) != len(data)-frameHeaderSize {
-		return nil, fmt.Errorf("storage: snapshot length mismatch")
-	}
-	payload := data[frameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, fmt.Errorf("storage: snapshot checksum mismatch")
-	}
-	return payload, nil
-}
-
-func frameSnapshot(payload []byte) []byte {
-	out := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeaderSize:], payload)
-	return out
-}
-
 // NumShards reports the shard count.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
@@ -530,58 +486,27 @@ func (e *Engine) ApplyShipped(i int, rec []byte) error {
 	}, false)
 }
 
-// AppendShipped journals one replicated record on shard i without replaying
-// it into the in-memory state: what a follower owes the primary at ack time
-// is durability, and deferring the replay drops most of the CPU a replica
-// spends per record. Parked records are drained through the state's replay
-// path before the next snapshot (compaction or close) and on Materialize —
-// promotion calls the latter before serving reads over replicated users.
-// The resulting WAL bytes and snapshots are identical to the eager
-// ApplyShipped path: WAL order is append order either way, and shipped
-// records only touch users the sending primary owns — disjoint from this
-// node's locally-written keys — so the deferred replay commutes with local
-// mutations. In memory-only mode there is no WAL to defer behind, so the
-// record is applied eagerly.
-func (e *Engine) AppendShipped(i int, rec []byte) error {
-	s := e.shards[i]
-	s.mu.Lock()
-	if err := s.sticky(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.w == nil {
-		err := s.state.Apply(rec)
-		s.mu.Unlock()
-		return err
-	}
-	req, leader, err := s.c.enqueue(rec)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.pending = append(s.pending, rec)
-	s.since++
-	compact := e.opts.CompactEvery > 0 && s.since >= e.opts.CompactEvery
-	s.mu.Unlock()
-
-	if err := s.c.commitWait(req, leader); err != nil {
-		return err
-	}
-	if compact {
-		e.compactIfDue(i)
-	}
-	return nil
-}
-
-// AppendShippedBatch journals a run of replicated records on shard i with
-// one group-commit wait for the whole run: every record is enqueued on the
+// AppendShippedBatch journals a run of replicated records on shard i without
+// replaying them into the in-memory state: what a follower owes the primary
+// at ack time is durability, and deferring the replay drops most of the CPU
+// a replica spends per record. Parked records are drained through the
+// state's replay path before the next snapshot (compaction or close) and on
+// Materialize — promotion calls the latter before serving reads over
+// replicated users. The resulting WAL bytes and snapshots are identical to
+// the eager ApplyShipped path: WAL order is append order either way, and
+// shipped records only touch users the sending primary owns — disjoint from
+// this node's locally-written keys — so the deferred replay commutes with
+// local mutations. In memory-only mode there is no WAL to defer behind, so
+// the records are applied eagerly.
+//
+// The whole run pays one group-commit wait: every record is enqueued on the
 // committer under a single shard-lock hold (so WAL order is the run's
 // order), and only then does the caller park on the commit signals — the
-// first enqueue's leader drains the entire run into as few fsync batches
-// as CommitMaxBatch allows, instead of each record paying its own commit
-// cycle (and, with a non-zero CommitLinger, its own full linger). The
-// durability contract is AppendShipped's: when the call returns nil, every
-// record in the run is in the WAL under the engine's fsync policy.
+// first enqueue's leader drains the entire run into as few fsync batches as
+// CommitMaxBatch allows, instead of each record paying its own commit cycle
+// (and, with a non-zero CommitLinger, its own full linger). When the call
+// returns nil, every record in the run is in the WAL under the engine's
+// fsync policy.
 func (e *Engine) AppendShippedBatch(i int, recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -640,8 +565,8 @@ func (e *Engine) AppendShippedBatch(i int, recs [][]byte) error {
 	return nil
 }
 
-// Materialize replays shard i's parked replica records (see AppendShipped)
-// into the in-memory state.
+// Materialize replays shard i's parked replica records (see
+// AppendShippedBatch) into the in-memory state.
 func (e *Engine) Materialize(i int) error {
 	s := e.shards[i]
 	s.mu.Lock()
@@ -794,9 +719,9 @@ func (e *Engine) View(i int, read func()) {
 // chain wal-<base> .. wal-(N+1)); openShard's sweep finishes the cleanup.
 //
 // For states implementing SnapshotViewer the encoder works over a captured
-// immutable view and the lock-held pause is O(1) in shard size; legacy
-// states encode under the lock as before (the pause metric then includes the
-// encode).
+// immutable view and the lock-held pause is O(1) in shard size; a state
+// without a view is encoded under the lock (the pause metric then includes
+// the encode).
 func (e *Engine) compactShard(s *shard) error {
 	pauseStart := time.Now()
 	if err := s.c.drain(); err != nil {

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// AppendShippedBatch is the receiver's fast path: one group-commit wait for
-// a whole run of shipped records instead of one (full CommitLinger each)
-// per record. These tests pin that it is byte-equivalent to the serial
-// AppendShipped path — same WAL, same state — because the replication
-// suite's byte-identical-replica claim rests on that.
+// AppendShippedBatch is the receiver's journal path: one group-commit wait
+// for a whole run of shipped records instead of one (full CommitLinger each)
+// per record. These tests pin that how a stream is cut into runs does not
+// show on disk — same WAL, same state — because the replication suite's
+// byte-identical-replica claim rests on that.
 
 func dirBytes(t *testing.T, root string) map[string]string {
 	t.Helper()
@@ -36,8 +36,8 @@ func dirBytes(t *testing.T, root string) map[string]string {
 }
 
 // TestAppendShippedBatchEquivalentToSerial drives the same record run
-// through AppendShipped one-by-one and through one AppendShippedBatch call,
-// and requires byte-identical directories and equal materialized state.
+// through N one-record AppendShippedBatch calls and through one N-record
+// call, and requires byte-identical directories and equal materialized state.
 func TestAppendShippedBatchEquivalentToSerial(t *testing.T) {
 	const shards = 2
 	recs := make([][][]byte, shards)
@@ -52,7 +52,7 @@ func TestAppendShippedBatchEquivalentToSerial(t *testing.T) {
 	serial, _ := openKV(t, serialDir, shards, opts)
 	for i := range recs {
 		for _, rec := range recs[i] {
-			if err := serial.AppendShipped(i, rec); err != nil {
+			if err := serial.AppendShippedBatch(i, [][]byte{rec}); err != nil {
 				t.Fatalf("serial append: %v", err)
 			}
 		}

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,10 +172,7 @@ func TestEngineRecoveryAfterPartialCompaction(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(shardDir, walName(0)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	staleSnap := frameSnapshot([]byte(`{"stale":"yes"}`))
-	if err := os.WriteFile(filepath.Join(shardDir, snapName(0)), staleSnap, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapPayload(t, filepath.Join(shardDir, snapName(0)), []byte(`{"stale":"yes"}`))
 	// And a leftover temp file from a torn snapshot write.
 	if err := os.WriteFile(filepath.Join(shardDir, snapName(2)+".tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
@@ -193,47 +193,67 @@ func TestEngineRecoveryAfterPartialCompaction(t *testing.T) {
 	}
 }
 
-// TestEngineCorruptSnapshotFallsBack: an unreadable newest snapshot falls
-// back to an older intact generation rather than failing the boot.
-func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	e, kvs := openKV(t, dir, 1, Options{Sync: SyncAlways})
-	kvSet(t, e, 0, kvs[0], "a", "1")
-	if err := e.Compact(0); err != nil { // generation 1: snapshot holds a=1
+// writeSnapPayload writes payload as a complete chunked snapshot at path.
+func writeSnapPayload(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	if _, err := writeSnapshotFile(path, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	kvSet(t, e, 0, kvs[0], "b", "2")  // lives in wal-1
-	if err := e.Close(); err != nil { // generation 2
-		t.Fatal(err)
-	}
-	shardDir := filepath.Join(dir, "shard-000")
-	// Corrupt the newest snapshot.
-	if err := os.WriteFile(filepath.Join(shardDir, snapName(2)), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Resurrect generation 1 (snapshot a=1 + wal with b=2) as the fallback.
-	snap1, err := (&kvState{m: map[string]string{"a": "1"}}).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(shardDir, snapName(1)), frameSnapshot(snap1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := createWAL(filepath.Join(shardDir, walName(1)), SyncAlways, DefaultSyncEvery, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(kvRecord("b", "2")); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
+}
 
-	e2, kvs2 := openKV(t, dir, 1, Options{Sync: SyncAlways})
-	defer e2.Close()
-	var a, b string
-	e2.View(0, func() { a, b = kvs2[0].m["a"], kvs2[0].m["b"] })
-	if a != "1" || b != "2" {
-		t.Fatalf("fallback recovery: a=%q b=%q, want 1/2", a, b)
+// TestEngineCorruptSnapshotFallsBack: an unreadable newest snapshot falls
+// back to an older intact generation rather than failing the boot. A file
+// without the PMSNAP02 magic is unreadable even when it is a well-formed
+// single-frame (u32 len | u32 crc | payload) snapshot of the retired v1
+// layout: its payload must never reach the state.
+func TestEngineCorruptSnapshotFallsBack(t *testing.T) {
+	v1Payload := []byte(`{"a":"from-v1","v1":"yes"}`)
+	v1 := binary.LittleEndian.AppendUint32(nil, uint32(len(v1Payload)))
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1Payload))
+	v1 = append(v1, v1Payload...)
+	for name, newest := range map[string][]byte{"garbage": []byte("garbage"), "v1 single frame": v1} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, kvs := openKV(t, dir, 1, Options{Sync: SyncAlways})
+			kvSet(t, e, 0, kvs[0], "a", "1")
+			if err := e.Compact(0); err != nil { // generation 1: snapshot holds a=1
+				t.Fatal(err)
+			}
+			kvSet(t, e, 0, kvs[0], "b", "2")  // lives in wal-1
+			if err := e.Close(); err != nil { // generation 2
+				t.Fatal(err)
+			}
+			shardDir := filepath.Join(dir, "shard-000")
+			// Corrupt the newest snapshot.
+			if err := os.WriteFile(filepath.Join(shardDir, snapName(2)), newest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Resurrect generation 1 (snapshot a=1 + wal with b=2) as the fallback.
+			snap1, err := (&kvState{m: map[string]string{"a": "1"}}).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeSnapPayload(t, filepath.Join(shardDir, snapName(1)), snap1)
+			w, err := createWAL(filepath.Join(shardDir, walName(1)), SyncAlways, DefaultSyncEvery, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(kvRecord("b", "2")); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+
+			e2, kvs2 := openKV(t, dir, 1, Options{Sync: SyncAlways})
+			defer e2.Close()
+			var a, b, fromV1 string
+			e2.View(0, func() { a, b, fromV1 = kvs2[0].m["a"], kvs2[0].m["b"], kvs2[0].m["v1"] })
+			if a != "1" || b != "2" || fromV1 != "" {
+				t.Fatalf("fallback recovery: a=%q b=%q v1=%q, want 1/2/empty", a, b, fromV1)
+			}
+		})
 	}
 }
 

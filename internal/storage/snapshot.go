@@ -10,7 +10,7 @@ import (
 	"os"
 )
 
-// Chunked snapshot layout (v2, DESIGN.md §16):
+// Chunked snapshot layout (DESIGN.md §16):
 //
 //	| magic "PMSNAP02" | chunk* | end marker |
 //	chunk:      | u32 payload length (>0) | u32 CRC32-IEEE(payload) | payload |
@@ -20,10 +20,8 @@ import (
 // straight into chunk frames, so neither writer nor reader ever holds the
 // whole shard as one []byte; the explicit end marker distinguishes "complete
 // snapshot" from "crash truncated the file mid-write", which the off-lock
-// compaction protocol depends on. Files that do not start with the magic are
-// read as the legacy v1 single-frame layout (u32 len | u32 crc | payload) so
-// stores written before this format — and tests that craft v1 files — still
-// open.
+// compaction protocol depends on. A file that does not start with the magic
+// is a corrupt snapshot.
 const snapMagic = "PMSNAP02"
 
 // snapChunkSize is the encoder's target chunk payload size. Large enough to
@@ -240,12 +238,12 @@ func (pr *snapPayloadReader) Read(p []byte) (int, error) {
 }
 
 // restoreSnapshotFile validates the snapshot at path and loads it into
-// state: a v2 file is CRC-scanned end to end (end marker required) before a
-// byte reaches the state, preserving Restore's all-or-nothing contract, then
-// streamed through RestoreStream when the state supports it; a legacy v1
-// file goes through the whole-payload path. Any framing damage — truncation
-// at any byte offset, bit rot, a missing end marker — is an error, so
-// openShard falls back to an older generation.
+// state: the file is CRC-scanned end to end (magic and end marker required)
+// before a byte reaches the state, preserving Restore's all-or-nothing
+// contract, then streamed through RestoreStream when the state supports it
+// and buffered into Restore otherwise. Any framing damage — a missing magic,
+// truncation at any byte offset, bit rot, a missing end marker — is an
+// error, so openShard falls back to an older generation.
 func restoreSnapshotFile(path string, state ShardState) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -253,16 +251,8 @@ func restoreSnapshotFile(path string, state ShardState) error {
 	}
 	defer f.Close()
 	magic := make([]byte, len(snapMagic))
-	if n, err := io.ReadFull(f, magic); err != nil || !bytes.Equal(magic, []byte(snapMagic)) {
-		// Legacy v1 single-frame snapshot (or a file too short to matter —
-		// the v1 reader rejects those). n covers the short-read case where
-		// err is ErrUnexpectedEOF.
-		_ = n
-		payload, err := readSnapshotFile(path)
-		if err != nil {
-			return err
-		}
-		return restorePayload(state, payload)
+	if _, err := io.ReadFull(f, magic); err != nil || !bytes.Equal(magic, []byte(snapMagic)) {
+		return fmt.Errorf("storage: snapshot has no %s magic", snapMagic)
 	}
 	// Pass 1: validate framing without touching the state.
 	if err := validateSnapV2(f); err != nil {
@@ -282,11 +272,4 @@ func restoreSnapshotFile(path string, state ShardState) error {
 		return err
 	}
 	return state.Restore(buf.Bytes())
-}
-
-func restorePayload(state ShardState, payload []byte) error {
-	if sr, ok := state.(StreamRestorer); ok {
-		return sr.RestoreStream(bytes.NewReader(payload))
-	}
-	return state.Restore(payload)
 }

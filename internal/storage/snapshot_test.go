@@ -163,29 +163,6 @@ func TestChunkedSnapshotRejectsDamage(t *testing.T) {
 	}
 }
 
-func TestSnapshotLegacyV1Read(t *testing.T) {
-	// Data directories written before the chunked layout hold single-frame
-	// snapshots; restoreSnapshotFile must keep reading them.
-	dir := t.TempDir()
-	path := filepath.Join(dir, snapName(3))
-	payload, _ := json.Marshal(map[string]string{"old": "gen"})
-	if err := os.WriteFile(path, frameSnapshot(payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, state := range []ShardState{newKV(), newViewerKV()} {
-		if err := restoreSnapshotFile(path, state); err != nil {
-			t.Fatalf("%T: %v", state, err)
-		}
-	}
-	st := newViewerKV()
-	if err := restoreSnapshotFile(path, st); err != nil {
-		t.Fatal(err)
-	}
-	if st.m["old"] != "gen" {
-		t.Fatal("legacy snapshot payload lost")
-	}
-}
-
 // copyDir snapshots a shard directory's files (no subdirs) into a fresh dir.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
