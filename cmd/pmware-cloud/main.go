@@ -7,7 +7,6 @@
 //
 //	pmware-cloud [-addr :8080] [-data-dir ./pmware-data] [-fsync always]
 //	             [-shards 8] [-compact-every 4096]
-//	             [-commit-batch 128] [-commit-linger 0s]
 //	             [-discover-workers 4] [-discover-queue 64] [-max-body 64MiB]
 //	             [-event-queue 64] [-event-history 256] [-event-heartbeat 15s]
 //	             [-pprof :6060] [-slow-request 0s] [-world-seed 2014]
@@ -78,8 +77,6 @@ func main() {
 	fsyncMode := flag.String("fsync", "interval", "WAL fsync policy: always | interval | never")
 	fsyncEvery := flag.Duration("fsync-interval", storage.DefaultSyncEvery, "max ack-to-disk lag under -fsync interval")
 	shards := flag.Int("shards", cloud.DefaultShards, "data shards (pinned by the data directory after first boot)")
-	commitBatch := flag.Int("commit-batch", 0, "max mutations per WAL group commit (0 = default, negative = no grouping)")
-	commitLinger := flag.Duration("commit-linger", 0, "how long a commit leader waits for followers when its batch is short")
 	compactEvery := flag.Int("compact-every", 0, "snapshot+rotate a shard after this many journaled records (0 = engine default, negative = disable auto-compaction)")
 	discoverWorkers := flag.Int("discover-workers", cloud.DefaultDiscoverWorkers, "concurrent discovery (GCA) runs")
 	discoverQueue := flag.Int("discover-queue", cloud.DefaultDiscoverQueue, "queued discovery requests before 429 backpressure")
@@ -120,7 +117,7 @@ func main() {
 	var store *cloud.Store
 	var cnode *cloud.ClusterNode
 	var coordinator *cluster.Coordinator
-	storeCfg, err := buildStoreConfig(*dataDir, *fsyncMode, *fsyncEvery, *shards, *commitBatch, *commitLinger, *compactEvery)
+	storeCfg, err := buildStoreConfig(*dataDir, *fsyncMode, *fsyncEvery, *shards, *compactEvery)
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
@@ -262,13 +259,11 @@ func parseClusterSpec(spec, selfID, advertise string) ([]cluster.Node, cluster.N
 
 // buildStoreConfig assembles the StoreConfig the node opens its store with
 // (dir may be empty for memory-only).
-func buildStoreConfig(dir, fsyncMode string, fsyncEvery time.Duration, shards, commitBatch int, commitLinger time.Duration, compactEvery int) (cloud.StoreConfig, error) {
+func buildStoreConfig(dir, fsyncMode string, fsyncEvery time.Duration, shards, compactEvery int) (cloud.StoreConfig, error) {
 	cfg := cloud.StoreConfig{
-		Shards:         shards,
-		SyncEvery:      fsyncEvery,
-		CompactEvery:   compactEvery,
-		CommitMaxBatch: commitBatch,
-		CommitLinger:   commitLinger,
+		Shards:       shards,
+		SyncEvery:    fsyncEvery,
+		CompactEvery: compactEvery,
 	}
 	if dir != "" {
 		policy, err := storage.ParseSyncPolicy(fsyncMode)

@@ -187,7 +187,8 @@ func (c *Client) Register() error { return c.RegisterContext(context.Background(
 // user), so it is retried on transient failures.
 func (c *Client) RegisterContext(ctx context.Context) error {
 	var resp RegisterResponse
-	if err := c.call(ctx, http.MethodPost, PathRegister, nil, RegisterRequest{IMEI: c.imei, Email: c.email}, &resp, false, true); err != nil {
+	rq := c.buffered(http.MethodPost, PathRegister, nil, RegisterRequest{IMEI: c.imei, Email: c.email}, &resp, false, true)
+	if err := c.call(ctx, rq); err != nil {
 		return fmt.Errorf("cloud: register: %w", err)
 	}
 	c.setToken(resp.Token, resp.UserID)
@@ -202,7 +203,7 @@ func (c *Client) Refresh() error { return c.RefreshContext(context.Background())
 // RefreshContext is Refresh with caller-controlled cancellation.
 func (c *Client) RefreshContext(ctx context.Context) error {
 	var resp RefreshResponse
-	if err := c.call(ctx, http.MethodPost, PathRefresh, nil, nil, &resp, true, false); err != nil {
+	if err := c.call(ctx, c.buffered(http.MethodPost, PathRefresh, nil, nil, &resp, true, false)); err != nil {
 		return fmt.Errorf("cloud: refresh: %w", err)
 	}
 	c.setToken(resp.Token, "")
@@ -248,94 +249,134 @@ func StatusCode(err error) (status int, ok bool) {
 	return 0, false
 }
 
-// call performs one request under the retry policy. withAuth attaches the
-// bearer token; idempotent enables automatic retry on transient errors. The
-// request body is marshalled once (binary when the active wire codec has an
-// encoding for it, JSON otherwise) and replayed per attempt.
-func (c *Client) call(ctx context.Context, method, path string, query url.Values, body, into any, withAuth, idempotent bool) error {
-	var rt *routeSession
-	if c.router != nil {
-		rt = c.router.begin()
-	}
-	urlFor := func() string {
-		base := c.baseURL
-		if rt != nil {
-			base = rt.current()
-		}
-		u := base + path
-		if len(query) > 0 {
-			u += "?" + query.Encode()
-		}
-		return u
-	}
-	useBin := false
-	var payload []byte
+// request describes one client call: everything attempt needs to put it on
+// the wire and everything the loops around attempt need to decide whether it
+// may be sent again.
+type request struct {
+	method, path string
+	query        url.Values
+	// The body is either payload, replayed from memory on every attempt, or
+	// stream, run against a fresh pipe per attempt (chunked transfer) so the
+	// serialized form of a whole upload never sits in memory.
+	payload []byte
+	stream  func(w io.Writer) error
+	// header holds what the call sets beyond routing and auth: Content-Type,
+	// Accept, an SSE subscription's Last-Event-ID.
+	header http.Header
+	// err fails the call before anything is sent (a body that would not
+	// marshal).
+	err error
+	// auth attaches the bearer token.
+	auth bool
+	// idempotent enables automatic retry on transient errors.
+	idempotent bool
+	// longLived exempts the call from PerTryTimeout: it is bounded only by
+	// the caller's context.
+	longLived bool
+	// A 2xx body is decoded into `into` (nil discards it), unless consume is
+	// set: then the live body is handed to it and its error is the attempt's.
+	into    any
+	consume func(body io.Reader) error
+}
+
+// buffered builds the request for one marshalled message: the body is
+// encoded once (binary when the active wire codec has an encoding for it,
+// JSON otherwise) and replayed per attempt.
+func (c *Client) buffered(method, path string, query url.Values, body, into any, auth, idempotent bool) *request {
+	rq := &request{method: method, path: path, query: query, header: http.Header{}, into: into, auth: auth, idempotent: idempotent}
 	if body != nil {
+		rq.header.Set("Content-Type", "application/json")
 		if c.useBinary() {
-			payload, useBin = appendWire(nil, body)
+			if payload, ok := appendWire(nil, body); ok {
+				rq.payload = payload
+				rq.header.Set("Content-Type", ContentTypeBinary)
+			}
 		}
-		if !useBin {
-			var err error
-			if payload, err = json.Marshal(body); err != nil {
-				return fmt.Errorf("marshal request: %w", err)
+		if rq.payload == nil {
+			if rq.payload, rq.err = json.Marshal(body); rq.err != nil {
+				rq.err = fmt.Errorf("marshal request: %w", rq.err)
 			}
 		}
 	}
+	if into != nil && c.useBinary() && wireDecodable(into) {
+		rq.header.Set("Accept", acceptBinary)
+	}
+	return rq
+}
+
+// acceptBinary offers binary but accepts JSON: finishResponse decodes by the
+// response's own Content-Type, so a JSON answer costs nothing.
+const acceptBinary = ContentTypeBinary + ", application/json;q=0.5"
+
+// call is the only way a request leaves the client. It owns the call's route
+// session, runs attempts under the retry policy, and replays the whole call
+// once after a 421: that status is answered before the request touches any
+// state (the ownership gate; a streamed upload handed off after its first
+// appended batch is answered 503 instead), so a replay on the owner the
+// session just adopted is always safe — including for non-idempotent calls
+// and for retry policies whose attempt budget was already spent.
+func (c *Client) call(ctx context.Context, rq *request) error {
+	if rq.err != nil {
+		return rq.err
+	}
+	rt := c.route()
+	policy := c.retry.withSleepObserver(c.m.observeBackoff)
+	if rq.longLived {
+		policy.PerTryTimeout = 0
+	}
 	run := func() error {
 		attempt := 0
-		return c.retry.withSleepObserver(c.m.observeBackoff).run(ctx, idempotent, func(ctx context.Context) error {
+		return policy.run(ctx, rq.idempotent, func(ctx context.Context) error {
 			attempt++
 			if attempt > 1 {
 				c.m.retries.Inc()
 			}
-			err := c.doOnce(ctx, method, urlFor(), payload, useBin, into, withAuth)
-			if err != nil && rt != nil {
-				rt.observe(err)
-			}
-			return err
+			return c.attempt(ctx, rt, rq)
 		})
 	}
 	err := run()
-	if rt != nil {
-		// A 421 is answered before the request touches any state, so one
-		// whole-call replay on the owner the router just adopted is always
-		// safe — including for non-idempotent calls and for retry policies
-		// whose attempt budget was already spent inside run().
-		var se *statusError
-		if errors.As(err, &se) && se.Status == http.StatusMisdirectedRequest {
-			err = run()
-		}
+	if status, _ := StatusCode(err); status == http.StatusMisdirectedRequest {
+		err = run()
 	}
 	return err
 }
 
-// doOnce performs a single HTTP attempt.
-func (c *Client) doOnce(ctx context.Context, method, u string, payload []byte, binaryReq bool, into any, withAuth bool) error {
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
+// attempt performs a single HTTP exchange against the route session's
+// current node and reports a failed one — no answer, or a non-2xx — back to
+// the session, which re-targets.
+func (c *Client) attempt(ctx context.Context, rt *routeSession, rq *request) error {
+	u := rt.current() + rq.path
+	if len(rq.query) > 0 {
+		u += "?" + rq.query.Encode()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	var tok string
+	if rq.auth {
+		if tok, _ = c.snapshotToken(); tok == "" {
+			return &statusError{Status: http.StatusUnauthorized, Msg: "no token (register first)"}
+		}
+	}
+	var body io.Reader
+	switch {
+	case rq.payload != nil:
+		body = bytes.NewReader(rq.payload)
+	case rq.stream != nil:
+		pr, pw := io.Pipe()
+		// The transport closes the read side when it is done with the body;
+		// closing it again on return releases the writer on every other path.
+		defer pr.Close()
+		go func() {
+			pw.CloseWithError(rq.stream(&wireCountWriter{w: pw, m: c.m.wireSentBytes}))
+		}()
+		body = pr
+	}
+	req, err := http.NewRequestWithContext(ctx, rq.method, u, body)
 	if err != nil {
 		return err
 	}
-	if payload != nil {
-		if binaryReq {
-			req.Header.Set("Content-Type", ContentTypeBinary)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
-		}
+	for k, v := range rq.header {
+		req.Header[k] = v
 	}
-	if into != nil && c.useBinary() && wireDecodable(into) {
-		// Offer binary but accept JSON: finishResponse decodes by the
-		// response's own Content-Type, so a JSON answer costs nothing.
-		req.Header.Set("Accept", ContentTypeBinary+", application/json;q=0.5")
-	}
-	if withAuth {
-		tok, _ := c.snapshotToken()
-		if tok == "" {
-			return &statusError{Status: http.StatusUnauthorized, Msg: "no token (register first)"}
-		}
+	if rq.auth {
 		req.Header.Set("Authorization", "Bearer "+tok)
 	}
 	if c.router != nil {
@@ -345,24 +386,30 @@ func (c *Client) doOnce(ctx context.Context, method, u string, payload []byte, b
 	resp, err := c.http.Do(req)
 	if err != nil {
 		c.m.connErrors.Inc()
+		rt.observe(err)
 		return err
 	}
-	c.m.wireSentBytes.Add(uint64(len(payload)))
-	defer func() {
-		// Drain any leftover body (bounded) before close so the keep-alive
-		// connection is reusable by the next attempt.
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-		resp.Body.Close()
-	}()
-	return c.finishResponse(resp, into)
+	c.m.wireSentBytes.Add(uint64(len(rq.payload)))
+	defer resp.Body.Close()
+	if rq.consume != nil && resp.StatusCode/100 == 2 {
+		// The node answered: however the live body ends is the consumer's to
+		// classify, not a routing failure — the next attempt starts here.
+		return rq.consume(resp.Body)
+	}
+	// Drain any leftover body (bounded) before close so the keep-alive
+	// connection is reusable by the next attempt.
+	defer io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+	if err = c.finishResponse(resp, rq.into); err != nil {
+		rt.observe(err)
+	}
+	return err
 }
 
 // finishResponse classifies one HTTP response and, for 2xx, decodes the body
 // into `into` by the RESPONSE's Content-Type — the server only answers
 // binary when the request offered it, and a JSON answer to a
 // binary-accepting request is not an error. Every body byte read is counted
-// into client_wire_bytes_received_total. Shared by the buffered,
-// streaming-ingest and streaming-discover paths.
+// into client_wire_bytes_received_total.
 func (c *Client) finishResponse(resp *http.Response, into any) error {
 	if resp.StatusCode/100 != 2 {
 		switch {
@@ -456,20 +503,24 @@ func truncateForError(data []byte) string {
 	return string(data)
 }
 
-// authedCall wraps call with one automatic recovery from an expired token:
-// refresh (or re-register when refresh is also rejected) and retry once.
-// Recovery is single-flighted across goroutines.
+// authedCall is the buffered, authenticated call every typed endpoint makes.
 func (c *Client) authedCall(ctx context.Context, method, path string, query url.Values, body, into any, idempotent bool) error {
+	return c.withTokenRecovery(ctx, c.buffered(method, path, query, body, into, true, idempotent))
+}
+
+// withTokenRecovery wraps call with one automatic recovery from an expired
+// token: refresh (or re-register when refresh is also rejected) and retry
+// once. Recovery is single-flighted across goroutines.
+func (c *Client) withTokenRecovery(ctx context.Context, rq *request) error {
 	_, gen := c.snapshotToken()
-	err := c.call(ctx, method, path, query, body, into, true, idempotent)
-	var se *statusError
-	if !errors.As(err, &se) || se.Status != http.StatusUnauthorized {
+	err := c.call(ctx, rq)
+	if status, _ := StatusCode(err); status != http.StatusUnauthorized {
 		return err
 	}
 	if rerr := c.recoverToken(ctx, gen); rerr != nil {
 		return err
 	}
-	return c.call(ctx, method, path, query, body, into, true, idempotent)
+	return c.call(ctx, rq)
 }
 
 // recoverToken obtains a fresh token after a 401. gen is the token
@@ -532,12 +583,21 @@ func (c *Client) DiscoverPlacesContext(ctx context.Context, obs []trace.GSMObser
 }
 
 // discoverCall routes one discover upload: framed binary streaming when the
-// binary wire is active, the buffered JSON call otherwise.
+// binary wire is active, the buffered JSON call otherwise. Both retry — the
+// server replaces or extends by cursor, so a replay is safe.
 func (c *Client) discoverCall(ctx context.Context, req *DiscoverPlacesRequest, out *DiscoverPlacesResponse) error {
-	if c.useBinary() {
-		return c.discoverBinary(ctx, req, out)
+	if !c.useBinary() {
+		return c.authedCall(ctx, http.MethodPost, PathPlacesDiscover, nil, req, out, true)
 	}
-	return c.authedCall(ctx, http.MethodPost, PathPlacesDiscover, nil, req, out, true)
+	return c.withTokenRecovery(ctx, &request{
+		method:     http.MethodPost,
+		path:       PathPlacesDiscover,
+		stream:     func(w io.Writer) error { return writeDiscoverFrames(w, req) },
+		header:     http.Header{"Content-Type": {ContentTypeBinary}, "Accept": {acceptBinary}},
+		auth:       true,
+		idempotent: true,
+		into:       out,
+	})
 }
 
 // traceCursor decides whether obs can be uploaded as a delta: the stored

@@ -28,8 +28,8 @@ type clusterRouter struct {
 }
 
 // WithCluster makes the client cluster-aware: targets are the node base URLs
-// (any order; the ring is fetched from whichever answers first). The
-// client's base URL argument is ignored for routed calls.
+// (any order; the ring is fetched from whichever answers first). Every call
+// is ring-routed, so the client's base URL argument is ignored.
 func WithCluster(targets []string) ClientOption {
 	return func(c *Client) {
 		if len(targets) == 0 {
@@ -111,8 +111,13 @@ func (r *clusterRouter) clearSticky(u string) {
 	r.mu.Unlock()
 }
 
-// begin opens one call's routing session.
-func (r *clusterRouter) begin() *routeSession {
+// route opens one call's routing session: a walk over the ring's candidates
+// for a cluster-aware client, the fixed base URL otherwise.
+func (c *Client) route() *routeSession {
+	r := c.router
+	if r == nil {
+		return &routeSession{cands: []string{c.baseURL}}
+	}
 	r.mu.Lock()
 	haveRing := r.ring != nil
 	r.mu.Unlock()
@@ -122,11 +127,10 @@ func (r *clusterRouter) begin() *routeSession {
 	return &routeSession{r: r, cands: r.candidates()}
 }
 
-// routeSession is one call's walk over the candidate list: each retry
-// attempt asks current() for its base URL, and observe() repositions after
-// a failure.
+// routeSession is one call's walk over the candidate list: each attempt asks
+// current() for its base URL, and observe() repositions after a failure.
 type routeSession struct {
-	r     *clusterRouter
+	r     *clusterRouter // nil: one fixed candidate, nothing to reposition
 	cands []string
 	cur   int
 }
@@ -144,6 +148,9 @@ func (s *routeSession) current() string {
 // candidate. Protocol rejections (4xx) stay on the current node — they are
 // the caller's problem, not a routing one.
 func (s *routeSession) observe(err error) {
+	if s.r == nil {
+		return
+	}
 	var se *statusError
 	if errors.As(err, &se) {
 		switch {

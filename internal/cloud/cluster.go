@@ -595,7 +595,7 @@ func (cn *ClusterNode) handoff(ring *cluster.Ring, uids []string) {
 				cn.logf("cluster: handoff export to %s failed: %v", destID, err)
 				break
 			}
-			if err := cn.postHandoff(dest, recs); err != nil {
+			if err := cn.postHandoff(dest, ring.Version, recs); err != nil {
 				s.gate.Unlock()
 				cn.logf("cluster: handoff of %d users to %s failed (keeping local copies): %v", len(users), destID, err)
 				continue
@@ -618,9 +618,16 @@ func (cn *ClusterNode) handoff(ring *cluster.Ring, uids []string) {
 
 // postHandoff delivers one handoff batch — a single attempt, because the
 // caller holds the write gate across it; retries (with fresh exports) are
-// the caller's loop.
-func (cn *ClusterNode) postHandoff(dest cluster.Node, recs []cluster.ShipRecord) error {
-	body, err := json.Marshal(cluster.HandoffRequest{From: cn.cfg.Self.ID, Records: recs})
+// the caller's loop. The batch carries this node's shard layout and the ring
+// version that caused the move, for the receiver's stream admission check.
+func (cn *ClusterNode) postHandoff(dest cluster.Node, ringVersion uint64, recs []cluster.ShipRecord) error {
+	body, err := json.Marshal(cluster.HandoffRequest{
+		From:        cn.cfg.Self.ID,
+		RingVersion: ringVersion,
+		DataShards:  len(cn.store.data),
+		TraceShards: len(cn.store.traces),
+		Records:     recs,
+	})
 	if err != nil {
 		return err
 	}
@@ -678,6 +685,14 @@ func (cn *ClusterNode) Mount(mux *http.ServeMux) {
 			writeError(w, http.StatusBadRequest, "decoding handoff: %v", err)
 			return
 		}
+		// Same admission as a batch or resync: records land at the sender's
+		// shard indices, and a sender on a stale ring is moving users this
+		// node's ring may already route elsewhere. A refusal applies nothing
+		// and the sender keeps its copies.
+		if err := cn.recv.Admit("handoff", req.From, req.DataShards, req.TraceShards, req.RingVersion); err != nil {
+			writeJSON(w, http.StatusOK, cluster.HandoffResponse{Error: err.Error()})
+			return
+		}
 		for i, rec := range req.Records {
 			if err := cn.store.applyImported(rec.Engine, rec.Shard, rec.Rec); err != nil {
 				writeJSON(w, http.StatusOK, cluster.HandoffResponse{
@@ -713,7 +728,7 @@ func (cn *ClusterNode) owner(uid string) (cluster.Node, bool) {
 // real owner's copy. It is just never proxied a second time (single hop,
 // loop guard) — a misdirected one bounces 421 with the owner's URL, which
 // the proxying node relays verbatim so the client re-targets.
-func (cn *ClusterNode) Gate(next http.Handler) http.Handler {
+func (cn *ClusterNode) Gate(next http.Handler, maxBody int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		uid := r.Header.Get(cluster.HeaderKey)
 		if uid == "" {
@@ -727,7 +742,7 @@ func (cn *ClusterNode) Gate(next http.Handler) http.Handler {
 		}
 		if r.Header.Get(cluster.HeaderProxied) == "" {
 			if f, ok := cn.Ring().Follower(owner.ID); ok && f.ID == cn.cfg.Self.ID {
-				cn.proxy(w, r, owner)
+				cn.proxy(w, r, owner, maxBody)
 				return
 			}
 		}
@@ -759,13 +774,14 @@ func (cn *ClusterNode) redirect(w http.ResponseWriter, owner cluster.Node, uid s
 	writeError(w, http.StatusMisdirectedRequest, "user %s is owned by node %s", uid, owner.ID)
 }
 
-// proxy forwards one buffered request to the owner and relays the response.
-// A proxy transport failure answers 503 so the client's retry loop runs its
-// own failover instead of trusting this hop.
-func (cn *ClusterNode) proxy(w http.ResponseWriter, r *http.Request, owner cluster.Node) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, DefaultMaxBodyBytes))
+// proxy forwards one request, buffered under the server's body cap (an
+// upload over it answers 413 here, exactly as the owner would), to the owner
+// and relays the response. A proxy transport failure answers 503 so the
+// client's retry loop runs its own failover instead of trusting this hop.
+func (cn *ClusterNode) proxy(w http.ResponseWriter, r *http.Request, owner cluster.Node, maxBody int64) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		bodyError(w, "reading request body", err)
 		return
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, owner.URL+r.URL.RequestURI(), bytes.NewReader(body))

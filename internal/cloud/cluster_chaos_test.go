@@ -32,7 +32,7 @@ type chaosNode struct {
 
 // startChaosCluster boots n cluster nodes on pre-bound loopback listeners
 // (the peer list must be known before any node starts).
-func startChaosCluster(t *testing.T, n int) []*chaosNode {
+func startChaosCluster(t *testing.T, n int, opts ...ServerOption) []*chaosNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]cluster.Node, n)
@@ -56,7 +56,7 @@ func startChaosCluster(t *testing.T, n int) []*chaosNode {
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		srv := NewServer(cn.Store(), WithClusterNode(cn))
+		srv := NewServer(cn.Store(), append(opts, WithClusterNode(cn))...)
 		ts := httptest.NewUnstartedServer(srv.Handler())
 		ts.Listener.Close()
 		ts.Listener = listeners[i]

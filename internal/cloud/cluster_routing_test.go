@@ -2,16 +2,20 @@ package cloud
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/events"
 	"repro/internal/faultnet"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Routing and failover behavior, pinned to exact metric deltas: the server
@@ -56,7 +60,8 @@ func rawRegister(t *testing.T, url string, hdr map[string]string) *http.Response
 // license to serve someone else's user) — each with its exact
 // pci_cluster_* delta.
 func TestClusterGateRouting(t *testing.T) {
-	nodes := startChaosCluster(t, 3)
+	const maxBody = 4 << 10
+	nodes := startChaosCluster(t, 3, WithMaxBodyBytes(maxBody))
 	uid := StableUserID("route-imei-1", "route@example.com")
 	ring := nodes[0].cn.Ring()
 	ownerID := ring.PrimaryID(uid)
@@ -85,6 +90,25 @@ func TestClusterGateRouting(t *testing.T) {
 	}
 	if got := follower.reg.Counter("pci_cluster_proxied_total").Value(); got != 1 {
 		t.Fatalf("follower proxied counter = %d, want 1", got)
+	}
+	// The proxy buffers under the server's body cap: an upload over it is
+	// answered 413 at the hop, never truncated and forwarded.
+	big, err := http.NewRequest("POST", follower.url+PathRegister, bytes.NewReader(make([]byte, 2*maxBody)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.Header.Set(cluster.HeaderKey, uid)
+	bigResp, err := http.DefaultClient.Do(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigBody, _ := io.ReadAll(bigResp.Body)
+	bigResp.Body.Close()
+	if want := fmt.Sprintf("exceeds %d bytes", maxBody); bigResp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(bigBody), want) {
+		t.Fatalf("oversized proxied upload: status %d body %q, want 413 %q", bigResp.StatusCode, bigBody, want)
+	}
+	if got := follower.reg.Counter("pci_cluster_proxied_total").Value(); got != 1 {
+		t.Fatalf("follower proxied counter = %d after the refused upload, want still 1", got)
 	}
 	// Any other node redirects, naming the owner.
 	resp := rawRegister(t, third.url, key)
@@ -128,12 +152,128 @@ func TestClusterGateRouting(t *testing.T) {
 	}
 }
 
+// TestClusterEveryCallRingRouted constructs the client with the bystander —
+// the one node that neither owns nor follows the user — as its base URL, on
+// both wire codecs. Every kind of request the client can make (buffered,
+// streamed upload, streamed binary discover, SSE subscription) must go to the
+// ring owner on the first hop: nothing reaches the bystander, so neither its
+// 421 counter nor the client's redirect counter moves.
+func TestClusterEveryCallRingRouted(t *testing.T) {
+	nodes := startChaosCluster(t, 3)
+	urls := []string{nodes[0].url, nodes[1].url, nodes[2].url}
+	ring := nodes[0].cn.Ring()
+	for _, wc := range []WireCodec{WireJSON, WireBinary} {
+		t.Run(wc.String(), func(t *testing.T) {
+			imei, email := "bystander-imei-"+wc.String(), "bystander@example.com"
+			uid := StableUserID(imei, email)
+			ownerID := ring.PrimaryID(uid)
+			followerID, _ := ring.FollowerID(ownerID)
+			var bystander *chaosNode
+			for _, n := range nodes {
+				if n.id != ownerID && n.id != followerID {
+					bystander = n
+				}
+			}
+			owner := clusterNodeByID(t, nodes, ownerID)
+			misroutedBefore := bystander.reg.Counter("pci_cluster_misrouted_total").Value()
+
+			creg := obs.NewRegistry()
+			client := NewClient(bystander.url, imei, email, &http.Client{},
+				WithCluster(urls), WithWireCodec(wc), WithClientMetrics(creg),
+				WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+			if err := client.Register(); err != nil {
+				t.Fatalf("register: %v", err)
+			}
+			sub, err := client.Subscribe(context.Background())
+			if err != nil {
+				t.Fatalf("subscribe: %v", err)
+			}
+			defer sub.Close()
+			history := oscillatingTrace()
+			if _, err := client.StreamObservations(context.Background(), history[:60], 16); err != nil {
+				t.Fatalf("stream: %v", err)
+			}
+			select {
+			case ev, ok := <-sub.C:
+				if !ok || ev.UserID != uid {
+					t.Fatalf("subscription delivered %+v (open=%v, err=%v), want an event for %s", ev, ok, sub.Err(), uid)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no event delivered over the subscription")
+			}
+			places, err := client.DiscoverPlaces(history)
+			if err != nil {
+				t.Fatalf("discover: %v", err)
+			}
+			if len(places) == 0 {
+				t.Fatal("discover returned no places")
+			}
+
+			if got := len(owner.cn.Store().Places(uid)); got != len(places) {
+				t.Errorf("owner holds %d places, client was answered %d", got, len(places))
+			}
+			if got := len(bystander.cn.Store().Places(uid)); got != 0 {
+				t.Errorf("bystander holds %d places for a user it does not own", got)
+			}
+			if st := bystander.cn.Store().TraceStatusFor(uid); st.Len != 0 {
+				t.Errorf("bystander holds a %d-observation trace for a user it does not own", st.Len)
+			}
+			if d := bystander.reg.Counter("pci_cluster_misrouted_total").Value() - misroutedBefore; d != 0 {
+				t.Errorf("bystander answered %d 421s, want 0: the ring names the owner", d)
+			}
+			// Register, subscribe, stream, discover: one attempt each, no
+			// redirect and no failover.
+			for fam, want := range map[string]uint64{
+				"client_attempts_total":          4,
+				"client_cluster_redirects_total": 0,
+				"client_cluster_failovers_total": 0,
+			} {
+				if got := creg.Counter(fam).Value(); got != want {
+					t.Errorf("%s = %d, want %d", fam, got, want)
+				}
+			}
+		})
+	}
+}
+
+// heldStream is a transport that holds a streamed upload's body back: the
+// first pass newline-terminated batches of each stream flow, the rest wait for
+// release (a stream of no more batches than that is not held at all). It puts a handoff between two batches of one StreamObservations.
+type heldStream struct {
+	pass    int
+	release chan struct{}
+}
+
+func (h *heldStream) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == PathObservationsStream {
+		req = req.Clone(req.Context())
+		req.Body = &heldBody{ReadCloser: req.Body, h: h}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+type heldBody struct {
+	io.ReadCloser
+	h     *heldStream
+	lines int
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if n > 0 && b.lines >= b.h.pass {
+		<-b.h.release
+	}
+	b.lines += bytes.Count(p[:n], []byte{'\n'})
+	return n, err
+}
+
 // TestClusterLeaveHandoffRedirect pins the ring-change path end to end: a
 // coordinator Leave hands the departing node's users off to their new
 // owners, a client holding the stale ring gets exactly one 421, adopts the
 // owner, replays, and reads back the handed-off profile intact.
 func TestClusterLeaveHandoffRedirect(t *testing.T) {
-	nodes := startChaosCluster(t, 3)
+	httpReg := obs.NewRegistry() // the three servers' pci_http_* families
+	nodes := startChaosCluster(t, 3, WithMetrics(httpReg))
 	urls := []string{nodes[0].url, nodes[1].url, nodes[2].url}
 	coord := cluster.NewCoordinator([]cluster.Node{
 		{ID: nodes[0].id, URL: nodes[0].url},
@@ -145,7 +285,12 @@ func TestClusterLeaveHandoffRedirect(t *testing.T) {
 	imei, email := "leave-imei-1", "leave@example.com"
 	uid := StableUserID(imei, email)
 	creg := obs.NewRegistry()
-	client := NewClient(urls[0], imei, email, &http.Client{Timeout: 5 * time.Second},
+	// No keep-alive: the connection sweep that later drops the subscription
+	// must not also hit a pooled connection a later request would reuse (a
+	// GET is silently resent, putting the 421 count off by one; a streamed
+	// POST fails).
+	fresh := &http.Transport{DisableKeepAlives: true}
+	client := NewClient(urls[0], imei, email, &http.Client{Timeout: 5 * time.Second, Transport: fresh},
 		WithCluster(urls),
 		WithClientMetrics(creg),
 		WithRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond}))
@@ -159,6 +304,93 @@ func TestClusterLeaveHandoffRedirect(t *testing.T) {
 
 	oldOwnerID := nodes[0].cn.Ring().PrimaryID(uid)
 	oldOwner := clusterNodeByID(t, nodes, oldOwnerID)
+
+	// The same user over the streaming paths: a live subscription, and a
+	// second client (same identity, its own stale ring after the Leave)
+	// whose streamed upload delivers the subscription's first events.
+	ctx := context.Background()
+	sub, err := client.Subscribe(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	sreg := obs.NewRegistry()
+	streamer := NewClient(urls[0], imei, email, &http.Client{Transport: fresh},
+		WithCluster(urls), WithClientMetrics(sreg), WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+	if err := streamer.Register(); err != nil {
+		t.Fatal(err)
+	}
+	history := oscillatingTrace()
+	res, err := streamer.StreamObservations(ctx, history[:60], 16)
+	if err != nil || res.Events == 0 {
+		t.Fatalf("pre-leave stream: %+v, %v (want events)", res, err)
+	}
+	nextEvent := func(what string) events.Event {
+		t.Helper()
+		select {
+		case ev, ok := <-sub.C:
+			if !ok {
+				t.Fatalf("%s: subscription ended: %v", what, sub.Err())
+			}
+			return ev
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no event", what)
+		}
+		return events.Event{}
+	}
+	for i := 0; i < res.Events; i++ {
+		if ev := nextEvent("pre-leave"); ev.Seq != uint64(i+1) {
+			t.Fatalf("pre-leave event %d has seq %d", i, ev.Seq)
+		}
+	}
+
+	// Two more users of the same owner hold a streamed upload open across the
+	// Leave. mid's first batch lands before the handoff and its second after;
+	// mid0's stream is admitted by the gate but its first batch is held back
+	// until the user has moved.
+	type heldUpload struct {
+		c    *Client
+		reg  *obs.Registry
+		uid  string
+		hold *heldStream
+		done chan error
+		res  StreamResult
+	}
+	hold := func(imei string, pass int) *heldUpload {
+		for nodes[0].cn.Ring().PrimaryID(StableUserID(imei, email)) != oldOwnerID {
+			imei += "x"
+		}
+		h := &heldUpload{reg: obs.NewRegistry(), uid: StableUserID(imei, email),
+			hold: &heldStream{pass: pass, release: make(chan struct{})}, done: make(chan error, 1)}
+		h.c = NewClient(urls[0], imei, email, &http.Client{Transport: h.hold},
+			WithCluster(urls), WithClientMetrics(h.reg), WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+		if err := h.c.Register(); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	stream := func(h *heldUpload, obs []trace.GSMObservation, batch int) {
+		go func() {
+			var err error
+			h.res, err = h.c.StreamObservations(ctx, obs, batch)
+			h.done <- err
+		}()
+	}
+	mid, mid0 := hold("leave-imei-mid", 1), hold("leave-imei-mid0", 0)
+	if _, err := mid.c.StreamObservations(ctx, history[:10], 0); err != nil { // a stored cursor to resume from
+		t.Fatal(err)
+	}
+	midAttempts := mid.reg.Counter("client_attempts_total").Value()
+	stream(mid, history[:40], 15)
+	waitFor(t, "mid's first batch durable", func() bool {
+		return oldOwner.cn.Store().TraceStatusFor(mid.uid).Len == 25
+	})
+	inFlight := httpReg.Gauge("pci_http_in_flight").Value()
+	stream(mid0, history[:40], 16)
+	waitFor(t, "mid0's stream admitted", func() bool {
+		return httpReg.Gauge("pci_http_in_flight").Value() == inFlight+1
+	})
+
 	redirectsBefore := creg.Counter("client_cluster_redirects_total").Value()
 	misroutedBefore := oldOwner.reg.Counter("pci_cluster_misrouted_total").Value()
 
@@ -198,6 +430,200 @@ func TestClusterLeaveHandoffRedirect(t *testing.T) {
 	// The old owner no longer holds the user locally.
 	if oldOwner.cn.Store().UserCount() != 0 {
 		t.Fatalf("leaver still holds %d users after handoff", oldOwner.cn.Store().UserCount())
+	}
+
+	// mid0's first batch raced the handoff with nothing of the stream landed:
+	// the store refuses it, the handler answers the gate's 421 contract (not a
+	// 500), and the client adopts the owner and replays the whole stream.
+	close(mid0.hold.release)
+	if err := <-mid0.done; err != nil {
+		t.Fatalf("stream handed off before its first batch: %v", err)
+	}
+	owner0, _ := coord.Ring().Primary(mid0.uid)
+	if st := clusterNodeByID(t, nodes, owner0.ID).cn.Store().TraceStatusFor(mid0.uid); mid0.res.Appended != 40 ||
+		st.Len != 40 || st.Hash != TraceHash(history[:40]) {
+		t.Fatalf("replayed stream: result %+v, new owner holds %+v, want all 40 observations once", mid0.res, st)
+	}
+	if d := mid0.reg.Counter("client_cluster_redirects_total").Value(); d != 1 {
+		t.Fatalf("mid0 redirects = %d, want the handler's one 421", d)
+	}
+
+	// mid's second batch raced the handoff after its first had landed and
+	// moved with the user. A 421 would make the client replay the first batch
+	// onto the owner that already holds it: the call ends with a 503 after a
+	// single attempt, nothing is duplicated, and the next discover upload
+	// (re-routed by the old owner's gate) dedups the overlap and catches up.
+	close(mid.hold.release)
+	err = <-mid.done
+	if status, _ := StatusCode(err); status != http.StatusServiceUnavailable {
+		t.Fatalf("stream handed off mid-upload: %v, want a 503", err)
+	}
+	if d := mid.reg.Counter("client_attempts_total").Value() - midAttempts; d != 1 {
+		t.Fatalf("interrupted stream made %d attempts: it must not be replayed", d)
+	}
+	ownerMid, _ := coord.Ring().Primary(mid.uid)
+	midStore := clusterNodeByID(t, nodes, ownerMid.ID).cn.Store()
+	if st := midStore.TraceStatusFor(mid.uid); st.Len != 25 || st.Hash != TraceHash(history[:25]) {
+		t.Fatalf("new owner holds %+v of the interrupted stream, want the 25 observations handed off", st)
+	}
+	if _, err := mid.c.DiscoverPlaces(history[:40]); err != nil {
+		t.Fatalf("discover after the interrupted stream: %v", err)
+	}
+	if st := midStore.TraceStatusFor(mid.uid); st.Len != 40 || st.Hash != TraceHash(history[:40]) {
+		t.Fatalf("new owner holds %+v after the catch-up, want all 40 observations once", st)
+	}
+	if d := mid.reg.Counter("client_cluster_redirects_total").Value(); d != 1 {
+		t.Fatalf("mid redirects = %d after the catch-up, want 1", d)
+	}
+
+	// The subscription's connection to the leaver drops. It had delivered
+	// events, so that is no routing failure: the subscription reconnects to
+	// the same node, whose gate answers one 421, and re-targets without
+	// backoff or failover. The new owner's hub has never seen the stream the
+	// Last-Event-ID names, so the resume is answered with a reset.
+	newOwner := clusterNodeByID(t, nodes, newOwnerID)
+	misroutedBefore = oldOwner.reg.Counter("pci_cluster_misrouted_total").Value()
+	redirectsBefore = creg.Counter("client_cluster_redirects_total").Value()
+	failoversBefore := creg.Counter("client_cluster_failovers_total").Value()
+	oldOwner.ts.CloseClientConnections()
+	if ev := nextEvent("resume"); ev.Type != events.KindReset {
+		t.Fatalf("resumed subscription delivered %+v, want the new owner's reset", ev)
+	}
+	if d := creg.Counter("client_cluster_redirects_total").Value() - redirectsBefore; d != 1 {
+		t.Fatalf("subscription redirects delta = %d, want 1", d)
+	}
+	if d := oldOwner.reg.Counter("pci_cluster_misrouted_total").Value() - misroutedBefore; d != 1 {
+		t.Fatalf("old owner misrouted delta = %d, want the subscription's one 421", d)
+	}
+	if d := creg.Counter("client_cluster_failovers_total").Value() - failoversBefore; d != 0 {
+		t.Fatalf("subscription failovers delta = %d: an ordinary disconnect is not a failover", d)
+	}
+
+	// The streamer still holds ring v1: its upload meets exactly one 421 on
+	// the old owner, adopts the new one and replays there (recovering its
+	// token, which did not move with the user), extending the handed-off
+	// trace; the resumed subscription sees the events.
+	misroutedBefore = oldOwner.reg.Counter("pci_cluster_misrouted_total").Value()
+	res, err = streamer.StreamObservations(ctx, history, 16)
+	if err != nil {
+		t.Fatalf("post-leave stream: %v", err)
+	}
+	if res.Appended != len(history)-60 || res.TraceLen != int64(len(history)) || res.Events == 0 {
+		t.Fatalf("post-leave stream result %+v, want the %d-observation tail appended with events", res, len(history)-60)
+	}
+	if got := newOwner.cn.Store().TraceStatusFor(uid).Len; got != int64(len(history)) {
+		t.Fatalf("new owner holds %d observations, want %d", got, len(history))
+	}
+	if d := sreg.Counter("client_cluster_redirects_total").Value(); d != 1 {
+		t.Fatalf("streamer redirects = %d, want 1", d)
+	}
+	if d := oldOwner.reg.Counter("pci_cluster_misrouted_total").Value() - misroutedBefore; d != 1 {
+		t.Fatalf("old owner misrouted delta = %d, want 1", d)
+	}
+	if ev := nextEvent("post-leave"); ev.UserID != uid || ev.Seq != 1 {
+		t.Fatalf("post-leave event %+v, want the new owner's seq 1 for %s", ev, uid)
+	}
+}
+
+// TestClusterHandoffAdmission pins that a handoff passes the same admission
+// as a batch or resync before its first record is applied: a sender with a
+// different shard layout (its records would land in shards no reader looks
+// in) or a stale ring is refused, nothing is applied, and the sender keeps —
+// and keeps serving — its users.
+func TestClusterHandoffAdmission(t *testing.T) {
+	nodes := startChaosCluster(t, 2)
+	urls := []string{nodes[0].url, nodes[1].url}
+	imei, email := "handoff-imei-1", "handoff@example.com"
+	uid := StableUserID(imei, email)
+	v1 := nodes[0].cn.Ring()
+	sender := clusterNodeByID(t, nodes, v1.PrimaryID(uid))
+	dest := nodes[0]
+	if dest == sender {
+		dest = nodes[1]
+	}
+	client := NewClient(urls[0], imei, email, nil, WithCluster(urls))
+	if err := client.Register(); err != nil {
+		t.Fatal(err)
+	}
+	date := "2014-05-02"
+	if err := client.SyncProfile(chaosProfile(uid, date)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Let the sender's replication stream settle first: a batch still in
+	// flight would be refused as stale below and counted like a handoff.
+	waitFor(t, "sender's shipper caught up", func() bool {
+		return sender.reg.Gauge("pci_repl_degraded").Value() == 0 && sender.reg.Gauge("pci_repl_lag_records").Value() == 0
+	})
+	// The destination moves two ring versions ahead (same members, so
+	// nothing moves): a handoff stamped v1 or v2 is now from a stale sender.
+	if err := dest.cn.AdoptRing(cluster.NewRing(3, v1.Nodes, v1.VNodes)); err != nil {
+		t.Fatal(err)
+	}
+	ghost, _ := json.Marshal(&walRecord{Op: opRegister, User: &User{ID: "ghost", IMEI: "g", Email: "g"}, DeviceKey: deviceKey("g", "g")})
+	post := func(req cluster.HandoffRequest) cluster.HandoffResponse {
+		t.Helper()
+		req.From = sender.id
+		req.Records = []cluster.ShipRecord{{Engine: cluster.EngineMain, Shard: 0, Rec: ghost}}
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(dest.url+cluster.PathHandoff, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hr cluster.HandoffResponse
+		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+			t.Fatal(err)
+		}
+		return hr
+	}
+	holdsGhost := func() bool {
+		for _, id := range dest.cn.Store().userIDs() {
+			if id == "ghost" {
+				return true
+			}
+		}
+		return false
+	}
+	rejected := dest.reg.Counter("pci_repl_batches_rejected_total")
+	for _, tc := range []struct {
+		name string
+		req  cluster.HandoffRequest
+		want string
+	}{
+		{"shard layout", cluster.HandoffRequest{RingVersion: 3, DataShards: 3, TraceShards: 3}, "shard layout mismatch"},
+		{"stale ring", cluster.HandoffRequest{RingVersion: 2, DataShards: 2, TraceShards: 2}, "stale ring v2"},
+	} {
+		before := rejected.Value()
+		if hr := post(tc.req); hr.OK || !strings.Contains(hr.Error, tc.want) {
+			t.Fatalf("%s: handoff answered %+v, want a refusal naming %q", tc.name, hr, tc.want)
+		}
+		if holdsGhost() {
+			t.Fatalf("%s: refused handoff was applied", tc.name)
+		}
+		if d := rejected.Value() - before; d != 1 {
+			t.Fatalf("%s: rejected counter delta = %d, want 1", tc.name, d)
+		}
+	}
+	if hr := post(cluster.HandoffRequest{RingVersion: 3, DataShards: 2, TraceShards: 2}); !hr.OK || !holdsGhost() {
+		t.Fatalf("admissible handoff answered %+v (applied=%v), want OK and applied", hr, holdsGhost())
+	}
+
+	// End to end: the sender is told to leave under a v2 ring, which moves
+	// its user to the destination. The handoff is refused as stale, so the
+	// sender drops nothing and still serves the user's data.
+	if err := sender.cn.AdoptRing(v1.WithLeave(sender.id)); err != nil {
+		t.Fatal(err)
+	}
+	if got := sender.reg.Counter("pci_cluster_handoff_users_total").Value(); got != 0 {
+		t.Fatalf("sender counted %d users handed off through a refused handoff", got)
+	}
+	local := NewClient(sender.url, imei, email, nil) // unstamped: served where it lands
+	if err := local.Register(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := local.ProfileRange(date, date); err != nil || len(got) != 1 {
+		t.Fatalf("sender read after refused handoff: %d profiles, %v", len(got), err)
 	}
 }
 

@@ -200,7 +200,7 @@ func (s *Server) Handler() http.Handler {
 	obsStream := s.instrument("obs_stream", s.auth(s.handleObsStream))
 	evSub := s.instrument("events_subscribe", s.auth(s.handleEventsSubscribe))
 	if s.cnode != nil {
-		api = s.cnode.Gate(api)
+		api = s.cnode.Gate(api, s.maxBody)
 		obsStream = s.cnode.GateStreaming(obsStream)
 		evSub = s.cnode.GateStreaming(evSub)
 		s.cnode.Mount(root)
@@ -260,12 +260,17 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// notOwner answers a store ErrNotOwner: the ring moved between the
-// ownership gate and the apply, so the store refused the write rather than
-// landing it on a node readers are never routed to. Answer the gate's 421
-// contract (owner URL included) so the client re-targets and retries; if
-// ownership has already swung back to this node, a retryable 503.
-func (s *Server) notOwner(w http.ResponseWriter, uid string) {
+// storeError answers a failed store mutation. ErrNotOwner means the ring
+// moved between the ownership gate and the apply, so the store refused the
+// write rather than landing it on a node readers are never routed to: answer
+// the gate's 421 contract (owner URL included) so the client re-targets and
+// retries or, if ownership has already swung back to this node, a retryable
+// 503. Any other error gets the handler's own status and message.
+func (s *Server) storeError(w http.ResponseWriter, uid string, err error, status int, format string, args ...any) {
+	if !errors.Is(err, ErrNotOwner) {
+		writeError(w, status, format, args...)
+		return
+	}
 	if s.cnode != nil {
 		if owner, self := s.cnode.owner(uid); !self {
 			s.cnode.redirect(w, owner, uid)
@@ -275,19 +280,30 @@ func (s *Server) notOwner(w http.ResponseWriter, uid string) {
 	writeError(w, http.StatusServiceUnavailable, "ownership of user %s changed mid-request; retry", uid)
 }
 
-// decode parses the request body under the server's size cap. A body over
-// the cap answers 413 so the client can tell "your upload is too big" apart
-// from a garbled request (400) or a transient fault.
+// bodyError answers a request body that could not be read or parsed: 413
+// when it ran over the size cap, so the client can tell "your upload is too
+// big" apart from a garbled request (400, "<what>: <err>") or a transient
+// fault.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "%s: %v", what, err)
+}
+
+// unsupportedMediaType answers a Content-Type no decoder speaks.
+func unsupportedMediaType(w http.ResponseWriter, r *http.Request) {
+	writeError(w, http.StatusUnsupportedMediaType, "unsupported content type %q", r.Header.Get("Content-Type"))
+}
+
+// decode parses the request body under the server's size cap.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		bodyError(w, "bad request body", err)
 		return false
 	}
 	return true
@@ -324,8 +340,7 @@ func (s *Server) decodeAny(w http.ResponseWriter, r *http.Request, into any) boo
 	case codecBinary:
 		return s.decodeBinaryBody(w, r, into)
 	default:
-		writeError(w, http.StatusUnsupportedMediaType,
-			"unsupported content type %q", r.Header.Get("Content-Type"))
+		unsupportedMediaType(w, r)
 		return false
 	}
 }
@@ -340,12 +355,7 @@ func (s *Server) decodeBinaryBody(w http.ResponseWriter, r *http.Request, into a
 	buf, err := readAllInto((*bp)[:0], r.Body)
 	*bp = buf
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		bodyError(w, "reading request body", err)
 		return false
 	}
 	if err := decodeWire(buf, into); err != nil {
@@ -363,12 +373,7 @@ func (s *Server) decodeBinaryBody(w http.ResponseWriter, r *http.Request, into a
 // that dies mid-frame (or never reaches the end marker) is a clean 400.
 func (s *Server) decodeDiscoverBinary(w http.ResponseWriter, r *http.Request, req *DiscoverPlacesRequest) bool {
 	fail := func(err error) bool {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad binary request: %v", err)
-		}
+		bodyError(w, "bad binary request", err)
 		return false
 	}
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.maxBody))
@@ -463,11 +468,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.store.Register(req.IMEI, req.Email)
 	if err != nil {
-		if errors.Is(err, ErrNotOwner) {
-			s.notOwner(w, StableUserID(req.IMEI, req.Email))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.storeError(w, StableUserID(req.IMEI, req.Email), err, http.StatusBadRequest, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -500,8 +501,7 @@ func (s *Server) handlePlacesDiscover(w http.ResponseWriter, r *http.Request, ui
 			return
 		}
 	default:
-		writeError(w, http.StatusUnsupportedMediaType,
-			"unsupported content type %q", r.Header.Get("Content-Type"))
+		unsupportedMediaType(w, r)
 		return
 	}
 	if !req.Delta && len(req.Observations) == 0 {
@@ -515,11 +515,7 @@ func (s *Server) handlePlacesDiscover(w http.ResponseWriter, r *http.Request, ui
 			writeError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		if errors.Is(err, ErrNotOwner) {
-			s.notOwner(w, uid)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "syncing trace: %v", err)
+		s.storeError(w, uid, err, http.StatusInternalServerError, "syncing trace: %v", err)
 		return
 	}
 	if appended > 0 {
@@ -554,11 +550,7 @@ func (s *Server) handlePlacesLabel(w http.ResponseWriter, r *http.Request, uid s
 		return
 	}
 	if err := s.store.LabelPlace(uid, req.PlaceID, req.Label); err != nil {
-		if errors.Is(err, ErrNotOwner) {
-			s.notOwner(w, uid)
-			return
-		}
-		writeError(w, http.StatusNotFound, "%v", err)
+		s.storeError(w, uid, err, http.StatusNotFound, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct{}{})
@@ -606,11 +598,7 @@ func (s *Server) handleRoutesDiscover(w http.ResponseWriter, r *http.Request, ui
 		wire = append(wire, RouteToWire(rt))
 	}
 	if err := s.store.SetRoutes(uid, wire); err != nil {
-		if errors.Is(err, ErrNotOwner) {
-			s.notOwner(w, uid)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "storing routes: %v", err)
+		s.storeError(w, uid, err, http.StatusInternalServerError, "storing routes: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, DiscoverRoutesResponse{Routes: wire})
@@ -650,11 +638,7 @@ func (s *Server) handleProfilePut(w http.ResponseWriter, r *http.Request, uid st
 	p.Date = date
 	p.UserID = uid
 	if err := s.store.PutProfile(uid, &p); err != nil {
-		if errors.Is(err, ErrNotOwner) {
-			s.notOwner(w, uid)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.storeError(w, uid, err, http.StatusBadRequest, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct{}{})
@@ -701,11 +685,7 @@ func (s *Server) handleContactsPost(w http.ResponseWriter, r *http.Request, uid 
 		return
 	}
 	if err := s.store.AddContacts(uid, req.Encounters); err != nil {
-		if errors.Is(err, ErrNotOwner) {
-			s.notOwner(w, uid)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "storing contacts: %v", err)
+		s.storeError(w, uid, err, http.StatusInternalServerError, "storing contacts: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct{}{})

@@ -117,13 +117,6 @@ type StoreConfig struct {
 	// CompactEvery snapshots a shard after this many journaled records
 	// (default storage.DefaultCompactEvery; negative disables).
 	CompactEvery int
-	// CommitMaxBatch caps how many concurrent mutations one WAL group commit
-	// may coalesce (default storage.DefaultCommitMaxBatch; negative disables
-	// grouping — every record pays its own write+fsync).
-	CommitMaxBatch int
-	// CommitLinger is how long a commit leader waits for followers when its
-	// batch is short (default 0: the fsync latency is the batching window).
-	CommitLinger time.Duration
 	// RecoverWorkers bounds how many shards boot recovery (and close)
 	// processes concurrently (default 0: min(shards, max(2, GOMAXPROCS));
 	// 1 forces serial recovery).
@@ -230,8 +223,6 @@ func newStore(dir string, cfg StoreConfig) (*Store, error) {
 		Sync:           cfg.Sync,
 		SyncEvery:      cfg.SyncEvery,
 		CompactEvery:   cfg.CompactEvery,
-		CommitMaxBatch: cfg.CommitMaxBatch,
-		CommitLinger:   cfg.CommitLinger,
 		RecoverWorkers: cfg.RecoverWorkers,
 		Metrics:        reg,
 		Repl:           cfg.Repl,
@@ -256,8 +247,6 @@ func newStore(dir string, cfg StoreConfig) (*Store, error) {
 		Sync:           cfg.Sync,
 		SyncEvery:      cfg.SyncEvery,
 		CompactEvery:   cfg.CompactEvery,
-		CommitMaxBatch: cfg.CommitMaxBatch,
-		CommitLinger:   cfg.CommitLinger,
 		RecoverWorkers: cfg.RecoverWorkers,
 		Metrics:        reg,
 		Repl:           cfg.TraceRepl,

@@ -120,14 +120,26 @@ func (s *Server) handleObsStream(w http.ResponseWriter, r *http.Request, uid str
 	// ingest persists and publishes one batch; it answers the error response
 	// itself and returns false to stop the stream.
 	ingest := func(obs []trace.GSMObservation) bool {
-		var err error
-		status, err = s.store.AppendTrace(uid, obs)
-		if err != nil {
-			if errors.Is(err, ErrObservationOrder) {
-				writeError(w, http.StatusConflict, "%v", err)
-				return false
-			}
-			writeError(w, http.StatusInternalServerError, "appending observations: %v", err)
+		st, err := s.store.AppendTrace(uid, obs)
+		switch {
+		case err == nil:
+			status = st
+		case errors.Is(err, ErrObservationOrder):
+			writeError(w, http.StatusConflict, "%v", err)
+			return false
+		case errors.Is(err, ErrNotOwner) && appended > 0:
+			// The user was handed off mid-upload, after earlier batches of
+			// this stream were appended and moved with it. The client replays
+			// a 421 whole, which is only safe while the request has touched
+			// no state: end the call instead, naming the position reached.
+			writeError(w, http.StatusServiceUnavailable,
+				"user %s was handed off after %d observations of this stream (trace position %d); resume on its new owner",
+				uid, appended, status.Len)
+			return false
+		default:
+			// ErrNotOwner here is the first batch racing a handoff: the gate
+			// admitted the stream, the user moved before anything landed.
+			s.storeError(w, uid, err, http.StatusInternalServerError, "appending observations: %v", err)
 			return false
 		}
 		if n := len(obs); n > 0 {
@@ -164,8 +176,7 @@ func (s *Server) handleObsStream(w http.ResponseWriter, r *http.Request, uid str
 			}
 		}
 	default:
-		writeError(w, http.StatusUnsupportedMediaType,
-			"unsupported content type %q", r.Header.Get("Content-Type"))
+		unsupportedMediaType(w, r)
 		return
 	}
 	if status == (TraceStatus{}) {

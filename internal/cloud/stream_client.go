@@ -3,7 +3,6 @@ package cloud
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 
@@ -26,91 +25,49 @@ const DefaultStreamBatchSize = 64
 // getting back the current position). On success the acknowledged cursor is
 // stored, so a later DiscoverPlaces delta-syncs instead of re-uploading.
 //
-// The stream appends state as it goes, so the request is not retried by the
-// retry policy; a failed stream is resumed by calling again (the cursor —
-// refreshed by the returned StreamResult — restarts from what was durably
-// appended). A 401 recovers the token once, exactly like every other
-// authenticated call.
+// The stream appends state as it goes, so the request is a single attempt
+// bounded only by ctx — never retried by the retry policy, never under its
+// per-try timeout. Like every call it is ring-routed, replayed once after a
+// 421 (answered only while nothing of the stream has been appended), and
+// recovers the token once after a 401. A stream that fails after some batches
+// landed leaves the stored cursor behind the server: DiscoverPlaces, whose
+// delta upload dedups the overlap, catches it up.
 func (c *Client) StreamObservations(ctx context.Context, obs []trace.GSMObservation, batchSize int) (StreamResult, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultStreamBatchSize
 	}
-	_, gen := c.snapshotToken()
-	res, err := c.streamOnce(ctx, obs, batchSize)
-	var se *statusError
-	if errors.As(err, &se) && se.Status == http.StatusUnauthorized {
-		if rerr := c.recoverToken(ctx, gen); rerr == nil {
-			res, err = c.streamOnce(ctx, obs, batchSize)
-		}
-	}
-	if err != nil {
-		return StreamResult{}, err
-	}
-	c.storeCursor(res.TraceLen, res.TraceHash)
-	return res, nil
-}
-
-func (c *Client) streamOnce(ctx context.Context, obs []trace.GSMObservation, batchSize int) (StreamResult, error) {
-	tok, _ := c.snapshotToken()
-	if tok == "" {
-		return StreamResult{}, &statusError{Status: http.StatusUnauthorized, Msg: "no token (register first)"}
-	}
 	if cursor, _, delta := c.traceCursor(obs); delta {
 		obs = obs[cursor:]
 	}
-	binary := c.useBinary()
-
-	// Feed the body through a pipe so batches hit the wire as they are
-	// encoded (chunked transfer, no Content-Length): the server ingests and
-	// publishes batch by batch, which is the point of the streaming path.
-	pr, pw := io.Pipe()
-	go func() {
-		cw := &wireCountWriter{w: pw, m: c.m.wireSentBytes}
-		if binary {
-			if err := writeObsFrames(cw, obs, batchSize); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-			pw.Close()
-			return
-		}
-		enc := json.NewEncoder(cw)
-		for start := 0; start < len(obs); start += batchSize {
-			end := min(start+batchSize, len(obs))
-			if err := enc.Encode(StreamBatch{Observations: obs[start:end]}); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-		}
-		pw.Close()
-	}()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+PathObservationsStream, pr)
-	if err != nil {
-		pr.Close()
-		return StreamResult{}, err
-	}
-	if binary {
-		req.Header.Set("Content-Type", ContentTypeBinary)
-		req.Header.Set("Accept", ContentTypeBinary+", application/json;q=0.5")
-	} else {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set("Authorization", "Bearer "+tok)
-	c.m.attempts.Inc()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		c.m.connErrors.Inc()
-		return StreamResult{}, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-		resp.Body.Close()
-	}()
 	var res StreamResult
-	if err := c.finishResponse(resp, &res); err != nil {
+	// Batches hit the wire as they are encoded: the server ingests and
+	// publishes batch by batch, which is the point of the streaming path.
+	rq := &request{
+		method: http.MethodPost,
+		path:   PathObservationsStream,
+		header: http.Header{"Content-Type": {"application/json"}},
+		stream: func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			for start := 0; start < len(obs); start += batchSize {
+				end := min(start+batchSize, len(obs))
+				if err := enc.Encode(StreamBatch{Observations: obs[start:end]}); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		auth:      true,
+		longLived: true,
+		into:      &res,
+	}
+	if c.useBinary() {
+		rq.header = http.Header{"Content-Type": {ContentTypeBinary}, "Accept": {acceptBinary}}
+		rq.stream = func(w io.Writer) error { return writeObsFrames(w, obs, batchSize) }
+	}
+	if err := c.withTokenRecovery(ctx, rq); err != nil {
 		return StreamResult{}, err
 	}
+	c.storeCursor(res.TraceLen, res.TraceHash)
 	return res, nil
 }
 
@@ -121,6 +78,12 @@ func writeObsFrames(w io.Writer, obs []trace.GSMObservation, batchSize int) erro
 	if _, err := w.Write([]byte{wireVersion, wireKindObsStream}); err != nil {
 		return err
 	}
+	return writeObsBlocks(w, obs, batchSize)
+}
+
+// writeObsBlocks writes obs as CRC frames of batchSize observations each,
+// then the end marker.
+func writeObsBlocks(w io.Writer, obs []trace.GSMObservation, batchSize int) error {
 	var e trace.BinaryEncoder
 	var frame []byte
 	for start := 0; start < len(obs); start += batchSize {
@@ -136,94 +99,23 @@ func writeObsFrames(w io.Writer, obs []trace.GSMObservation, batchSize int) erro
 	return err
 }
 
-// discoverBinary performs one binary streamed discover call with the same
-// 401 single-flight token recovery as authedCall; each retry attempt builds
-// a fresh pipe.
-func (c *Client) discoverBinary(ctx context.Context, dreq *DiscoverPlacesRequest, out *DiscoverPlacesResponse) error {
-	_, gen := c.snapshotToken()
-	err := c.discoverBinaryRetry(ctx, dreq, out)
-	var se *statusError
-	if !errors.As(err, &se) || se.Status != http.StatusUnauthorized {
-		return err
-	}
-	if rerr := c.recoverToken(ctx, gen); rerr != nil {
-		return err
-	}
-	return c.discoverBinaryRetry(ctx, dreq, out)
-}
-
-func (c *Client) discoverBinaryRetry(ctx context.Context, dreq *DiscoverPlacesRequest, out *DiscoverPlacesResponse) error {
-	attempt := 0
-	return c.retry.withSleepObserver(c.m.observeBackoff).run(ctx, true, func(ctx context.Context) error {
-		attempt++
-		if attempt > 1 {
-			c.m.retries.Inc()
-		}
-		return c.discoverOnce(ctx, dreq, out)
-	})
-}
-
-// discoverOnce streams one binary discover request: the fixed header
+// writeDiscoverFrames emits one binary discover request: the fixed header
 // (version, kind, flags, cursor, prefix hash) followed by CRC-framed
-// observation blocks and the end marker, all through a pipe so the full
+// observation blocks and the end marker, written as encoded so the full
 // history is never serialized at once.
-func (c *Client) discoverOnce(ctx context.Context, dreq *DiscoverPlacesRequest, out *DiscoverPlacesResponse) error {
-	tok, _ := c.snapshotToken()
-	if tok == "" {
-		return &statusError{Status: http.StatusUnauthorized, Msg: "no token (register first)"}
+func writeDiscoverFrames(w io.Writer, dreq *DiscoverPlacesRequest) error {
+	var e trace.BinaryEncoder
+	e.Byte(wireVersion)
+	e.Byte(wireKindDiscoverRequest)
+	var flags byte
+	if dreq.Delta {
+		flags |= 1
 	}
-	pr, pw := io.Pipe()
-	go func() {
-		cw := &wireCountWriter{w: pw, m: c.m.wireSentBytes}
-		var e trace.BinaryEncoder
-		e.Byte(wireVersion)
-		e.Byte(wireKindDiscoverRequest)
-		var flags byte
-		if dreq.Delta {
-			flags |= 1
-		}
-		e.Byte(flags)
-		e.Uvarint(uint64(dreq.Cursor))
-		e.Fixed64(dreq.PrefixHash)
-		if _, err := cw.Write(e.Buf); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		var frame []byte
-		obs := dreq.Observations
-		for start := 0; start < len(obs); start += wireFrameObs {
-			end := min(start+wireFrameObs, len(obs))
-			e.Reset(e.Buf)
-			trace.AppendObservations(&e, obs[start:end])
-			frame = appendWireFrame(frame[:0], e.Buf)
-			if _, err := cw.Write(frame); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-		}
-		if _, err := cw.Write(wireFrameEnd); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		pw.Close()
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+PathPlacesDiscover, pr)
-	if err != nil {
-		pr.Close()
+	e.Byte(flags)
+	e.Uvarint(uint64(dreq.Cursor))
+	e.Fixed64(dreq.PrefixHash)
+	if _, err := w.Write(e.Buf); err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	req.Header.Set("Accept", ContentTypeBinary+", application/json;q=0.5")
-	req.Header.Set("Authorization", "Bearer "+tok)
-	c.m.attempts.Inc()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		c.m.connErrors.Inc()
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
-		resp.Body.Close()
-	}()
-	return c.finishResponse(resp, out)
+	return writeObsBlocks(w, dreq.Observations, wireFrameObs)
 }

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -103,17 +102,35 @@ func (c *Client) Subscribe(ctx context.Context, opts ...SubscribeOption) (*Subsc
 	return sub, nil
 }
 
-// run is the subscription's reconnect loop. failures counts consecutive
-// attempts that delivered nothing; it indexes the retry policy's backoff
-// schedule and resets whenever a connection proves healthy, so a long-lived
-// subscription survives any number of transient faults while a hard-down
-// server still exhausts the policy's attempt budget and surfaces an error.
+// run is the subscription's reconnect loop around Client.attempt — its own
+// policy rather than Client.call's, because a connection that delivered
+// anything is not a failed try. failures counts consecutive attempts that
+// delivered nothing; it indexes the retry policy's backoff schedule and
+// resets whenever a connection proves healthy, so a long-lived subscription
+// survives any number of transient faults while a hard-down server still
+// exhausts the policy's attempt budget and surfaces an error. The route
+// session lives as long as the subscription: a failed connect or a non-2xx
+// re-targets it (a connection that was answered and later dropped reconnects
+// to the same node first), and the first 421 of a failure streak reconnects
+// to the owner it named at once, spending neither backoff nor budget.
 func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) {
 	defer close(s.done)
 	defer close(s.ch)
 	policy := c.retry.withSleepObserver(c.m.observeBackoff)
-	var lastSeq uint64
-	failures := 0
+	rt := c.route()
+	rq := &request{method: http.MethodGet, path: PathEventsSubscribe, header: http.Header{"Accept": {"text/event-stream"}}, auth: true}
+	if cfg.granularity != "" {
+		rq.query = url.Values{"granularity": {cfg.granularity}}
+	}
+	var lastSeq uint64 // resume point: the last sequence number delivered
+	delivered := false
+	rq.consume = func(body io.Reader) error {
+		cr := &countingReader{r: body}
+		err := s.pump(ctx, cr, cfg, &lastSeq)
+		delivered = cr.seen
+		return err
+	}
+	failures, redirected := 0, false
 	for {
 		if failures > 0 {
 			if failures >= policy.attempts() {
@@ -126,33 +143,35 @@ func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) 
 				return
 			}
 		}
-		delivered, err := s.attempt(ctx, c, cfg, &lastSeq)
+		delivered = false
+		if lastSeq > 0 {
+			rq.header.Set("Last-Event-ID", strconv.FormatUint(lastSeq, 10))
+		}
+		_, gen := c.snapshotToken()
+		err := c.attempt(ctx, rt, rq)
 		if ctx.Err() != nil {
 			s.err = nil
 			return
 		}
-		if delivered {
-			failures = 0
-		} else {
-			failures++
-		}
 		s.err = err
-
-		var se *statusError
-		if errors.As(err, &se) {
-			switch {
-			case se.Status == http.StatusUnauthorized:
-				_, gen := c.snapshotToken()
-				if rerr := c.recoverToken(ctx, gen); rerr != nil {
-					s.err = fmt.Errorf("cloud: subscribe: token recovery: %w", rerr)
-					return
-				}
-			case se.Status/100 == 4 && se.Status != http.StatusTooManyRequests:
-				// Protocol rejection (bad granularity, hub shut down answers
-				// 503 and is retried): reconnecting cannot help.
-				s.err = fmt.Errorf("cloud: subscribe: %w", se)
+		switch status, _ := StatusCode(err); {
+		case delivered:
+			failures, redirected = 0, false
+		case status == http.StatusMisdirectedRequest && !redirected:
+			redirected = true
+		case status == http.StatusUnauthorized:
+			failures++
+			if rerr := c.recoverToken(ctx, gen); rerr != nil {
+				s.err = fmt.Errorf("cloud: subscribe: token recovery: %w", rerr)
 				return
 			}
+		case status/100 == 4 && status != http.StatusTooManyRequests && status != http.StatusMisdirectedRequest:
+			// Protocol rejection (bad granularity; a shut-down hub answers
+			// 503 and is retried): reconnecting cannot help.
+			s.err = fmt.Errorf("cloud: subscribe: %w", err)
+			return
+		default:
+			failures++
 		}
 	}
 }
@@ -174,52 +193,15 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// attempt opens one SSE connection and pumps frames until it breaks.
-// delivered reports whether the connection yielded any body bytes (events or
-// heartbeats) — the health signal that resets the reconnect backoff.
-func (s *Subscription) attempt(ctx context.Context, c *Client, cfg subscribeConfig, lastSeq *uint64) (delivered bool, err error) {
-	u := c.baseURL + PathEventsSubscribe
-	if cfg.granularity != "" {
-		u += "?" + url.Values{"granularity": {cfg.granularity}}.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return false, err
-	}
-	tok, _ := c.snapshotToken()
-	req.Header.Set("Authorization", "Bearer "+tok)
-	req.Header.Set("Accept", "text/event-stream")
-	if *lastSeq > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastSeq, 10))
-	}
-	c.m.attempts.Inc()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		c.m.connErrors.Inc()
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 500 {
-			c.m.http5xx.Inc()
-		} else if resp.StatusCode >= 400 {
-			c.m.http4xx.Inc()
-		}
-		var e ErrorResponse
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		if jerr := json.Unmarshal(data, &e); jerr != nil || e.Error == "" {
-			e.Error = strconv.Quote(truncateForError(data))
-		}
-		return false, &statusError{Status: resp.StatusCode, Msg: e.Error}
-	}
-
-	cr := &countingReader{r: resp.Body}
-	fr := events.NewFrameReader(cr)
+// pump reads SSE frames off one connection's body until it breaks, advancing
+// lastSeq — the resume point the next connection sends as Last-Event-ID.
+func (s *Subscription) pump(ctx context.Context, body io.Reader, cfg subscribeConfig, lastSeq *uint64) error {
+	fr := events.NewFrameReader(body)
 	for {
 		frame, ferr := fr.Next()
 		if ferr != nil {
 			// EOF included: the server went away; reconnect and resume.
-			return cr.seen, fmt.Errorf("cloud: subscribe: stream: %w", ferr)
+			return fmt.Errorf("cloud: subscribe: stream: %w", ferr)
 		}
 		var ev events.Event
 		switch frame.Event {
@@ -236,7 +218,7 @@ func (s *Subscription) attempt(ctx context.Context, c *Client, cfg subscribeConf
 		default:
 			dev, derr := frame.DecodeEvent()
 			if derr != nil {
-				return cr.seen, fmt.Errorf("cloud: subscribe: bad event frame: %w", derr)
+				return fmt.Errorf("cloud: subscribe: bad event frame: %w", derr)
 			}
 			ev = dev
 			*lastSeq = ev.Seq
@@ -249,7 +231,7 @@ func (s *Subscription) attempt(ctx context.Context, c *Client, cfg subscribeConf
 		select {
 		case s.ch <- ev:
 		case <-ctx.Done():
-			return cr.seen, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }

@@ -115,10 +115,15 @@ type RingPush struct {
 // HandoffRequest transfers users to their new owner after a ring change:
 // the same wholesale per-user records a resync ships, but the receiver
 // applies them as primary writes (journaled AND shipped onward to its own
-// follower), because ownership — not a replica copy — is what moves.
+// follower), because ownership — not a replica copy — is what moves. It
+// carries the same admission stamps as a batch or resync (the sender's ring
+// version and shard layout) and is refused on the same grounds.
 type HandoffRequest struct {
-	From    string       `json:"from"`
-	Records []ShipRecord `json:"records"`
+	From        string       `json:"from"`
+	RingVersion uint64       `json:"ring_version"`
+	DataShards  int          `json:"data_shards"`
+	TraceShards int          `json:"trace_shards"`
+	Records     []ShipRecord `json:"records"`
 }
 
 // HandoffResponse acknowledges a completed handoff; the sender drops its

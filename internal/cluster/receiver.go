@@ -202,11 +202,11 @@ func (r *Receiver) Cursor(from string) (epoch, seq uint64) {
 	return ss.c.Epoch, ss.c.Seq
 }
 
-// admit runs the stream admission checks batches and resyncs share — the
+// Admit runs the admission checks batches, resyncs and handoffs share — the
 // sender's shard layout must match (key placement would differ otherwise)
 // and VerifyStream must accept its ring version — counting and logging a
 // refusal. what names the request kind for the log line.
-func (r *Receiver) admit(what, from string, dataShards, traceShards int, ringVersion uint64) error {
+func (r *Receiver) Admit(what, from string, dataShards, traceShards int, ringVersion uint64) error {
 	var err error
 	if dataShards != r.cfg.DataShards || traceShards != r.cfg.TraceShards {
 		err = fmt.Errorf("shard layout mismatch: stream %d/%d vs local %d/%d (key placement would differ)",
@@ -248,7 +248,7 @@ func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) {
 	c := ss.c
 	r.mu.Unlock()
 	resp := BatchResponse{Acked: c.Seq}
-	if err := r.admit("batch", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
+	if err := r.Admit("batch", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
 		resp.Error = err.Error()
 	} else if b.Epoch != c.Epoch || b.Start != c.Seq+1 {
 		// A stream this follower cannot prove contiguous: wrong epoch
@@ -285,7 +285,7 @@ func (r *Receiver) HandleSync(w http.ResponseWriter, req *http.Request) {
 	ss.apply.Lock()
 	defer ss.apply.Unlock()
 	resp := SyncResponse{}
-	if err := r.admit("resync", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
+	if err := r.Admit("resync", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
 		resp.Error = err.Error()
 		writeJSON(w, resp)
 		return

@@ -25,8 +25,8 @@ type RunnerConfig struct {
 	// matching server when no URL is given).
 	BaseURL string
 	// Targets, when set, drives a PCI cluster: every harness client becomes
-	// cluster-aware (ring-routed with 421/failover handling) over these node
-	// base URLs, and BaseURL is only the ring bootstrap fallback.
+	// cluster-aware (every call ring-routed with 421/failover handling) over
+	// these node base URLs, and BaseURL is not contacted.
 	Targets []string
 	// HTTP is the transport; it should allow at least Concurrency idle
 	// connections per host or connection churn will dominate latency.
@@ -375,13 +375,10 @@ func (r *Runner) perform(req Request, rec *Recorder) error {
 			cloud.WithWireCodec(r.wire),
 			cloud.WithClientMetrics(r.clientReg),
 		}
-		base := r.cfg.BaseURL
 		if len(r.cfg.Targets) > 0 {
 			opts = append(opts, cloud.WithCluster(r.cfg.Targets))
-			// Spread ring-less bootstrap (and any unrouted call) across nodes.
-			base = r.cfg.Targets[req.User%len(r.cfg.Targets)]
 		}
-		st.client = cloud.NewClient(base, imei, email, r.cfg.HTTP, opts...)
+		st.client = cloud.NewClient(r.cfg.BaseURL, imei, email, r.cfg.HTTP, opts...)
 	}
 
 	t0 := time.Now()

@@ -33,7 +33,11 @@ func (r *Runner) startSubscribers(spec *SubscribersSpec) (*subscriberPool, error
 	p := &subscriberPool{}
 	for i := 0; i < spec.Count; i++ {
 		_, imei, email := UserIdentity(i % r.cfg.Spec.Users)
-		client := cloud.NewClient(r.cfg.BaseURL, imei, email, r.cfg.HTTP)
+		var copts []cloud.ClientOption
+		if len(r.cfg.Targets) > 0 {
+			copts = append(copts, cloud.WithCluster(r.cfg.Targets))
+		}
+		client := cloud.NewClient(r.cfg.BaseURL, imei, email, r.cfg.HTTP, copts...)
 		if err := client.Register(); err != nil {
 			p.close()
 			return nil, fmt.Errorf("load: subscriber %d register: %w", i, err)
