@@ -99,17 +99,23 @@ func (s *Store) materializeReplicas() error {
 	return s.traceEng.MaterializeAll()
 }
 
-// applyImported journals a handed-off record through the full primary
-// mutation path: unlike ApplyShippedBatch it ships onward to this node's own
-// follower, because an imported user is now this node's to replicate.
-func (s *Store) applyImported(engine uint8, shard int, rec []byte) error {
+// applyImported journals a handoff's records through the full primary
+// mutation path (cluster.ReceiverConfig.Import): unlike ApplyShippedBatch it
+// ships onward to this node's own follower, because an imported user is now
+// this node's to replicate.
+func (s *Store) applyImported(recs []cluster.ShipRecord) error {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	eng, err := s.engineFor(engine, shard)
-	if err != nil {
-		return err
+	for i, rec := range recs {
+		eng, err := s.engineFor(rec.Engine, rec.Shard)
+		if err == nil {
+			err = eng.ApplyRecord(rec.Shard, rec.Rec)
+		}
+		if err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
 	}
-	return eng.ApplyRecord(shard, rec)
+	return nil
 }
 
 // userIDs returns every registered user ID.
@@ -389,6 +395,7 @@ func NewClusterNode(dir string, storeCfg StoreConfig, cfg ClusterNodeConfig) (*C
 	}
 	cn.recv, err = cluster.OpenReceiver(cluster.ReceiverConfig{
 		Applier:      store,
+		Import:       store.applyImported,
 		Dir:          cfg.ReplDir,
 		DataShards:   dataShards,
 		TraceShards:  traceShards,
@@ -616,35 +623,22 @@ func (cn *ClusterNode) handoff(ring *cluster.Ring, uids []string) {
 	}
 }
 
-// postHandoff delivers one handoff batch — a single attempt, because the
-// caller holds the write gate across it; retries (with fresh exports) are
-// the caller's loop. The batch carries this node's shard layout and the ring
-// version that caused the move, for the receiver's stream admission check.
+// postHandoff delivers one handoff — a single attempt, because the caller
+// holds the write gate across it; retries (with fresh exports) are the
+// caller's loop. The request carries this node's shard layout and the ring
+// version that caused the move, for the receiver's admission check.
 func (cn *ClusterNode) postHandoff(dest cluster.Node, ringVersion uint64, recs []cluster.ShipRecord) error {
-	body, err := json.Marshal(cluster.HandoffRequest{
+	resp, err := cluster.PostBatch(cn.httpc, dest.URL+cluster.PathHandoff, cluster.EncodeBatchBinary(nil, &cluster.BatchRequest{
 		From:        cn.cfg.Self.ID,
 		RingVersion: ringVersion,
 		DataShards:  len(cn.store.data),
 		TraceShards: len(cn.store.traces),
 		Records:     recs,
-	})
-	if err != nil {
-		return err
+	}))
+	if err == nil && resp.Error != "" {
+		err = errors.New(resp.Error)
 	}
-	resp, err := cn.httpc.Post(dest.URL+cluster.PathHandoff, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var hr cluster.HandoffResponse
-	err = json.NewDecoder(resp.Body).Decode(&hr)
-	resp.Body.Close()
-	switch {
-	case err != nil:
-		return err
-	case !hr.OK:
-		return fmt.Errorf("%s", hr.Error)
-	}
-	return nil
+	return err
 }
 
 // Mount attaches the node-to-node cluster endpoints (replication stream,
@@ -653,7 +647,6 @@ func (cn *ClusterNode) postHandoff(dest cluster.Node, ringVersion uint64, recs [
 func (cn *ClusterNode) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+cluster.PathReplBatch, cn.recv.HandleBatch)
 	mux.HandleFunc("POST "+cluster.PathReplSync, cn.recv.HandleSync)
-	mux.HandleFunc("GET "+cluster.PathReplCursor, cn.recv.HandleCursor)
 	mux.HandleFunc("GET "+cluster.PathRing, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(cn.Ring().Encode())
@@ -679,31 +672,7 @@ func (cn *ClusterNode) Mount(mux *http.ServeMux) {
 		}
 		writeJSON(w, http.StatusOK, struct{}{})
 	})
-	mux.HandleFunc("POST "+cluster.PathHandoff, func(w http.ResponseWriter, r *http.Request) {
-		var req cluster.HandoffRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "decoding handoff: %v", err)
-			return
-		}
-		// Same admission as a batch or resync: records land at the sender's
-		// shard indices, and a sender on a stale ring is moving users this
-		// node's ring may already route elsewhere. A refusal applies nothing
-		// and the sender keeps its copies.
-		if err := cn.recv.Admit("handoff", req.From, req.DataShards, req.TraceShards, req.RingVersion); err != nil {
-			writeJSON(w, http.StatusOK, cluster.HandoffResponse{Error: err.Error()})
-			return
-		}
-		for i, rec := range req.Records {
-			if err := cn.store.applyImported(rec.Engine, rec.Shard, rec.Rec); err != nil {
-				writeJSON(w, http.StatusOK, cluster.HandoffResponse{
-					Error: fmt.Sprintf("apply handoff record %d: %v", i, err),
-				})
-				return
-			}
-		}
-		cn.logf("cluster: imported %d handoff records from %s", len(req.Records), req.From)
-		writeJSON(w, http.StatusOK, cluster.HandoffResponse{OK: true})
-	})
+	mux.HandleFunc("POST "+cluster.PathHandoff, cn.recv.HandleHandoff)
 }
 
 // owner resolves the routing key's owner under the current ring, reporting

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,9 +37,10 @@ type replFollower struct {
 	dShards int
 	tShards int
 
-	mu    sync.Mutex
-	store *Store
-	recv  *cluster.Receiver
+	mu       sync.Mutex
+	store    *Store
+	recv     *cluster.Receiver
+	syncBody int64 // Content-Length of the last PathReplSync POST
 
 	ts *httptest.Server
 }
@@ -51,6 +53,9 @@ func newReplFollower(t *testing.T, shards int) *replFollower {
 		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 			f.mu.Lock()
 			recv := f.recv
+			if r.URL.Path == cluster.PathReplSync {
+				f.syncBody = r.ContentLength
+			}
 			f.mu.Unlock()
 			if recv == nil {
 				http.Error(w, "follower down", http.StatusServiceUnavailable)
@@ -61,7 +66,6 @@ func newReplFollower(t *testing.T, shards int) *replFollower {
 	}
 	route("POST "+cluster.PathReplBatch, func(r *cluster.Receiver) http.HandlerFunc { return r.HandleBatch })
 	route("POST "+cluster.PathReplSync, func(r *cluster.Receiver) http.HandlerFunc { return r.HandleSync })
-	route("GET "+cluster.PathReplCursor, func(r *cluster.Receiver) http.HandlerFunc { return r.HandleCursor })
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	f.open()
@@ -412,4 +416,68 @@ func TestReplEpochMismatchForcesResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	follower.close()
+}
+
+// TestReplResyncBinaryBody pins what the resync — the largest node-to-node
+// message — costs on the wire: a user with a ≥1 MB trace resyncs in a body
+// within 5 % of the records it carries (the JSON envelope base64'd every
+// record: ≥ 1.33×), and the resynced follower ends byte-identical to the
+// primary. JSON on the sync endpoint is 415 and applies nothing.
+func TestReplResyncBinaryBody(t *testing.T) {
+	const shards = 2
+	follower := newReplFollower(t, shards)
+	primary, ship, primaryDir := newReplPrimary(t, shards, follower)
+
+	reg, err := primary.Register("imei-big", "big@example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uid := reg.UserID
+	if _, _, err := primary.SyncTrace(uid, false, 0, 0, testObs(12000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.PutProfile(uid, &profile.DayProfile{UserID: uid, Date: "2014-03-10"}); err != nil {
+		t.Fatal(err)
+	}
+	primary.gate.Lock()
+	recs, err := primary.exportUsersLocked(func(string) bool { return true })
+	primary.gate.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload int64
+	for _, r := range recs {
+		payload += int64(len(r.Rec))
+	}
+	if payload < 1<<20 {
+		t.Fatalf("export is %d bytes, the test wants at least 1 MB", payload)
+	}
+
+	resp, err := http.Post(follower.ts.URL+cluster.PathReplSync, "application/json", strings.NewReader(`{"From":"A","Epoch":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if epoch, _ := follower.cursor("A"); resp.StatusCode != http.StatusUnsupportedMediaType || epoch != 0 {
+		t.Fatalf("JSON resync: status %d, cursor epoch %d; want 415 and nothing applied", resp.StatusCode, epoch)
+	}
+
+	ship.SetTarget(&cluster.Node{ID: "B", URL: follower.ts.URL})
+	waitCaughtUp(t, ship, follower)
+	if epoch, _ := follower.cursor("A"); epoch != 1 {
+		t.Fatalf("follower cursor epoch %d after resync, want 1", epoch)
+	}
+	follower.mu.Lock()
+	body := follower.syncBody
+	follower.mu.Unlock()
+	if body < payload || float64(body) > 1.05*float64(payload) {
+		t.Fatalf("resync body %d bytes for %d record bytes (%.3fx), want within 1.00–1.05x", body, payload, float64(body)/float64(payload))
+	}
+
+	ship.Close()
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	follower.close()
+	compareStoreDirs(t, primaryDir, follower.storeDir())
 }

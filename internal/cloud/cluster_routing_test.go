@@ -561,18 +561,12 @@ func TestClusterHandoffAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	ghost, _ := json.Marshal(&walRecord{Op: opRegister, User: &User{ID: "ghost", IMEI: "g", Email: "g"}, DeviceKey: deviceKey("g", "g")})
-	post := func(req cluster.HandoffRequest) cluster.HandoffResponse {
+	post := func(req cluster.BatchRequest) cluster.BatchResponse {
 		t.Helper()
 		req.From = sender.id
 		req.Records = []cluster.ShipRecord{{Engine: cluster.EngineMain, Shard: 0, Rec: ghost}}
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(dest.url+cluster.PathHandoff, "application/json", bytes.NewReader(body))
+		hr, err := cluster.PostBatch(http.DefaultClient, dest.url+cluster.PathHandoff, cluster.EncodeBatchBinary(nil, &req))
 		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var hr cluster.HandoffResponse
-		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
 			t.Fatal(err)
 		}
 		return hr
@@ -588,14 +582,14 @@ func TestClusterHandoffAdmission(t *testing.T) {
 	rejected := dest.reg.Counter("pci_repl_batches_rejected_total")
 	for _, tc := range []struct {
 		name string
-		req  cluster.HandoffRequest
+		req  cluster.BatchRequest
 		want string
 	}{
-		{"shard layout", cluster.HandoffRequest{RingVersion: 3, DataShards: 3, TraceShards: 3}, "shard layout mismatch"},
-		{"stale ring", cluster.HandoffRequest{RingVersion: 2, DataShards: 2, TraceShards: 2}, "stale ring v2"},
+		{"shard layout", cluster.BatchRequest{RingVersion: 3, DataShards: 3, TraceShards: 3}, "shard layout mismatch"},
+		{"stale ring", cluster.BatchRequest{RingVersion: 2, DataShards: 2, TraceShards: 2}, "stale ring v2"},
 	} {
 		before := rejected.Value()
-		if hr := post(tc.req); hr.OK || !strings.Contains(hr.Error, tc.want) {
+		if hr := post(tc.req); !strings.Contains(hr.Error, tc.want) {
 			t.Fatalf("%s: handoff answered %+v, want a refusal naming %q", tc.name, hr, tc.want)
 		}
 		if holdsGhost() {
@@ -605,7 +599,21 @@ func TestClusterHandoffAdmission(t *testing.T) {
 			t.Fatalf("%s: rejected counter delta = %d, want 1", tc.name, d)
 		}
 	}
-	if hr := post(cluster.HandoffRequest{RingVersion: 3, DataShards: 2, TraceShards: 2}); !hr.OK || !holdsGhost() {
+	// Anything but the binary framing — here the retired JSON envelope — is
+	// 415 before a byte of it is read: not applied, not counted as a refusal.
+	before := rejected.Value()
+	jsonBody, _ := json.Marshal(cluster.BatchRequest{From: sender.id, RingVersion: 3, DataShards: 2, TraceShards: 2,
+		Records: []cluster.ShipRecord{{Engine: cluster.EngineMain, Shard: 0, Rec: ghost}}})
+	resp, err := http.Post(dest.url+cluster.PathHandoff, "application/json", bytes.NewReader(jsonBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType || holdsGhost() || rejected.Value() != before {
+		t.Fatalf("JSON handoff: status %d, applied=%v, rejected delta %d; want 415, false, 0",
+			resp.StatusCode, holdsGhost(), rejected.Value()-before)
+	}
+	if hr := post(cluster.BatchRequest{RingVersion: 3, DataShards: 2, TraceShards: 2}); hr.Error != "" || !holdsGhost() {
 		t.Fatalf("admissible handoff answered %+v (applied=%v), want OK and applied", hr, holdsGhost())
 	}
 

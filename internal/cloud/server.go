@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/events"
+	"repro/internal/frame"
 	"repro/internal/gsm"
 	"repro/internal/profile"
 	"repro/internal/route"
@@ -378,67 +379,37 @@ func (s *Server) decodeDiscoverBinary(w http.ResponseWriter, r *http.Request, re
 	}
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.maxBody))
 
-	readByte := func() (byte, error) {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, frameReadErr(err)
-		}
-		return b, nil
-	}
-	version, err := readByte()
-	if err != nil {
+	if err := readWireHeader(br, wireKindDiscoverRequest); err != nil {
 		return fail(err)
 	}
-	if version != wireVersion {
-		return fail(fmt.Errorf("unsupported wire version %d", version))
-	}
-	kind, err := readByte()
+	flags, err := br.ReadByte()
 	if err != nil {
-		return fail(err)
-	}
-	if kind != wireKindDiscoverRequest {
-		return fail(fmt.Errorf("wire kind %d where %d expected", kind, wireKindDiscoverRequest))
-	}
-	flags, err := readByte()
-	if err != nil {
-		return fail(err)
+		return fail(frame.ReadErr(err))
 	}
 	req.Delta = flags&1 != 0
 	cursor, err := binary.ReadUvarint(br)
 	if err != nil {
-		return fail(frameReadErr(err))
+		return fail(frame.ReadErr(err))
 	}
 	req.Cursor = int64(cursor)
 	var hash [8]byte
 	if _, err := io.ReadFull(br, hash[:]); err != nil {
-		return fail(frameReadErr(err))
+		return fail(frame.ReadErr(err))
 	}
 	req.PrefixHash = binary.LittleEndian.Uint64(hash[:])
 
-	bp := getWireBuf()
-	defer putWireBuf(bp)
-	for {
-		payload, err := readWireFrame(br, bp)
-		if err == errFrameEnd {
-			return true
-		}
-		if err == io.EOF {
-			// End-of-stream without the marker: the upload was cut short.
-			return fail(errWireTruncated)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		d := trace.NewBinaryDecoder(payload)
-		obs := trace.DecodeObservations(d)
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		if d.Rest() != 0 {
-			return fail(fmt.Errorf("%d trailing bytes in observation frame", d.Rest()))
-		}
+	marked, err := readObsBlocks(br, func(obs []trace.GSMObservation) bool {
 		req.Observations = append(req.Observations, obs...)
+		return true
+	})
+	if err == nil && !marked {
+		// End-of-stream without the marker: the upload was cut short.
+		err = frame.ErrTruncated
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return true
 }
 
 type authedHandler func(w http.ResponseWriter, r *http.Request, userID string)

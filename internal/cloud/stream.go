@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -201,38 +200,18 @@ func (s *Server) readObsStreamBinary(w http.ResponseWriter, r *http.Request, app
 		return false
 	}
 	br := bufio.NewReader(r.Body)
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fail(frameReadErr(err))
+	if err := readWireHeader(br, wireKindObsStream); err != nil {
+		return fail(err)
 	}
-	if hdr[0] != wireVersion {
-		return fail(fmt.Errorf("unsupported wire version %d", hdr[0]))
+	ok := true // false once ingest refused a block (and answered the request)
+	_, err := readObsBlocks(br, func(obs []trace.GSMObservation) bool {
+		ok = ingest(obs)
+		return ok
+	})
+	if err != nil {
+		return fail(err)
 	}
-	if hdr[1] != wireKindObsStream {
-		return fail(fmt.Errorf("wire kind %d where %d expected", hdr[1], wireKindObsStream))
-	}
-	bp := getWireBuf()
-	defer putWireBuf(bp)
-	for {
-		payload, err := readWireFrame(br, bp)
-		if err == io.EOF || err == errFrameEnd {
-			return true
-		}
-		if err != nil {
-			return fail(err)
-		}
-		d := trace.NewBinaryDecoder(payload)
-		obs := trace.DecodeObservations(d)
-		if err := d.Err(); err != nil {
-			return fail(err)
-		}
-		if d.Rest() != 0 {
-			return fail(fmt.Errorf("%d trailing bytes in observation frame", d.Rest()))
-		}
-		if !ingest(obs) {
-			return false
-		}
-	}
+	return ok
 }
 
 // publishTransition enriches one canonical transition into a wire event

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/frame"
 	"repro/internal/trace"
 )
 
@@ -85,17 +86,17 @@ func writeObsFrames(w io.Writer, obs []trace.GSMObservation, batchSize int) erro
 // then the end marker.
 func writeObsBlocks(w io.Writer, obs []trace.GSMObservation, batchSize int) error {
 	var e trace.BinaryEncoder
-	var frame []byte
+	var block []byte
 	for start := 0; start < len(obs); start += batchSize {
 		end := min(start+batchSize, len(obs))
 		e.Reset(e.Buf)
 		trace.AppendObservations(&e, obs[start:end])
-		frame = appendWireFrame(frame[:0], e.Buf)
-		if _, err := w.Write(frame); err != nil {
+		block = frame.AppendVar(block[:0], e.Buf)
+		if _, err := w.Write(block); err != nil {
 			return err
 		}
 	}
-	_, err := w.Write(wireFrameEnd)
+	_, err := w.Write(frame.VarEnd)
 	return err
 }
 

@@ -2,10 +2,7 @@ package cloud
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"mime"
 	"net/http"
@@ -14,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -39,9 +37,9 @@ import (
 //     uniform.
 //
 // Streamed bodies (trace sync, observation ingest) do not fit one buffer by
-// design; they use CRC-framed observation blocks (uvarint length, CRC-32
-// IEEE of the payload, payload — the storage WAL idiom) so neither side
-// buffers the whole history and truncation fails at a frame boundary.
+// design; they use CRC-framed observation blocks (internal/frame's var shape
+// and its end marker) so neither side buffers the whole history and
+// truncation fails at a frame boundary.
 
 // ContentTypeBinary is the negotiated binary media type.
 const ContentTypeBinary = "application/x-pmware-bin"
@@ -74,12 +72,6 @@ const maxWireFrame = 8 << 20
 // wireFrameObs is how many observations the client packs per frame on
 // streamed binary uploads.
 const wireFrameObs = 512
-
-// errFrameEnd is the in-band end-of-frames marker (a zero-length frame).
-var errFrameEnd = errors.New("cloud: end of frames")
-
-// errWireTruncated reports a binary body that ended mid-message.
-var errWireTruncated = errors.New("cloud: truncated binary body")
 
 // maxPooledWireBuf caps the capacity of buffers returned to the pool, so one
 // huge response does not pin its buffer forever.
@@ -552,67 +544,49 @@ func decodeProfileBody(d *trace.BinaryDecoder, p *profile.DayProfile) {
 
 // --- framing for streamed bodies ------------------------------------------
 
-// appendWireFrame frames one payload: uvarint length, CRC-32 IEEE of the
-// payload (little-endian), payload.
-func appendWireFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+// readWireHeader consumes the two bytes every binary message opens with and
+// checks them: the wire version, then the message kind.
+func readWireHeader(br *bufio.Reader, kind byte) error {
+	var hdr [2]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return frame.ReadErr(err)
+	}
+	if hdr[0] != wireVersion {
+		return fmt.Errorf("unsupported wire version %d", hdr[0])
+	}
+	if hdr[1] != kind {
+		return fmt.Errorf("wire kind %d where %d expected", hdr[1], kind)
+	}
+	return nil
 }
 
-// wireFrameEnd is the explicit end-of-frames marker: a zero length. A stream
-// that ends without it was truncated — that is the point.
-var wireFrameEnd = []byte{0}
-
-// readWireFrame reads one frame into *scratch (grown as needed, reused
-// across calls). Returns io.EOF cleanly at end-of-stream before any length
-// byte, errFrameEnd on the explicit end marker, errWireTruncated when the
-// stream dies mid-frame.
-func readWireFrame(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
-	size, err := binary.ReadUvarint(br)
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
+// readObsBlocks drains the var-shape frames (internal/frame) of a streamed
+// body, handing each decoded observation block to sink until the end marker,
+// a clean EOF at a frame boundary, the first error, or sink returning false.
+// marked reports an explicit end marker; without it a nil error means a bare
+// EOF — a deliberate close on the ingest stream, a cut-off upload on discover
+// — or a sink that stopped early.
+func readObsBlocks(br *bufio.Reader, sink func([]trace.GSMObservation) bool) (marked bool, err error) {
+	bp := getWireBuf()
+	defer putWireBuf(bp)
+	for {
+		payload, err := frame.ReadVar(br, maxWireFrame, bp)
+		if err == frame.ErrEnd || err == io.EOF {
+			return err == frame.ErrEnd, nil
 		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, errWireTruncated
+		if err != nil {
+			return false, err
 		}
-		return nil, err
+		d := trace.NewBinaryDecoder(payload)
+		obs := trace.DecodeObservations(d)
+		if err := d.Err(); err != nil {
+			return false, err
+		}
+		if d.Rest() != 0 {
+			return false, fmt.Errorf("%d trailing bytes in observation frame", d.Rest())
+		}
+		if !sink(obs) {
+			return false, nil
+		}
 	}
-	if size == 0 {
-		return nil, errFrameEnd
-	}
-	if size > maxWireFrame {
-		return nil, fmt.Errorf("cloud: frame of %d bytes exceeds limit", size)
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(br, crcb[:]); err != nil {
-		return nil, frameReadErr(err)
-	}
-	buf := *scratch
-	if uint64(cap(buf)) < size {
-		buf = make([]byte, size)
-		*scratch = buf
-	}
-	buf = buf[:size]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, frameReadErr(err)
-	}
-	if crc := crc32.ChecksumIEEE(buf); crc != binary.LittleEndian.Uint32(crcb[:]) {
-		return nil, errors.New("cloud: frame CRC mismatch")
-	}
-	return buf, nil
-}
-
-// frameReadErr maps mid-frame read failures to errWireTruncated while
-// letting policy errors (http.MaxBytesError) through for 413 handling.
-func frameReadErr(err error) error {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return err
-	}
-	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-		return errWireTruncated
-	}
-	return err
 }

@@ -17,9 +17,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/world"
+)
+
+// The framing tests and benchmarks predate internal/frame and keep their
+// spelling of its var shape.
+var (
+	appendWireFrame = frame.AppendVar
+	wireFrameEnd    = frame.VarEnd
 )
 
 // --- negotiation ----------------------------------------------------------

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/frame"
+	"repro/internal/storage"
 )
 
 func randBatch(rng *rand.Rand) *BatchRequest {
@@ -92,4 +97,106 @@ func TestBatchBinaryTruncation(t *testing.T) {
 	if _, err := DecodeBatchBinary(bad); err == nil {
 		t.Fatal("decode with a wrong version byte succeeded")
 	}
+}
+
+// pinnedBatch is the request testdata/parent/batch.bin was encoded from — by
+// the commit before internal/frame existed.
+func pinnedBatch() *BatchRequest {
+	req := &BatchRequest{From: "n0", Epoch: 3, Start: 1 << 40, RingVersion: 7, DataShards: 8, TraceShards: 4}
+	for i := 0; i < 5; i++ {
+		req.Records = append(req.Records, ShipRecord{
+			Engine: uint8(i % 2), Shard: i * 37 % 8,
+			Rec: []byte(fmt.Sprintf(`{"op":"put_profile","user_id":"u%016x","n":%d}`, i*7919, i)),
+		})
+	}
+	req.Records = append(req.Records, ShipRecord{Engine: EngineTrace, Shard: 3})
+	return req
+}
+
+// TestParentFormatPin is the cross-commit format pin: the same request
+// encodes to the parent's bytes, and the parent's bytes decode and re-encode
+// to themselves.
+func TestParentFormatPin(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent/batch.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EncodeBatchBinary(nil, pinnedBatch()); !bytes.Equal(got, want) {
+		t.Fatalf("pinned request encodes to %d bytes that differ from the parent's %d", len(got), len(want))
+	}
+	req, err := DecodeBatchBinary(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EncodeBatchBinary(nil, req); !bytes.Equal(got, want) {
+		t.Fatal("parent batch body does not re-encode to itself")
+	}
+}
+
+// TestBatchBinaryBounds: nothing is allocated on the input's say-so. A
+// record count the remaining bytes cannot hold and a record length above
+// storage.MaxRecordSize are refused, whatever follows them.
+func TestBatchBinaryBounds(t *testing.T) {
+	header := func(records uint64) []byte {
+		e := frame.Encoder{Buf: []byte{replWireVersion}}
+		e.String("n0")
+		for _, v := range []uint64{1, 1, 1, 2, 1, records} {
+			e.Uvarint(v)
+		}
+		return e.Buf
+	}
+	// 1<<20 claimed records, each a legal 3-byte minimum, would have been a
+	// 40 MB []ShipRecord for a 4 MB body; 1 MB short of that it must fail.
+	body := append(header(1<<20), make([]byte, 3<<20-1)...)
+	if _, err := DecodeBatchBinary(body); err == nil || !strings.Contains(err.Error(), "claims") {
+		t.Fatalf("record count beyond the remaining bytes: err = %v", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { DecodeBatchBinary(body) }); allocs > 8 {
+		t.Fatalf("refusing an impossible record count cost %v allocations", allocs)
+	}
+	e := frame.Encoder{Buf: header(1)}
+	e.Byte(EngineMain)
+	e.Uvarint(0)
+	e.Uvarint(storage.MaxRecordSize + 1)
+	if _, err := DecodeBatchBinary(append(e.Buf, make([]byte, 64)...)); err == nil {
+		t.Fatal("record length above storage.MaxRecordSize accepted")
+	}
+	e = frame.Encoder{Buf: header(1)}
+	e.Byte(EngineMain)
+	e.Uvarint(1 << 40) // shard
+	e.Bytes(nil)
+	if _, err := DecodeBatchBinary(e.Buf); err == nil {
+		t.Fatal("shard index beyond int32 accepted")
+	}
+}
+
+// FuzzDecodeBatchBinary: arbitrary bytes never panic the decoder, and
+// whatever it accepts it accepted whole — the request re-encodes to exactly
+// the input, so no prefix of a body passes for a body and no trailing bytes
+// ride along — with every record inside the input and the stated bounds.
+func FuzzDecodeBatchBinary(f *testing.F) {
+	rng := rand.New(rand.NewSource(99))
+	enc := EncodeBatchBinary(nil, randBatch(rng)) // TestBatchBinaryTruncation's fixture
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add(append(append([]byte(nil), enc...), 0))
+	f.Add(EncodeBatchBinary(nil, pinnedBatch()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeBatchBinary(data)
+		if err != nil {
+			return
+		}
+		if len(req.Records) > len(data)/minRecordBytes {
+			t.Fatalf("%d records from %d bytes", len(req.Records), len(data))
+		}
+		if re := EncodeBatchBinary(nil, req); !bytes.Equal(re, data) {
+			// Non-minimal varints are the one way two inputs share a meaning.
+			if req2, err := DecodeBatchBinary(re); err != nil || !reflect.DeepEqual(req, req2) {
+				t.Fatalf("accepted input does not round-trip (%v)", err)
+			}
+			if len(re) > len(data) {
+				t.Fatalf("re-encoding grew %d → %d bytes", len(data), len(re))
+			}
+		}
+	})
 }

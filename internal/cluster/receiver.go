@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // Applier is what the receiver needs from the node's store: journal one
@@ -39,9 +40,9 @@ type Applier interface {
 // stream re-baselines with a full resync.
 //
 // Locking: Receiver.mu guards only the stream map and cursor values, so
-// the cursor endpoint and other sources' streams never block behind an
-// apply; each stream's validate→apply→advance sequence is serialized by
-// its own sourceStream.apply mutex.
+// Cursor and other sources' streams never block behind an apply; each
+// stream's validate→apply→advance sequence is serialized by its own
+// sourceStream.apply mutex.
 type Receiver struct {
 	cfg ReceiverConfig
 
@@ -55,7 +56,7 @@ type Receiver struct {
 
 // sourceStream is one primary's stream state.
 type sourceStream struct {
-	apply sync.Mutex   // serializes application (batch and sync) for this stream
+	apply sync.Mutex   // serializes application (batch, sync, handoff) for this sender
 	c     streamCursor // guarded by Receiver.mu
 }
 
@@ -74,6 +75,9 @@ type ReceiverConfig struct {
 	// DataShards/TraceShards validate stream compatibility.
 	DataShards  int
 	TraceShards int
+	// Import applies a handoff's records as this node's own primary writes
+	// (journaled and shipped onward). Required when HandleHandoff is mounted.
+	Import func(recs []ShipRecord) error
 	// VerifyStream admits or rejects a stream before any record is applied:
 	// from is the sending node, ringVersion the ring version it stamped on
 	// the request. The cluster node wires this to its ring view, so a
@@ -188,7 +192,7 @@ func (r *Receiver) persist(from string, c streamCursor) error {
 		return nil
 	}
 	b, _ := json.Marshal(c)
-	return writeFileAtomic(filepath.Join(r.cfg.Dir, cursorPrefix+from+".json"), b)
+	return storage.WriteFileAtomic(filepath.Join(r.cfg.Dir, cursorPrefix+from+".json"), b, 0o644)
 }
 
 // Cursor reports the follower's position in one source's stream.
@@ -202,11 +206,11 @@ func (r *Receiver) Cursor(from string) (epoch, seq uint64) {
 	return ss.c.Epoch, ss.c.Seq
 }
 
-// Admit runs the admission checks batches, resyncs and handoffs share — the
+// admit runs the admission checks batches, resyncs and handoffs share — the
 // sender's shard layout must match (key placement would differ otherwise)
 // and VerifyStream must accept its ring version — counting and logging a
 // refusal. what names the request kind for the log line.
-func (r *Receiver) Admit(what, from string, dataShards, traceShards int, ringVersion uint64) error {
+func (r *Receiver) admit(what, from string, dataShards, traceShards int, ringVersion uint64) error {
 	var err error
 	if dataShards != r.cfg.DataShards || traceShards != r.cfg.TraceShards {
 		err = fmt.Errorf("shard layout mismatch: stream %d/%d vs local %d/%d (key placement would differ)",
@@ -221,12 +225,23 @@ func (r *Receiver) Admit(what, from string, dataShards, traceShards int, ringVer
 	return err
 }
 
-// HandleBatch is the PathReplBatch endpoint. The body is the binary batch
-// framing (codec.go); any other Content-Type is answered 415 before a byte
-// of it is read.
-func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) {
+// HandleBatch, HandleSync and HandleHandoff are the PathReplBatch,
+// PathReplSync and PathHandoff endpoints: one message, one sequence.
+func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) { r.receive(w, req, "batch") }
+func (r *Receiver) HandleSync(w http.ResponseWriter, req *http.Request)  { r.receive(w, req, "resync") }
+func (r *Receiver) HandleHandoff(w http.ResponseWriter, req *http.Request) {
+	r.receive(w, req, "handoff")
+}
+
+// receive is the receiver sequence behind all three endpoints: decode →
+// admit → apply → advance and persist the cursor → BatchResponse. The body
+// is the binary batch framing (codec.go); any other Content-Type is answered
+// 415 before a byte of it is read. what is the request kind, as admit logs
+// it. Every kind passes the same admission — a resync is precisely the
+// request a zombie primary uses to overwrite its heir.
+func (r *Receiver) receive(w http.ResponseWriter, req *http.Request, what string) {
 	if req.Header.Get("Content-Type") != ContentTypeReplBinary {
-		http.Error(w, "replication batches must be "+ContentTypeReplBinary, http.StatusUnsupportedMediaType)
+		http.Error(w, "replication requests must be "+ContentTypeReplBinary, http.StatusUnsupportedMediaType)
 		return
 	}
 	body, err := io.ReadAll(req.Body)
@@ -247,74 +262,47 @@ func (r *Receiver) HandleBatch(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	c := ss.c
 	r.mu.Unlock()
+
+	apply, next := r.cfg.Applier.ApplyShippedBatch, c
+	switch what {
+	case "batch": // a contiguous run of the stream
+		next.Seq += uint64(len(b.Records))
+	case "resync": // wholesale replacement; the stream re-baselines at Start
+		next = streamCursor{Epoch: b.Epoch, Seq: b.Start}
+	case "handoff": // ownership moves here; no stream, so no cursor, involved
+		apply = r.cfg.Import
+	}
 	resp := BatchResponse{Acked: c.Seq}
-	if err := r.Admit("batch", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
+	if err := r.admit(what, b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
 		resp.Error = err.Error()
-	} else if b.Epoch != c.Epoch || b.Start != c.Seq+1 {
+	} else if what == "batch" && (b.Epoch != c.Epoch || b.Start != c.Seq+1) {
 		// A stream this follower cannot prove contiguous: wrong epoch
 		// (primary restarted, or follower never met this primary) or a gap.
 		resp.Resync = true
 		r.rejected.Inc()
-	} else if err := r.cfg.Applier.ApplyShippedBatch(b.Records); err != nil {
-		resp.Error = fmt.Sprintf("apply batch: %v", err)
+	} else if err := apply(b.Records); err != nil {
+		resp.Error = fmt.Sprintf("apply %s: %v", what, err)
 	} else {
-		n := uint64(len(b.Records))
 		r.mu.Lock()
-		ss.c.Seq += n
-		resp.Acked = ss.c.Seq
+		ss.c = next
 		r.mu.Unlock()
-		r.applied.Add(n)
-		// No cursor persist here: a crash discards cursors via the dirty
-		// marker regardless, so only clean close and resync re-baselines
-		// write the file.
+		resp.Acked = next.Seq
+		switch what {
+		case "batch":
+			r.applied.Add(uint64(len(b.Records)))
+		case "resync":
+			// Only a re-baseline persists: after a crash the dirty marker
+			// discards every cursor anyway, so a per-batch write buys nothing.
+			r.syncRecords.Add(uint64(len(b.Records)))
+			if err := r.persist(b.From, next); err != nil {
+				resp.Error = fmt.Sprintf("persist cursor: %v", err)
+			}
+			r.logf("cluster: resynced %d records from %s, cursor re-baselined at %d", len(b.Records), b.From, next.Seq)
+		case "handoff":
+			r.logf("cluster: imported %d handoff records from %s", len(b.Records), b.From)
+		}
 	}
 	writeJSON(w, resp)
-}
-
-// HandleSync is the PathReplSync endpoint: wholesale replacement of the
-// source's ranges, then the cursor re-baselines. Admission runs the same
-// VerifyStream check as batches — a resync is precisely the request a
-// zombie primary uses to overwrite its heir, so it must not bypass it.
-func (r *Receiver) HandleSync(w http.ResponseWriter, req *http.Request) {
-	var b SyncRequest
-	if err := json.NewDecoder(req.Body).Decode(&b); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ss := r.source(b.From)
-	ss.apply.Lock()
-	defer ss.apply.Unlock()
-	resp := SyncResponse{}
-	if err := r.Admit("resync", b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
-		resp.Error = err.Error()
-		writeJSON(w, resp)
-		return
-	}
-	if err := r.cfg.Applier.ApplyShippedBatch(b.Records); err != nil {
-		resp.Error = fmt.Sprintf("apply sync: %v", err)
-		writeJSON(w, resp)
-		return
-	}
-	c := streamCursor{Epoch: b.Epoch, Seq: b.Baseline}
-	r.mu.Lock()
-	ss.c = c
-	r.mu.Unlock()
-	r.syncRecords.Add(uint64(len(b.Records)))
-	if err := r.persist(b.From, c); err != nil {
-		resp.Error = fmt.Sprintf("persist cursor: %v", err)
-		writeJSON(w, resp)
-		return
-	}
-	r.logf("cluster: resynced %d records from %s, cursor re-baselined at %d", len(b.Records), b.From, b.Baseline)
-	resp.OK = true
-	writeJSON(w, resp)
-}
-
-// HandleCursor is the PathReplCursor endpoint (?from=<node>).
-func (r *Receiver) HandleCursor(w http.ResponseWriter, req *http.Request) {
-	from := req.URL.Query().Get("from")
-	epoch, seq := r.Cursor(from)
-	writeJSON(w, CursorResponse{Epoch: epoch, Seq: seq, Resync: epoch == 0})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

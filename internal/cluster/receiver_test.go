@@ -48,30 +48,28 @@ func openTestReceiver(t *testing.T, applier Applier, verify func(string, uint64)
 	return r, reg
 }
 
-func postBatch(t *testing.T, r *Receiver, b BatchRequest) BatchResponse {
+// post sends b, in the binary framing, to one of the receiver's endpoints.
+func post(t *testing.T, h http.HandlerFunc, b BatchRequest) BatchResponse {
 	t.Helper()
-	req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(EncodeBatchBinary(nil, &b)))
+	req := httptest.NewRequest("POST", "/", bytes.NewReader(EncodeBatchBinary(nil, &b)))
 	req.Header.Set("Content-Type", ContentTypeReplBinary)
 	w := httptest.NewRecorder()
-	r.HandleBatch(w, req)
+	h(w, req)
 	var resp BatchResponse
 	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
-		t.Fatalf("decode batch response: %v", err)
+		t.Fatalf("decode response: %v", err)
 	}
 	return resp
 }
 
-func postSync(t *testing.T, r *Receiver, b SyncRequest) SyncResponse {
+func postBatch(t *testing.T, r *Receiver, b BatchRequest) BatchResponse {
 	t.Helper()
-	body, _ := json.Marshal(b)
-	req := httptest.NewRequest("POST", PathReplSync, bytes.NewReader(body))
-	w := httptest.NewRecorder()
-	r.HandleSync(w, req)
-	var resp SyncResponse
-	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil {
-		t.Fatalf("decode sync response: %v", err)
-	}
-	return resp
+	return post(t, r.HandleBatch, b)
+}
+
+func postSync(t *testing.T, r *Receiver, b BatchRequest) BatchResponse {
+	t.Helper()
+	return post(t, r.HandleSync, b)
 }
 
 func testRecords(n int) []ShipRecord {
@@ -97,11 +95,11 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 	r, reg := openTestReceiver(t, applier, verify)
 
 	// The zombie's resync: ring v1 from its boot flags.
-	sresp := postSync(t, r, SyncRequest{
-		From: "zombie", Epoch: 2, Baseline: 0, RingVersion: 1,
+	sresp := postSync(t, r, BatchRequest{
+		From: "zombie", Epoch: 2, Start: 0, RingVersion: 1,
 		DataShards: 2, TraceShards: 1, Records: testRecords(4),
 	})
-	if sresp.OK || sresp.Error == "" {
+	if sresp.Error == "" {
 		t.Fatalf("stale resync accepted: %+v", sresp)
 	}
 	if len(applier.recs) != 0 {
@@ -127,11 +125,11 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 	}
 
 	// A current-ring sender is admitted: resync re-baselines, batch resumes.
-	sresp = postSync(t, r, SyncRequest{
-		From: "live", Epoch: 1, Baseline: 0, RingVersion: localRing,
+	sresp = postSync(t, r, BatchRequest{
+		From: "live", Epoch: 1, Start: 0, RingVersion: localRing,
 		DataShards: 2, TraceShards: 1, Records: testRecords(3),
 	})
-	if !sresp.OK {
+	if sresp.Error != "" {
 		t.Fatalf("live resync refused: %+v", sresp)
 	}
 	bresp = postBatch(t, r, BatchRequest{
@@ -159,11 +157,11 @@ func TestReceiverAdmissionRejectsTakenOverSender(t *testing.T) {
 	}
 	r, _ := openTestReceiver(t, applier, verify)
 
-	sresp := postSync(t, r, SyncRequest{
-		From: "dead", Epoch: 3, Baseline: 0, RingVersion: 2,
+	sresp := postSync(t, r, BatchRequest{
+		From: "dead", Epoch: 3, Start: 0, RingVersion: 2,
 		DataShards: 2, TraceShards: 1, Records: testRecords(2),
 	})
-	if sresp.OK || sresp.Error == "" {
+	if sresp.Error == "" {
 		t.Fatalf("taken-over resync accepted: %+v", sresp)
 	}
 	if len(applier.recs) != 0 {
@@ -180,10 +178,10 @@ func TestReceiverAppliesRunsAsBatches(t *testing.T) {
 	applier := &recApplier{}
 	r, _ := openTestReceiver(t, applier, nil)
 
-	if resp := postSync(t, r, SyncRequest{
-		From: "A", Epoch: 1, Baseline: 0,
+	if resp := postSync(t, r, BatchRequest{
+		From: "A", Epoch: 1, Start: 0,
 		DataShards: 2, TraceShards: 1, Records: testRecords(3),
-	}); !resp.OK {
+	}); resp.Error != "" {
 		t.Fatalf("resync: %+v", resp)
 	}
 	resp := postBatch(t, r, BatchRequest{
@@ -216,5 +214,55 @@ func TestReceiverAppliesRunsAsBatches(t *testing.T) {
 	}
 	if e, s := r.Cursor("A"); e != 1 || s != 5 {
 		t.Fatalf("JSON batch moved cursor to %d/%d, want 1/5", e, s)
+	}
+}
+
+// TestReceiverOneSequence pins what the three endpoints share and where they
+// differ: a handoff is admitted like a batch, applies through Import (never
+// the Applier) and leaves the sender's stream cursor alone; and each endpoint
+// answers the retired JSON envelope 415 with nothing applied, nothing counted.
+func TestReceiverOneSequence(t *testing.T) {
+	applier, imported := &recApplier{}, &recApplier{}
+	reg := obs.NewRegistry()
+	r, err := OpenReceiver(ReceiverConfig{
+		Applier: applier, Import: imported.ApplyShippedBatch,
+		DataShards: 2, TraceShards: 1, Metrics: reg, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if resp := postSync(t, r, BatchRequest{From: "A", Epoch: 4, Start: 9, DataShards: 2, TraceShards: 1, Records: testRecords(1)}); resp.Error != "" || resp.Acked != 9 {
+		t.Fatalf("resync: %+v", resp)
+	}
+	if resp := post(t, r.HandleHandoff, BatchRequest{From: "A", DataShards: 2, TraceShards: 1, Records: testRecords(3)}); resp.Error != "" {
+		t.Fatalf("handoff: %+v", resp)
+	}
+	if len(imported.recs) != 3 || len(applier.recs) != 1 {
+		t.Fatalf("handoff imported %d records and shipped-applied %d, want 3 and the resync's 1", len(imported.recs), len(applier.recs))
+	}
+	if resp := post(t, r.HandleHandoff, BatchRequest{From: "A", DataShards: 3, TraceShards: 1, Records: testRecords(1)}); resp.Error == "" || len(imported.recs) != 3 {
+		t.Fatalf("handoff with a foreign shard layout: %+v, %d imported", resp, len(imported.recs))
+	}
+	if e, s := r.Cursor("A"); e != 4 || s != 9 {
+		t.Fatalf("handoff moved the stream cursor to %d/%d, want 4/9", e, s)
+	}
+
+	rejected := reg.Counter("pci_repl_batches_rejected_total").Value()
+	body, _ := json.Marshal(BatchRequest{From: "A", Epoch: 4, Start: 10, DataShards: 2, TraceShards: 1, Records: testRecords(2)})
+	for name, h := range map[string]http.HandlerFunc{"batch": r.HandleBatch, "sync": r.HandleSync, "handoff": r.HandleHandoff} {
+		req := httptest.NewRequest("POST", "/", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		h(w, req)
+		if w.Code != http.StatusUnsupportedMediaType {
+			t.Errorf("JSON %s: status %d, want 415", name, w.Code)
+		}
+	}
+	if e, s := r.Cursor("A"); e != 4 || s != 9 || len(imported.recs) != 3 || len(applier.recs) != 1 {
+		t.Fatalf("JSON requests changed state: cursor %d/%d, %d imported, %d applied", e, s, len(imported.recs), len(applier.recs))
+	}
+	if got := reg.Counter("pci_repl_batches_rejected_total").Value(); got != rejected {
+		t.Fatalf("JSON requests moved the rejected counter %d → %d", rejected, got)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // Shipper is the primary side of WAL-shipping replication: a bounded
@@ -356,8 +357,7 @@ func (s *Shipper) run() {
 	}
 }
 
-// shipBatch POSTs one contiguous batch (binary framing, see codec.go) and
-// advances the cursor.
+// shipBatch POSTs one contiguous batch and advances the cursor.
 func (s *Shipper) shipBatch(target Node, batch []bufRec) error {
 	req := BatchRequest{
 		From:        s.cfg.Self,
@@ -371,8 +371,9 @@ func (s *Shipper) shipBatch(target Node, batch []bufRec) error {
 	for i, b := range batch {
 		req.Records[i] = b.rec
 	}
-	var resp BatchResponse
-	if err := s.postBatch(target.URL+PathReplBatch, &req, &resp); err != nil {
+	s.encBuf = EncodeBatchBinary(s.encBuf[:0], &req)
+	resp, err := PostBatch(s.cfg.HTTP, target.URL+PathReplBatch, s.encBuf)
+	if err != nil {
 		return err
 	}
 	s.m.batches.Inc()
@@ -413,20 +414,20 @@ func (s *Shipper) doResync(target Node) error {
 	if err != nil {
 		return fmt.Errorf("cluster: export for resync: %w", err)
 	}
-	req := SyncRequest{
+	// A fresh buffer, not encBuf: a whole-node export must not stay pinned.
+	resp, err := PostBatch(s.cfg.HTTP, target.URL+PathReplSync, EncodeBatchBinary(nil, &BatchRequest{
 		From:        s.cfg.Self,
 		Epoch:       s.epoch,
-		Baseline:    baseline,
+		Start:       baseline,
 		RingVersion: s.ringVersion(),
 		DataShards:  s.cfg.DataShards,
 		TraceShards: s.cfg.TraceShards,
 		Records:     recs,
-	}
-	var resp SyncResponse
-	if err := s.post(target.URL+PathReplSync, req, &resp); err != nil {
+	}))
+	if err != nil {
 		return err
 	}
-	if !resp.OK {
+	if resp.Error != "" {
 		return fmt.Errorf("cluster: resync rejected by %s: %s", target.ID, resp.Error)
 	}
 	s.m.resyncs.Inc()
@@ -447,40 +448,27 @@ func (s *Shipper) doResync(target Node) error {
 	return nil
 }
 
-// postBatch sends one batch in the binary replication framing, reusing one
-// encode buffer across the shipper's (single-goroutine) ship loop.
-func (s *Shipper) postBatch(url string, req *BatchRequest, into *BatchResponse) error {
-	s.encBuf = EncodeBatchBinary(s.encBuf[:0], req)
-	resp, err := s.cfg.HTTP.Post(url, ContentTypeReplBinary, bytes.NewReader(s.encBuf))
+// PostBatch sends one encoded BatchRequest (a batch, resync or handoff — the
+// URL's path names which) and decodes the answer.
+func PostBatch(c *http.Client, url string, body []byte) (BatchResponse, error) {
+	var into BatchResponse
+	resp, err := c.Post(url, ContentTypeReplBinary, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return into, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s returned %d", url, resp.StatusCode)
+		return into, fmt.Errorf("cluster: %s returned %d", url, resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(into)
-}
-
-func (s *Shipper) post(url string, body, into any) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := s.cfg.HTTP.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s returned %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
+	return into, json.NewDecoder(resp.Body).Decode(&into)
 }
 
 // NextEpoch persists and returns the node's stream epoch: a counter in the
-// node's data directory bumped once per process start. An empty dir yields
-// a wall-clock-free ephemeral epoch of 1 (memory-only test nodes).
+// node's data directory bumped once per process start, durably (fsynced file
+// and directory) before it is used. An empty dir yields a wall-clock-free
+// ephemeral epoch of 1 (memory-only test nodes). A REPL_EPOCH that exists but
+// does not parse is an error, never epoch 1: a follower may hold a cursor for
+// that epoch, and re-using it would resume a stream that is not contiguous.
 func NextEpoch(dir string) (uint64, error) {
 	if dir == "" {
 		return 1, nil
@@ -490,24 +478,18 @@ func NextEpoch(dir string) (uint64, error) {
 	}
 	path := filepath.Join(dir, "REPL_EPOCH")
 	var epoch uint64
-	if b, err := os.ReadFile(path); err == nil {
-		if v, perr := strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 64); perr == nil {
-			epoch = v
+	b, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if epoch, err = strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 64); err != nil {
+			return 0, fmt.Errorf("cluster: %s is unreadable (%v); remove the replication directory to re-baseline every stream", path, err)
 		}
+	case !os.IsNotExist(err):
+		return 0, err
 	}
 	epoch++
-	if err := writeFileAtomic(path, []byte(strconv.FormatUint(epoch, 10))); err != nil {
+	if err := storage.WriteFileAtomic(path, []byte(strconv.FormatUint(epoch, 10)), 0o644); err != nil {
 		return 0, err
 	}
 	return epoch, nil
-}
-
-// writeFileAtomic writes via temp file + rename so a crash never leaves a
-// half-written file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -240,7 +240,7 @@ func Open(opts Options, states []ShardState) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := writeFileAtomic(filepath.Join(opts.Dir, manifestName), data, 0o644); err != nil {
+		if err := WriteFileAtomic(filepath.Join(opts.Dir, manifestName), data, 0o644); err != nil {
 			return nil, fmt.Errorf("storage: write manifest: %w", err)
 		}
 	}

@@ -3,25 +3,24 @@ package storage
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/frame"
 )
 
 // Chunked snapshot layout (DESIGN.md §16):
 //
 //	| magic "PMSNAP02" | chunk* | end marker |
-//	chunk:      | u32 payload length (>0) | u32 CRC32-IEEE(payload) | payload |
-//	end marker: | u32 0                   | u32 CRC32-IEEE(magic)   |
 //
-// little-endian, same frame header as the WAL. The encoder streams the state
-// straight into chunk frames, so neither writer nor reader ever holds the
-// whole shard as one []byte; the explicit end marker distinguishes "complete
-// snapshot" from "crash truncated the file mid-write", which the off-lock
-// compaction protocol depends on. A file that does not start with the magic
-// is a corrupt snapshot.
+// where a chunk is a non-empty fixed-shape frame and the end marker the
+// fixed shape's, keyed by the magic (internal/frame) — the same frame header
+// as the WAL. The encoder streams the state straight into chunk frames, so
+// neither writer nor reader ever holds the whole shard as one []byte; the
+// explicit end marker distinguishes "complete snapshot" from "crash truncated
+// the file mid-write", which the off-lock compaction protocol depends on. A
+// file that does not start with the magic is a corrupt snapshot.
 const snapMagic = "PMSNAP02"
 
 // snapChunkSize is the encoder's target chunk payload size. Large enough to
@@ -33,16 +32,15 @@ const snapChunkSize = 256 << 10
 // corrupt file (the writer never produces one above snapChunkSize).
 const maxSnapChunk = 4 << 20
 
-// snapEndCRC is the constant checksum field of the end marker. Any value
-// would do for framing, but a fixed non-zero constant means a zero-filled
-// torn tail can never fake a valid end marker.
-var snapEndCRC = crc32.ChecksumIEEE([]byte(snapMagic))
+// snapEnd is the check field of the end marker.
+var snapEnd = frame.EndSum(snapMagic)
 
 // snapshotWriter chunk-frames a payload stream into an *os.File. Not
 // concurrency-safe; exactly one encoder writes to it.
 type snapshotWriter struct {
 	f       *os.File
 	buf     []byte
+	hdr     [frameHeaderSize]byte
 	payload int64 // payload bytes accepted via Write
 }
 
@@ -75,17 +73,12 @@ func (sw *snapshotWriter) flushChunk() error {
 	if len(sw.buf) == 0 {
 		return nil
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(sw.buf)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(sw.buf))
-	if _, err := sw.f.Write(hdr[:]); err != nil {
+	if _, err := sw.f.Write(frame.AppendFixedHeader(sw.hdr[:0], sw.buf)); err != nil {
 		return err
 	}
-	if _, err := sw.f.Write(sw.buf); err != nil {
-		return err
-	}
+	_, err := sw.f.Write(sw.buf)
 	sw.buf = sw.buf[:0]
-	return nil
+	return err
 }
 
 // finish flushes the final partial chunk and writes the end marker.
@@ -93,9 +86,7 @@ func (sw *snapshotWriter) finish() error {
 	if err := sw.flushChunk(); err != nil {
 		return err
 	}
-	var end [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(end[4:8], snapEndCRC)
-	_, err := sw.f.Write(end[:])
+	_, err := sw.f.Write(frame.AppendFixedEnd(sw.hdr[:0], snapEnd))
 	return err
 }
 
@@ -142,13 +133,12 @@ func writeSnapshotFile(path string, encode func(io.Writer) error) (int64, error)
 	return sw.payload, nil
 }
 
-// snapChunkScanner iterates the chunk frames of a v2 snapshot, verifying
-// each CRC. next returns (payload, false, nil) per chunk, (nil, true, nil)
-// at a valid end marker, and an error on any torn or corrupt frame. The
-// returned payload aliases an internal buffer reused by the next call.
+// snapChunkScanner iterates the chunk frames of a v2 snapshot. next returns
+// each chunk's payload, io.EOF at a valid end marker with nothing after it,
+// and any other error on a torn or corrupt frame. The returned payload
+// aliases an internal buffer reused by the next call.
 type snapChunkScanner struct {
 	r   *bufio.Reader
-	hdr [frameHeaderSize]byte
 	buf []byte
 }
 
@@ -156,37 +146,22 @@ func newSnapChunkScanner(r io.Reader) *snapChunkScanner {
 	return &snapChunkScanner{r: bufio.NewReaderSize(r, 64<<10)}
 }
 
-func (sc *snapChunkScanner) next() (payload []byte, end bool, err error) {
-	if _, err := io.ReadFull(sc.r, sc.hdr[:]); err != nil {
-		return nil, false, fmt.Errorf("storage: snapshot truncated: %w", err)
-	}
-	ln := binary.LittleEndian.Uint32(sc.hdr[0:4])
-	crc := binary.LittleEndian.Uint32(sc.hdr[4:8])
-	if ln == 0 {
-		if crc != snapEndCRC {
-			return nil, false, fmt.Errorf("storage: snapshot end marker corrupt")
-		}
+func (sc *snapChunkScanner) next() ([]byte, error) {
+	payload, err := frame.ReadFixed(sc.r, maxSnapChunk, snapEnd, &sc.buf)
+	switch err {
+	case nil:
+		return payload, nil
+	case frame.ErrEnd:
 		// Nothing may follow the end marker; trailing bytes mean the file is
 		// not what the writer produced.
 		if _, err := sc.r.ReadByte(); err != io.EOF {
-			return nil, false, fmt.Errorf("storage: snapshot has trailing data")
+			return nil, fmt.Errorf("storage: snapshot has trailing data")
 		}
-		return nil, true, nil
+		return nil, io.EOF
+	case io.EOF: // ended at a chunk boundary, before the end marker
+		err = frame.ErrTruncated
 	}
-	if ln > maxSnapChunk {
-		return nil, false, fmt.Errorf("storage: snapshot chunk of %d bytes exceeds bound", ln)
-	}
-	if cap(sc.buf) < int(ln) {
-		sc.buf = make([]byte, ln)
-	}
-	sc.buf = sc.buf[:ln]
-	if _, err := io.ReadFull(sc.r, sc.buf); err != nil {
-		return nil, false, fmt.Errorf("storage: snapshot chunk truncated: %w", err)
-	}
-	if crc32.ChecksumIEEE(sc.buf) != crc {
-		return nil, false, fmt.Errorf("storage: snapshot chunk checksum mismatch")
-	}
-	return sc.buf, false, nil
+	return nil, fmt.Errorf("storage: snapshot: %w", err)
 }
 
 // validateSnapV2 scans every chunk of an already-magic-matched v2 snapshot
@@ -194,12 +169,10 @@ func (sc *snapChunkScanner) next() (payload []byte, end bool, err error) {
 func validateSnapV2(r io.Reader) error {
 	sc := newSnapChunkScanner(r)
 	for {
-		_, end, err := sc.next()
-		if err != nil {
-			return err
-		}
-		if end {
+		if _, err := sc.next(); err == io.EOF {
 			return nil
+		} else if err != nil {
+			return err
 		}
 	}
 }
@@ -209,8 +182,7 @@ func validateSnapV2(r io.Reader) error {
 type snapPayloadReader struct {
 	sc   *snapChunkScanner
 	rest []byte
-	done bool
-	err  error
+	err  error // sticky: io.EOF once the end marker was read
 }
 
 func (pr *snapPayloadReader) Read(p []byte) (int, error) {
@@ -218,19 +190,7 @@ func (pr *snapPayloadReader) Read(p []byte) (int, error) {
 		if pr.err != nil {
 			return 0, pr.err
 		}
-		if pr.done {
-			return 0, io.EOF
-		}
-		payload, end, err := pr.sc.next()
-		if err != nil {
-			pr.err = err
-			return 0, err
-		}
-		if end {
-			pr.done = true
-			return 0, io.EOF
-		}
-		pr.rest = payload
+		pr.rest, pr.err = pr.sc.next()
 	}
 	n := copy(p, pr.rest)
 	pr.rest = pr.rest[n:]

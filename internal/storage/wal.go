@@ -17,13 +17,13 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // SyncPolicy controls when WAL appends reach stable storage.
@@ -68,10 +68,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return 0, fmt.Errorf("storage: unknown fsync policy %q (want always, interval, or never)", s)
 }
 
-// Record frame: | u32 payload length | u32 CRC32-IEEE(payload) | payload |,
-// little-endian. The CRC covers only the payload; a torn header, torn
-// payload, or mismatched CRC all read as "the log ends here".
-const frameHeaderSize = 8
+// A WAL record is one fixed-shape frame (internal/frame) with no end marker:
+// a torn header, torn payload, or mismatched CRC all read as "the log ends
+// here".
+const frameHeaderSize = frame.FixedHeaderSize
 
 // MaxRecordSize bounds a single WAL record. Recovery treats a larger length
 // prefix as a torn/corrupt tail (a garbage length would otherwise make it
@@ -133,17 +133,13 @@ func (w *wal) AppendBatch(recs [][]byte) error {
 		return nil
 	}
 	if cap(w.frame) < need {
-		w.frame = make([]byte, need)
+		w.frame = make([]byte, 0, need)
 	}
-	frame := w.frame[:need]
-	off := 0
+	w.frame = w.frame[:0]
 	for _, rec := range recs {
-		binary.LittleEndian.PutUint32(frame[off:off+4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(frame[off+4:off+8], crc32.ChecksumIEEE(rec))
-		copy(frame[off+frameHeaderSize:], rec)
-		off += frameHeaderSize + len(rec)
+		w.frame = frame.AppendFixed(w.frame, rec)
 	}
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err := w.f.Write(w.frame); err != nil {
 		return fmt.Errorf("storage: append wal: %w", err)
 	}
 	w.size += int64(need)
@@ -202,36 +198,18 @@ func replayWAL(path string, apply func([]byte) error) (records int, truncated bo
 	defer f.Close()
 
 	var good int64 // offset after the last intact record
-	hdr := make([]byte, frameHeaderSize)
-	var payload []byte
+	var scratch []byte
 	torn := false
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			torn = err != io.EOF // partial header counts as torn
-			break
-		}
-		ln := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if ln > MaxRecordSize {
-			torn = true
-			break
-		}
-		if cap(payload) < int(ln) {
-			payload = make([]byte, ln)
-		}
-		payload = payload[:ln]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			torn = true
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			torn = true
+		payload, err := frame.ReadFixed(f, MaxRecordSize, 0, &scratch)
+		if err != nil {
+			torn = err != io.EOF // anything but a clean end at a frame boundary
 			break
 		}
 		if err := apply(payload); err != nil {
 			return records, false, fmt.Errorf("storage: replay record %d: %w", records, err)
 		}
-		good += int64(frameHeaderSize) + int64(ln)
+		good += int64(frameHeaderSize + len(payload))
 		records++
 	}
 	if torn {
@@ -245,10 +223,10 @@ func replayWAL(path string, apply func([]byte) error) (records int, truncated bo
 	return records, torn, nil
 }
 
-// writeFileAtomic writes data to path via a temp file in the same directory
+// WriteFileAtomic writes data to path via a temp file in the same directory
 // plus rename, fsyncing both the file and the directory, so a crash at any
 // point leaves either the old file or the new one — never a torn mix.
-func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, perm)
 	if err != nil {

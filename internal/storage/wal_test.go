@@ -198,10 +198,10 @@ func TestParseSyncPolicy(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f.json")
-	if err := writeFileAtomic(path, []byte("v1"), 0o644); err != nil {
+	if err := WriteFileAtomic(path, []byte("v1"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(path, []byte("v2"), 0o644); err != nil {
+	if err := WriteFileAtomic(path, []byte("v2"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -4,34 +4,25 @@ package trace
 // codec.go, and the primitive layer for the cloud wire format (DESIGN.md
 // §14). Two things live here:
 //
-//  1. BinaryEncoder/BinaryDecoder: append-style varint primitives over a
-//     caller-owned []byte, so hot paths can encode into pooled buffers with
-//     zero allocation. Timestamps are delta-chained (zigzag varint of the
-//     UnixNano difference from the previous Time written through the same
-//     encoder), which collapses a periodic trace's ~19-digit nanosecond
-//     stamps into 2-5 bytes each.
+//  1. The GSM observation block (AppendObservations/DecodeObservations) over
+//     internal/frame's field codec, which BinaryEncoder/BinaryDecoder name.
 //
 //  2. A framed binary file format for Bundle: magic + version, then one
-//     length-prefixed CRC-checked record per observation/scan/fix/sample,
-//     reusing the framing idiom of internal/storage's WAL (length, CRC-32
-//     IEEE of the payload, payload). Every record is self-contained so a
-//     truncated file fails cleanly at a record boundary.
+//     var-shape frame (internal/frame) per observation/scan/fix/sample, ended
+//     by EOF. Every record is self-contained so a truncated file fails
+//     cleanly at a record boundary.
 //
-// Decoded timestamps are rebuilt with time.Unix(0, ns).UTC(): the binary
-// form carries the instant, not the zone. Trace hashing and delta-sync
-// cursors depend only on UnixNano, so round-tripping through this codec
-// preserves them exactly.
+// The codec carries instants, not zones. Trace hashing and delta-sync
+// cursors depend only on UnixNano, so round-tripping through it preserves
+// them exactly.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
-	"time"
 
+	"repro/internal/frame"
 	"repro/internal/world"
 )
 
@@ -47,7 +38,7 @@ var binaryMagic = [4]byte{'P', 'M', 'T', 'B'}
 const maxBinaryRecord = 16 << 20
 
 // ErrTruncated reports binary input that ended mid-value or mid-record.
-var ErrTruncated = errors.New("trace: truncated binary data")
+var ErrTruncated = frame.ErrTruncated
 
 // record kind bytes for the framed bundle format.
 const (
@@ -57,213 +48,14 @@ const (
 	binKindActivity byte = 4
 )
 
-// BinaryEncoder appends varint-packed primitives to Buf. The zero value is
-// ready to use; set Buf to a recycled slice to encode without allocating.
-type BinaryEncoder struct {
-	Buf []byte
-
-	lastNs int64 // delta chain for Time
-}
-
-// Reset points the encoder at buf (truncated to zero length) and restarts
-// the timestamp delta chain.
-func (e *BinaryEncoder) Reset(buf []byte) {
-	e.Buf = buf[:0]
-	e.lastNs = 0
-}
-
-// ResetChain restarts the timestamp delta chain without touching Buf. Call
-// it at frame boundaries so each frame decodes independently.
-func (e *BinaryEncoder) ResetChain() { e.lastNs = 0 }
-
-// Byte appends one raw byte.
-func (e *BinaryEncoder) Byte(b byte) { e.Buf = append(e.Buf, b) }
-
-// Uvarint appends v in LEB128.
-func (e *BinaryEncoder) Uvarint(v uint64) { e.Buf = binary.AppendUvarint(e.Buf, v) }
-
-// Varint appends v zigzag-encoded.
-func (e *BinaryEncoder) Varint(v int64) { e.Buf = binary.AppendVarint(e.Buf, v) }
-
-// Fixed32 appends v as 4 little-endian bytes.
-func (e *BinaryEncoder) Fixed32(v uint32) { e.Buf = binary.LittleEndian.AppendUint32(e.Buf, v) }
-
-// Fixed64 appends v as 8 little-endian bytes.
-func (e *BinaryEncoder) Fixed64(v uint64) { e.Buf = binary.LittleEndian.AppendUint64(e.Buf, v) }
-
-// Float64 appends the IEEE-754 bit pattern of f as a Fixed64.
-func (e *BinaryEncoder) Float64(f float64) { e.Fixed64(math.Float64bits(f)) }
-
-// Bool appends 1 or 0.
-func (e *BinaryEncoder) Bool(b bool) {
-	if b {
-		e.Buf = append(e.Buf, 1)
-	} else {
-		e.Buf = append(e.Buf, 0)
-	}
-}
-
-// String appends a uvarint length followed by the raw bytes.
-func (e *BinaryEncoder) String(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.Buf = append(e.Buf, s...)
-}
-
-// Time appends t as a zigzag varint delta of UnixNano from the previous
-// Time written (absolute on the first write after Reset/ResetChain).
-func (e *BinaryEncoder) Time(t time.Time) {
-	ns := t.UnixNano()
-	e.Varint(ns - e.lastNs)
-	e.lastNs = ns
-}
-
-// BinaryDecoder consumes values appended by BinaryEncoder. Errors are
-// sticky: after the first failure every read returns the zero value and
-// Err reports the cause, so call sites can decode a whole message and check
-// once at the end.
-type BinaryDecoder struct {
-	buf    []byte
-	off    int
-	lastNs int64
-	err    error
-}
+// BinaryEncoder and BinaryDecoder are the shared field codec (internal/frame).
+type (
+	BinaryEncoder = frame.Encoder
+	BinaryDecoder = frame.Decoder
+)
 
 // NewBinaryDecoder returns a decoder over b.
-func NewBinaryDecoder(b []byte) *BinaryDecoder { return &BinaryDecoder{buf: b} }
-
-// Err returns the first decode failure, or nil.
-func (d *BinaryDecoder) Err() error { return d.err }
-
-// Rest returns the number of unconsumed bytes.
-func (d *BinaryDecoder) Rest() int { return len(d.buf) - d.off }
-
-// ResetChain restarts the timestamp delta chain (frame boundary).
-func (d *BinaryDecoder) ResetChain() { d.lastNs = 0 }
-
-func (d *BinaryDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-// Byte reads one raw byte.
-func (d *BinaryDecoder) Byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-// Uvarint reads a LEB128 value.
-func (d *BinaryDecoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrTruncated)
-		} else {
-			d.fail(errors.New("trace: uvarint overflow"))
-		}
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Varint reads a zigzag value.
-func (d *BinaryDecoder) Varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(ErrTruncated)
-		} else {
-			d.fail(errors.New("trace: varint overflow"))
-		}
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Fixed32 reads 4 little-endian bytes.
-func (d *BinaryDecoder) Fixed32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.Rest() < 4 {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-// Fixed64 reads 8 little-endian bytes.
-func (d *BinaryDecoder) Fixed64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.Rest() < 8 {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-// Float64 reads an IEEE-754 bit pattern.
-func (d *BinaryDecoder) Float64() float64 { return math.Float64frombits(d.Fixed64()) }
-
-// Bool reads a 1/0 byte; anything else is a format error.
-func (d *BinaryDecoder) Bool() bool {
-	switch b := d.Byte(); b {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail(fmt.Errorf("trace: bad bool byte 0x%02x", b))
-		return false
-	}
-}
-
-// String reads a length-prefixed string.
-func (d *BinaryDecoder) String() string {
-	n := d.Uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(d.Rest()) {
-		d.fail(ErrTruncated)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// Time reads a delta-chained timestamp; the result is in UTC.
-func (d *BinaryDecoder) Time() time.Time {
-	ns := d.lastNs + d.Varint()
-	if d.err != nil {
-		return time.Time{}
-	}
-	d.lastNs = ns
-	return time.Unix(0, ns).UTC()
-}
+func NewBinaryDecoder(b []byte) *BinaryDecoder { return frame.NewDecoder(b) }
 
 // AppendObservations encodes a GSM observation block: a uvarint count, then
 // per observation a delta-chained timestamp, zigzag deltas of the four cell
@@ -290,7 +82,7 @@ func AppendObservations(e *BinaryEncoder, obs []GSMObservation) {
 // to nil. On malformed input it returns nil and leaves the error on d.
 func DecodeObservations(d *BinaryDecoder) []GSMObservation {
 	n := d.Uvarint()
-	if d.err != nil || n == 0 {
+	if d.Err() != nil || n == 0 {
 		return nil
 	}
 	// The count is attacker-controlled; size the initial allocation by what
@@ -307,7 +99,7 @@ func DecodeObservations(d *BinaryDecoder) []GSMObservation {
 		o.Cell.LAC = prev.LAC + int(d.Varint())
 		o.Cell.CID = prev.CID + int(d.Varint())
 		o.SignalDBM = d.Float64()
-		if d.err != nil {
+		if d.Err() != nil {
 			return nil
 		}
 		prev = o.Cell
@@ -321,7 +113,7 @@ func DecodeObservations(d *BinaryDecoder) []GSMObservation {
 type BinaryWriter struct {
 	w           *bufio.Writer
 	enc         BinaryEncoder
-	head        [binary.MaxVarintLen64 + 4]byte
+	frame       []byte
 	wroteHeader bool
 }
 
@@ -331,25 +123,24 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{w: bufio.NewWriter(w)}
 }
 
+// header writes the magic and version once, ahead of the first record.
+func (bw *BinaryWriter) header() error {
+	if bw.wroteHeader {
+		return nil
+	}
+	bw.wroteHeader = true
+	_, err := bw.w.Write(append(binaryMagic[:], BinaryVersion))
+	return err
+}
+
 func (bw *BinaryWriter) record(fill func(e *BinaryEncoder)) error {
-	if !bw.wroteHeader {
-		if _, err := bw.w.Write(binaryMagic[:]); err != nil {
-			return err
-		}
-		if err := bw.w.WriteByte(BinaryVersion); err != nil {
-			return err
-		}
-		bw.wroteHeader = true
+	if err := bw.header(); err != nil {
+		return err
 	}
 	bw.enc.Reset(bw.enc.Buf)
 	fill(&bw.enc)
-	payload := bw.enc.Buf
-	n := binary.PutUvarint(bw.head[:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(bw.head[n:], crc32.ChecksumIEEE(payload))
-	if _, err := bw.w.Write(bw.head[:n+4]); err != nil {
-		return err
-	}
-	_, err := bw.w.Write(payload)
+	bw.frame = frame.AppendVar(bw.frame[:0], bw.enc.Buf)
+	_, err := bw.w.Write(bw.frame)
 	return err
 }
 
@@ -404,14 +195,8 @@ func (bw *BinaryWriter) WriteActivity(a ActivitySample) error {
 // Flush writes buffered output (including the header, if no record was
 // ever written).
 func (bw *BinaryWriter) Flush() error {
-	if !bw.wroteHeader {
-		if _, err := bw.w.Write(binaryMagic[:]); err != nil {
-			return err
-		}
-		if err := bw.w.WriteByte(BinaryVersion); err != nil {
-			return err
-		}
-		bw.wroteHeader = true
+	if err := bw.header(); err != nil {
+		return err
 	}
 	return bw.w.Flush()
 }
@@ -460,32 +245,16 @@ func ReadBinary(r io.Reader) (*Bundle, error) {
 	}
 
 	b := &Bundle{}
-	var payload []byte
+	var scratch []byte
 	for rec := 1; ; rec++ {
-		size, err := binary.ReadUvarint(br)
+		payload, err := frame.ReadVar(br, maxBinaryRecord, &scratch)
 		if err == io.EOF {
 			return b, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", rec, ErrTruncated)
 		}
-		if size > maxBinaryRecord {
-			return nil, fmt.Errorf("trace: record %d: size %d exceeds limit", rec, size)
+		if err == nil {
+			err = decodeBinaryRecord(payload, b)
 		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(br, crcb[:]); err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", rec, ErrTruncated)
-		}
-		if uint64(cap(payload)) < size {
-			payload = make([]byte, size)
-		}
-		payload = payload[:size]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", rec, ErrTruncated)
-		}
-		if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(crcb[:]) {
-			return nil, fmt.Errorf("trace: record %d: CRC mismatch", rec)
-		}
-		if err := decodeBinaryRecord(payload, b); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", rec, err)
 		}
 	}
@@ -504,22 +273,22 @@ func decodeBinaryRecord(payload []byte, b *Bundle) error {
 		o.Cell.LAC = int(d.Varint())
 		o.Cell.CID = int(d.Varint())
 		o.SignalDBM = d.Float64()
-		if d.err == nil {
+		if d.Err() == nil {
 			b.GSM = append(b.GSM, o)
 		}
 	case binKindWiFi:
 		s := WiFiScan{At: at}
 		n := d.Uvarint()
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			var ap WiFiReading
 			ap.BSSID = d.String()
 			ap.SSID = d.String()
 			ap.RSSIDBM = d.Float64()
-			if d.err == nil {
+			if d.Err() == nil {
 				s.APs = append(s.APs, ap)
 			}
 		}
-		if d.err == nil {
+		if d.Err() == nil {
 			b.WiFi = append(b.WiFi, s)
 		}
 	case binKindGPS:
@@ -528,17 +297,17 @@ func decodeBinaryRecord(payload []byte, b *Bundle) error {
 		f.Pos.Lng = d.Float64()
 		f.AccuracyMeters = d.Float64()
 		f.Valid = d.Bool()
-		if d.err == nil {
+		if d.Err() == nil {
 			b.GPS = append(b.GPS, f)
 		}
 	case binKindActivity:
 		a := ActivitySample{At: at}
 		a.Moving = d.Bool()
-		if d.err == nil {
+		if d.Err() == nil {
 			b.Activity = append(b.Activity, a)
 		}
 	default:
-		if d.err == nil {
+		if d.Err() == nil {
 			return fmt.Errorf("unknown kind 0x%02x", kind)
 		}
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -259,5 +260,29 @@ func TestEncoderChainReset(t *testing.T) {
 	}
 	if !first.Equal(at) || !second.Equal(at) {
 		t.Fatalf("chain reset broken: %v / %v != %v", first, second, at)
+	}
+}
+
+// TestParentFormatPin is the cross-commit format pin: testdata/parent/
+// bundle.pmtb was written by the commit before internal/frame existed and
+// must re-encode byte-for-byte.
+func TestParentFormatPin(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent/bundle.pmtb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBinary(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.GSM) != 9 || len(b.WiFi) != 3 || len(b.GPS) != 2 || len(b.Activity) != 2 {
+		t.Fatalf("parent bundle decoded %d/%d/%d/%d records", len(b.GSM), len(b.WiFi), len(b.GPS), len(b.Activity))
+	}
+	var got bytes.Buffer
+	if err := WriteBinaryBundle(&got, b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("parent bundle re-encodes to different bytes (%d vs %d)", got.Len(), len(want))
 	}
 }
