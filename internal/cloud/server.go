@@ -77,16 +77,6 @@ func WithCellDatabase(db *CellDatabase) ServerOption {
 	return func(s *Server) { s.cells = db }
 }
 
-// WithGSMParams overrides the GCA parameters used for offloaded discovery.
-func WithGSMParams(p gsm.Params) ServerOption {
-	return func(s *Server) { s.gsmParams = p }
-}
-
-// WithRouteParams overrides route-extraction parameters.
-func WithRouteParams(p route.Params) ServerOption {
-	return func(s *Server) { s.routeParams = p }
-}
-
 // WithRequestTimeout overrides the per-request handler deadline (0 disables
 // the timeout middleware entirely).
 func WithRequestTimeout(d time.Duration) ServerOption {

@@ -216,6 +216,8 @@ func (t *traceState) RestoreStream(r io.Reader) error {
 		return fmt.Errorf("cloud: decode trace snapshot: %w", err)
 	}
 	fresh := newTraceState()
+	// Generations keep growing across the restore so no (user, gen) pair
+	// issued before it can collide with one issued after.
 	fresh.gens = t.gens
 	for id, obs := range snap.Users {
 		fresh.gens++

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -97,21 +98,7 @@ func (m *metaState) Snapshot() ([]byte, error) {
 	return json.Marshal(metaSnapshot{Users: m.users, ByDevice: m.byDevice})
 }
 
-func (m *metaState) Restore(b []byte) error {
-	var snap metaSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("cloud: decode meta snapshot: %w", err)
-	}
-	fresh := newMetaState()
-	if snap.Users != nil {
-		fresh.users = snap.Users
-	}
-	if snap.ByDevice != nil {
-		fresh.byDevice = snap.ByDevice
-	}
-	*m = *fresh
-	return nil
-}
+func (m *metaState) Restore(b []byte) error { return m.RestoreStream(bytes.NewReader(b)) }
 
 // dataState is one data shard: the per-user mobility keyspace for the users
 // hashed onto it, plus the derived state apply maintains alongside it — the
@@ -310,14 +297,7 @@ func (d *dataState) Snapshot() ([]byte, error) {
 	})
 }
 
-func (d *dataState) Restore(b []byte) error {
-	var snap dataSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("cloud: decode data snapshot: %w", err)
-	}
-	d.install(&snap)
-	return nil
-}
+func (d *dataState) Restore(b []byte) error { return d.RestoreStream(bytes.NewReader(b)) }
 
 // clonePlace deep-copies one place, detaching every slice.
 func clonePlace(p PlaceWire) PlaceWire {

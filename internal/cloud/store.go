@@ -296,9 +296,6 @@ func (s *Store) dataFor(userID string) (int, *dataState) {
 	return idx, s.data[idx-1]
 }
 
-// mutateData runs one record through the owning data shard: the same apply
-// path recovery replays, journaled only when it succeeds. Marshal runs after
-// apply so the journal captures any normalization apply performed.
 // markMoved tombstones users just dropped by a handoff (caller holds the
 // write gate exclusively, so no mutation can interleave with the marking).
 func (s *Store) markMoved(uids []string) {
@@ -324,25 +321,32 @@ func (s *Store) clearMovedOwned(owned func(userID string) bool) {
 	s.movedMu.Unlock()
 }
 
-// refuseMoved reports whether a primary mutation for the user must be
-// refused with ErrNotOwner: this node handed the user off and the current
-// ring still routes it elsewhere (see the moved field).
-func (s *Store) refuseMoved(userID string) bool {
-	if s.owns == nil {
-		return false
+// admitWrite takes the write gate shared for one primary mutation of the
+// user. It refuses with ErrNotOwner, gate released, when this node handed the
+// user off and the current ring still routes it elsewhere (see the moved
+// field); on nil the caller holds the gate and must RUnlock it.
+func (s *Store) admitWrite(userID string) error {
+	s.gate.RLock()
+	if s.owns != nil {
+		s.movedMu.Lock()
+		_, moved := s.moved[userID]
+		s.movedMu.Unlock()
+		if moved && !s.owns(userID) {
+			s.gate.RUnlock()
+			return ErrNotOwner
+		}
 	}
-	s.movedMu.Lock()
-	_, moved := s.moved[userID]
-	s.movedMu.Unlock()
-	return moved && !s.owns(userID)
+	return nil
 }
 
+// mutateData runs one record through the owning data shard: the same apply
+// path recovery replays, journaled only when it succeeds. Marshal runs after
+// apply so the journal captures any normalization apply performed.
 func (s *Store) mutateData(userID string, rec *walRecord) error {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.refuseMoved(userID) {
-		return ErrNotOwner
+	if err := s.admitWrite(userID); err != nil {
+		return err
 	}
+	defer s.gate.RUnlock()
 	idx, d := s.dataFor(userID)
 	return s.eng.Mutate(idx, func() ([]byte, error) {
 		if err := d.apply(rec); err != nil {
@@ -369,12 +373,10 @@ func (s *Store) Register(imei, email string) (RegisterResponse, error) {
 		return RegisterResponse{}, fmt.Errorf("cloud: imei and email are required")
 	}
 	var uid string
-	s.gate.RLock()
 	// Cluster mode forces stable IDs, so the routing key is known before
 	// the user exists and ownership can be re-checked under the gate.
-	if s.refuseMoved(StableUserID(imei, email)) {
-		s.gate.RUnlock()
-		return RegisterResponse{}, ErrNotOwner
+	if err := s.admitWrite(StableUserID(imei, email)); err != nil {
+		return RegisterResponse{}, err
 	}
 	err := s.eng.Mutate(0, func() ([]byte, error) {
 		key := deviceKey(imei, email)

@@ -114,8 +114,8 @@ func (c *Client) Subscribe(ctx context.Context, opts ...SubscribeOption) (*Subsc
 // to the same node first), and the first 421 of a failure streak reconnects
 // to the owner it named at once, spending neither backoff nor budget.
 func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) {
+	defer close(s.ch) // after done: a consumer that sees C closed must find Err set
 	defer close(s.done)
-	defer close(s.ch)
 	policy := c.retry.withSleepObserver(c.m.observeBackoff)
 	rt := c.route()
 	rq := &request{method: http.MethodGet, path: PathEventsSubscribe, header: http.Header{"Accept": {"text/event-stream"}}, auth: true}

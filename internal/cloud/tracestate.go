@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -103,19 +104,4 @@ func (t *traceState) Snapshot() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-func (t *traceState) Restore(b []byte) error {
-	var snap traceSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("cloud: decode trace snapshot: %w", err)
-	}
-	fresh := newTraceState()
-	// Generations keep growing across the restore so no (user, gen) pair
-	// issued before it can collide with one issued after.
-	fresh.gens = t.gens
-	for id, obs := range snap.Users {
-		fresh.gens++
-		fresh.users[id] = &userTrace{obs: obs, hash: TraceHash(obs), gen: fresh.gens}
-	}
-	*t = *fresh
-	return nil
-}
+func (t *traceState) Restore(b []byte) error { return t.RestoreStream(bytes.NewReader(b)) }

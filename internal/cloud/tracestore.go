@@ -44,11 +44,10 @@ func (s *Store) traceShard(userID string) int {
 // trace is likewise a no-op (the replace generation is not bumped), keeping
 // memoized discovery results valid across retries.
 func (s *Store) SyncTrace(userID string, delta bool, cursor int64, prefixHash uint64, obs []trace.GSMObservation) (TraceStatus, int, error) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.refuseMoved(userID) {
-		return TraceStatus{}, 0, ErrNotOwner
+	if err := s.admitWrite(userID); err != nil {
+		return TraceStatus{}, 0, err
 	}
+	defer s.gate.RUnlock()
 	idx := s.traceShard(userID)
 	t := s.traces[idx]
 	var status TraceStatus
@@ -99,11 +98,10 @@ var ErrObservationOrder = errors.New("cloud: observations out of time order")
 // full sync interoperates. Observations must continue the stored trace's
 // time order; a violation appends nothing and returns ErrObservationOrder.
 func (s *Store) AppendTrace(userID string, obs []trace.GSMObservation) (TraceStatus, error) {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.refuseMoved(userID) {
-		return TraceStatus{}, ErrNotOwner
+	if err := s.admitWrite(userID); err != nil {
+		return TraceStatus{}, err
 	}
+	defer s.gate.RUnlock()
 	idx := s.traceShard(userID)
 	t := s.traces[idx]
 	var status TraceStatus

@@ -57,6 +57,18 @@ type bufRec struct {
 	rec ShipRecord
 }
 
+const (
+	// shipMaxBatch caps records per batch POST.
+	shipMaxBatch = 256
+	// shipMaxQueue caps records buffered while the follower is unreachable;
+	// beyond it the buffer is dropped and the stream re-baselines with a
+	// full resync on reconnect.
+	shipMaxQueue = 1 << 16
+	// shipDegradeAfter is how many consecutive batch failures switch Wait to
+	// non-blocking.
+	shipDegradeAfter = 2
+)
+
 // ShipperConfig configures a node's shipper.
 type ShipperConfig struct {
 	// Self is this node's ID (the stream name followers key cursors on).
@@ -79,15 +91,6 @@ type ShipperConfig struct {
 	// from a sender whose topology view is stale (nil = unversioned, only
 	// acceptable against a receiver with no VerifyStream check).
 	RingVersion func() uint64
-	// MaxBatch caps records per batch POST (default 256).
-	MaxBatch int
-	// MaxQueue caps records buffered while the follower is unreachable;
-	// beyond it the buffer is dropped and the stream re-baselines with a
-	// full resync on reconnect (default 1 << 16).
-	MaxQueue int
-	// DegradeAfter is how many consecutive batch failures switch Wait to
-	// non-blocking (default 2).
-	DegradeAfter int
 	// Linger, when positive, delays each partial batch by this long so
 	// concurrent writers coalesce into one POST instead of paying a full
 	// inter-node round trip per record or two. It adds at most Linger to
@@ -111,15 +114,6 @@ type shipMetrics struct {
 func NewShipper(cfg ShipperConfig) *Shipper {
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{Timeout: 30 * time.Second}
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 1 << 16
-	}
-	if cfg.DegradeAfter <= 0 {
-		cfg.DegradeAfter = 2
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -180,7 +174,7 @@ func (s *Shipper) enqueue(engine uint8, shard int, rec []byte) uint64 {
 	defer s.mu.Unlock()
 	s.seq++
 	if s.target != nil {
-		if len(s.buf) >= s.cfg.MaxQueue {
+		if len(s.buf) >= shipMaxQueue {
 			// The follower is too far behind to stream to; drop the buffer
 			// and re-baseline with a full resync when it answers again.
 			s.buf = s.buf[:0]
@@ -297,7 +291,7 @@ func (s *Shipper) run() {
 		}
 		target := *s.target
 		doResync := s.resync
-		if !doResync && s.cfg.Linger > 0 && len(s.buf) < s.cfg.MaxBatch {
+		if !doResync && s.cfg.Linger > 0 && len(s.buf) < shipMaxBatch {
 			// Partial batch: hold briefly so writers landing now ride the
 			// same POST. State may change while unlocked — re-evaluate from
 			// the top if it did (the loop top also handles a close).
@@ -312,10 +306,7 @@ func (s *Shipper) run() {
 		}
 		var batch []bufRec
 		if !doResync {
-			n := len(s.buf)
-			if n > s.cfg.MaxBatch {
-				n = s.cfg.MaxBatch
-			}
+			n := min(len(s.buf), shipMaxBatch)
 			batch = make([]bufRec, n)
 			copy(batch, s.buf[:n])
 		}
@@ -332,7 +323,7 @@ func (s *Shipper) run() {
 		if err != nil {
 			s.failures++
 			s.m.errors.Inc()
-			if s.failures >= s.cfg.DegradeAfter && !s.degrade {
+			if s.failures >= shipDegradeAfter && !s.degrade {
 				s.logf("cluster: shipper to %s degraded after %d failures: %v", target.ID, s.failures, err)
 				s.setDegraded(true)
 			}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -9,16 +10,16 @@ import (
 
 // Group commit (DESIGN.md §9). With fsync=always, the naive path pays one
 // fsync per mutation per shard, so N concurrent writers to one shard
-// serialize behind N flushes. The committer turns that into a leader/follower
-// commit queue: Mutate applies its state change under the shard lock,
-// enqueues the WAL record, and releases the lock. The first writer to find
-// the queue leaderless becomes the commit leader; it drains up to
-// CommitMaxBatch queued records, writes them as one frame sequence, fsyncs
-// once, and acknowledges every follower in the batch. Writers that arrive
-// while a leader is flushing simply queue up and are either absorbed into the
-// next batch or promoted to lead it — the fsync latency itself is the
-// batching window, so under load N commits coalesce into ~1 flush with no
-// timer in the hot path.
+// serialize behind N flushes. The committer acknowledges writes by sequence
+// number instead: Mutate applies its state change under the shard lock,
+// enqueues the WAL record — which hands it the next log sequence number —
+// and releases the lock. Off the lock it takes the flush mutex. If durable
+// has already reached its LSN, another writer's batch carried the record and
+// it returns at once; otherwise it takes up to CommitMaxBatch queued records,
+// writes them as one frame sequence, fsyncs once, and advances durable past
+// all of them. Writers that arrive while a flush is in progress queue up
+// behind the mutex — the fsync latency itself is the batching window, so
+// under load N commits coalesce into ~1 flush with no timer in the hot path.
 //
 // The durability contract is unchanged: no Mutate returns success before its
 // record is in the WAL under the engine's fsync policy, and WAL order always
@@ -31,212 +32,153 @@ import (
 // DefaultCommitMaxBatch bounds one group commit when Options doesn't.
 const DefaultCommitMaxBatch = 128
 
-// commitSignal wakes a parked follower: either its batch completed (err is
-// the batch outcome) or it has been promoted to commit leader.
-type commitSignal struct {
-	lead bool
-	err  error
-}
-
-// commitReq is one queued record and its owner's wakeup channel. ch is nil
-// for a writer that elected itself leader at enqueue time — nobody ever
-// signals it.
-type commitReq struct {
-	rec []byte
-	ch  chan commitSignal
-}
-
-// committer is one shard's commit queue. Invariants: queue order is apply
-// order; when leading is false the queue is empty (a finishing leader either
-// drains it or hands leadership to its head); the WAL is only ever touched by
-// the current leader or by a rotation/close path that drained first.
+// committer is one shard's commit queue and log. Lock order is shard lock →
+// flush → qmu. Invariants: queue order is apply order; the records in the
+// queue are exactly LSNs (last-len(queue), last]; durable only advances past
+// records AppendBatch accepted; the WAL is only ever touched under flush.
 type committer struct {
-	mu      sync.Mutex
-	idle    *sync.Cond // signalled when the queue empties and no leader runs
-	w       *wal       // swapped on rotation (drained first), nil after close
-	queue   []*commitReq
-	leading bool
-	err     error // sticky: a failed batch poisons the shard
+	qmu   sync.Mutex
+	queue [][]byte
+	last  uint64 // LSN of the most recently enqueued record
+	err   error  // sticky poison; written under flush+qmu, read under either
+
+	flush   sync.Mutex
+	w       *wal // swapped on rotation, nil after close
+	durable uint64
+	recs    [][]byte    // scratch for AppendBatch
+	tail    *time.Timer // pending SyncInterval tail sync, nil when none
 
 	maxBatch int
-	linger   time.Duration
-
-	// stats, read by tests and benchmarks
-	batches uint64
-	records uint64
-
-	m *engineMetrics // set by openShard; nil in direct unit-test construction
-
-	recs [][]byte // leader-only scratch for AppendBatch
+	m        *engineMetrics
 }
 
-func newCommitter(w *wal, maxBatch int, linger time.Duration) *committer {
+func newCommitter(w *wal, maxBatch int, m *engineMetrics) *committer {
 	if maxBatch == 0 {
 		maxBatch = DefaultCommitMaxBatch
 	}
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	c := &committer{w: w, maxBatch: maxBatch, linger: linger}
-	c.idle = sync.NewCond(&c.mu)
-	return c
+	return &committer{w: w, maxBatch: max(maxBatch, 1), m: m}
 }
 
-// enqueue appends one record to the commit queue. The caller MUST hold the
-// owning shard's write lock — that is what makes queue order equal apply
-// order. If leader is true the caller must follow up with lead(req) after
-// releasing the shard lock; otherwise it must wait on req.ch.
-func (c *committer) enqueue(rec []byte) (req *commitReq, leader bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return nil, false, c.err
-	}
-	req = &commitReq{rec: rec}
-	if c.leading {
-		req.ch = make(chan commitSignal, 1)
-	} else {
-		c.leading = true
-		leader = true
-	}
-	c.queue = append(c.queue, req)
-	return req, leader, nil
+// enqueue appends one record to the commit queue and returns its LSN for
+// commit. The caller MUST hold the owning shard's write lock — that is what
+// makes queue order equal apply order.
+func (c *committer) enqueue(rec []byte) uint64 {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	c.queue = append(c.queue, rec)
+	c.last++
+	return c.last
 }
 
-// commitWait parks until the caller's record is durable (or the shard is
-// poisoned), leading a batch itself if promoted.
-func (c *committer) commitWait(req *commitReq, leader bool) error {
-	if leader {
-		return c.lead(req)
-	}
-	sig := <-req.ch
-	if sig.lead {
-		return c.lead(req)
-	}
-	return sig.err
-}
-
-// lead runs one group commit with own at the head of the queue, returning
-// own's outcome. Followers in the batch are acknowledged; a leftover queue
-// has its head promoted to leader.
-func (c *committer) lead(own *commitReq) error {
-	// Yield once before gathering: writers that are already runnable on this
-	// core get to enqueue and join the batch. Without this, on few-core hosts
-	// the fsync never opens a batching window — the flush occupies the only P
-	// in a syscall, and a just-promoted leader outruns the writers its
-	// predecessor acknowledged — so grouping degrades to batches of one. Costs
+// commit returns once the record with the given LSN is in the WAL under the
+// fsync policy. Called off the shard lock.
+func (c *committer) commit(lsn uint64) error {
+	// Yield once before queueing on the flush mutex. A writer whose flush
+	// just finished is still running and would otherwise win the mutex again
+	// for its next record, ahead of the writers that flush made durable: they
+	// stay parked, unacknowledged, for one more fsync, contribute no records,
+	// and grouping degrades to batches of one or two. Yielding lets them take
+	// the mutex, compare, return and enqueue their next record first. Costs
 	// one scheduler round-trip (~100ns when nothing else is runnable).
 	if c.maxBatch > 1 {
 		runtime.Gosched()
 	}
-
-	if c.linger > 0 {
-		c.mu.Lock()
-		short := len(c.queue) < c.maxBatch
-		c.mu.Unlock()
-		if short {
-			time.Sleep(c.linger)
-		}
-	}
-
-	c.mu.Lock()
-	if c.err != nil {
-		// Poisoned while we queued: fail everything fast, journal nothing.
-		q, err := c.queue, c.err
-		c.queue = nil
-		c.leading = false
-		c.idle.Broadcast()
-		c.mu.Unlock()
-		for _, r := range q {
-			if r != own {
-				r.ch <- commitSignal{err: err}
-			}
-		}
-		return err
-	}
-	n := min(len(c.queue), c.maxBatch)
-	batch := c.queue[:n:n]
-	c.queue = c.queue[n:]
-	w := c.w
-	c.recs = c.recs[:0]
-	for _, r := range batch {
-		c.recs = append(c.recs, r.rec)
-	}
-	recs := c.recs
-	c.mu.Unlock()
-
-	var err error
-	if w != nil { // nil after close: acknowledged but unjournaled, as before
-		err = w.AppendBatch(recs)
-	}
-
-	c.mu.Lock()
-	if err != nil && c.err == nil {
-		c.err = fmt.Errorf("storage: shard poisoned by journal failure: %w", err)
-		if c.m != nil {
-			c.m.shardsPoisoned.Inc()
-		}
-	}
-	c.batches++
-	c.records += uint64(len(batch))
-	if c.m != nil {
-		c.m.commitBatches.Inc()
-		c.m.commitRecords.Add(uint64(len(batch)))
-		c.m.commitBatchSize.Observe(int64(len(batch)))
-	}
-	var next *commitReq
-	if len(c.queue) > 0 {
-		next = c.queue[0]
-	} else {
-		c.queue = nil
-		c.leading = false
-		c.idle.Broadcast()
-	}
-	c.mu.Unlock()
-
-	for _, r := range batch {
-		if r != own {
-			r.ch <- commitSignal{err: err}
-		}
-	}
-	if next != nil {
-		next.ch <- commitSignal{lead: true}
-	}
-	return err
+	return c.flushTo(lsn)
 }
 
-// drain blocks until the queue is empty and no leader is committing, then
-// returns the sticky error. Callers hold the shard write lock, which blocks
-// new enqueues, so drain terminates; the in-flight leader needs only c.mu and
-// the WAL to finish, never the shard lock.
-func (c *committer) drain() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.queue) > 0 || c.leading {
-		c.idle.Wait()
+// flushTo takes the flush mutex and, for as long as durable is short of lsn,
+// flushes queued records itself — its own and everyone else's. A failed flush
+// poisons the shard: the records it took are lost, so every waiter at or
+// behind them gets the sticky error and nothing more is journaled. A flusher
+// needs only the committer's two mutexes, never the shard lock.
+func (c *committer) flushTo(lsn uint64) error {
+	c.flush.Lock()
+	defer c.flush.Unlock()
+	for c.durable < lsn {
+		if c.err != nil {
+			return c.err
+		}
+		c.qmu.Lock()
+		n := min(len(c.queue), c.maxBatch)
+		c.recs = append(c.recs[:0], c.queue[:n]...)
+		rest := copy(c.queue, c.queue[n:])
+		clear(c.queue[rest:])
+		c.queue = c.queue[:rest]
+		c.qmu.Unlock()
+		if n == 0 {
+			return nil // drained
+		}
+		err := c.w.AppendBatch(c.recs)
+		clear(c.recs)
+		c.m.commitBatches.Inc()
+		c.m.commitRecords.Add(uint64(n))
+		c.m.commitBatchSize.Observe(int64(n))
+		if err != nil {
+			return c.poison(err)
+		}
+		c.durable += uint64(n)
+		if c.w.dirty && c.tail == nil {
+			c.tail = time.AfterFunc(c.w.every, c.syncTail)
+		}
 	}
+	return nil
+}
+
+// poison records the shard's first journal failure. Caller holds flush.
+func (c *committer) poison(err error) error {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	c.err = fmt.Errorf("storage: shard poisoned by journal failure: %w", err)
+	c.m.shardsPoisoned.Inc()
 	return c.err
 }
 
-// setWAL swaps the log the next batch writes to. Only called on a drained
-// committer under the shard write lock (rotation and close).
+// syncTail is the SyncInterval bound (DESIGN.md §8): an append that found
+// the last fsync less than an interval old leaves an unsynced tail, and with
+// no later append nothing would ever flush it. The flusher that leaves one
+// arms this for one interval later; it is a no-op if an append synced since.
+func (c *committer) syncTail() {
+	c.flush.Lock()
+	defer c.flush.Unlock()
+	c.tail = nil
+	if c.w != nil && c.w.dirty && c.err == nil {
+		if err := c.w.Sync(); err != nil {
+			c.poison(err)
+		}
+	}
+}
+
+// drain flushes everything queued — no record ever gets the last LSN — and
+// returns the sticky error. Callers hold the shard write lock, which blocks
+// new enqueues, so the queue stays empty until they release it.
+func (c *committer) drain() error { return c.flushTo(math.MaxUint64) }
+
+// sync drains, then forces the log to stable storage whatever the policy.
+func (c *committer) sync() error {
+	if err := c.drain(); err != nil {
+		return err
+	}
+	c.flush.Lock()
+	defer c.flush.Unlock()
+	return c.w.Sync()
+}
+
+// setWAL swaps the log the next batch writes to and cancels a pending tail
+// sync — the caller closes the old log, which flushes its tail. Only called
+// on a drained committer under the shard write lock (rotation and close).
 func (c *committer) setWAL(w *wal) {
-	c.mu.Lock()
+	c.flush.Lock()
+	defer c.flush.Unlock()
+	if c.tail != nil {
+		c.tail.Stop()
+		c.tail = nil
+	}
 	c.w = w
-	c.mu.Unlock()
 }
 
 // stickyErr reports the poison state.
 func (c *committer) stickyErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
 	return c.err
-}
-
-// stats reports how many batches and records have been committed — the
-// records/batches ratio is the measured group-commit coalescing factor.
-func (c *committer) stats() (batches, records uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batches, c.records
 }

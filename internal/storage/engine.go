@@ -73,12 +73,6 @@ type Options struct {
 	// disables grouping entirely: every record pays its own write+fsync —
 	// the pre-group-commit behavior, kept as a benchmark baseline.
 	CommitMaxBatch int
-	// CommitLinger is how long a commit leader with a less-than-full batch
-	// waits for stragglers before flushing. The default 0 is right for
-	// fsync=always, where the flush latency itself is the batching window;
-	// a linger only pays off when flushes are nearly free (fsync=never) and
-	// coalescing Write syscalls still matters.
-	CommitLinger time.Duration
 	// Metrics is the registry the engine's storage_* families register in.
 	// Nil means the process-wide obs.Default() registry (what /metrics
 	// serves); tests inject their own for exact delta assertions.
@@ -150,39 +144,32 @@ func ReadManifest(dir string) (shards int, ok bool, err error) {
 // Appends go to wal-<seq>; base is the oldest generation still on disk.
 // Steady state is base == seq: snapshot-<seq> (absent for seq 0 on a fresh
 // shard) holds the state as of rotation seq and wal-<seq> every mutation
-// since. While an off-lock snapshot persist is in flight (compacting true),
-// base < seq and the durable state is snapshot-<base> plus the contiguous
-// WAL chain wal-<base> .. wal-<seq>; recovery replays exactly that chain.
+// since. While an off-lock snapshot persist is in flight (or after one
+// failed), base < seq and the durable state is snapshot-<base> plus the
+// contiguous WAL chain wal-<base> .. wal-<seq>; recovery replays exactly that
+// chain.
 //
-// mu protects the state and the WAL handle/generation bookkeeping; the WAL
-// file itself is written by the committer's group-commit leader, outside mu,
-// so a slow fsync never blocks readers. The sticky poison error lives on the
-// committer (the only component that can fail an append).
+// persist serializes compactions and close: it is held across both phases of
+// a compaction, so at most one snapshot persist is in flight per shard. mu
+// protects the state and the WAL handle/generation bookkeeping; the WAL file
+// itself is written by whichever writer holds the committer's flush mutex,
+// outside mu, so a slow fsync never blocks readers. Lock order is persist →
+// mu → the committer's two. The sticky poison error lives on the committer
+// (the only component that can fail an append).
 type shard struct {
-	mu    sync.RWMutex
-	state ShardState
-	dir   string // "" in memory-only mode
-	seq   uint64
-	base  uint64
-	w     *wal
-	c     *committer // nil in memory-only mode
-	since int        // records appended since the last rotation
-	// compacting marks an in-flight off-lock snapshot persist; at most one
-	// per shard. compactCond (on mu) wakes waiters when it clears.
-	compacting  bool
-	compactCond *sync.Cond
+	persist sync.Mutex
+	mu      sync.RWMutex
+	state   ShardState
+	dir     string // "" in memory-only mode
+	seq     uint64
+	base    uint64
+	w       *wal
+	c       *committer // nil in memory-only mode
+	since   int        // records appended since the last rotation
 	// pending holds replica records journaled via AppendShippedBatch but not
 	// yet replayed into state; materializeLocked drains it before any snapshot.
 	pending [][]byte
 	m       *engineMetrics
-}
-
-// waitCompactLocked blocks (releasing mu) until no snapshot persist is in
-// flight. Caller holds mu.
-func (s *shard) waitCompactLocked() {
-	for s.compacting {
-		s.compactCond.Wait()
-	}
 }
 
 // sticky reports the shard's poison state: a failed journal append leaves
@@ -221,9 +208,7 @@ func Open(opts Options, states []ShardState) (*Engine, error) {
 	e := &Engine{opts: opts, shards: make([]*shard, len(states))}
 	if opts.Dir == "" {
 		for i, st := range states {
-			sh := &shard{state: st, m: m}
-			sh.compactCond = sync.NewCond(&sh.mu)
-			e.shards[i] = sh
+			e.shards[i] = &shard{state: st, m: m}
 		}
 		return e, nil
 	}
@@ -385,7 +370,6 @@ func openShard(dir string, state ShardState, opts Options, m *engineMetrics) (*s
 		m = newEngineMetrics(nil)
 	}
 	sh := &shard{state: state, dir: dir, seq: base, base: base, m: m}
-	sh.compactCond = sync.NewCond(&sh.mu)
 
 	// Replay the contiguous WAL chain starting at base. wal-<base> may be
 	// absent (fresh shard); any later gap ends the chain. A torn non-final
@@ -435,8 +419,7 @@ func openShard(dir string, state ShardState, opts Options, m *engineMetrics) (*s
 		return nil, err
 	}
 	sh.w = w
-	sh.c = newCommitter(w, opts.CommitMaxBatch, opts.CommitLinger)
-	sh.c.m = m
+	sh.c = newCommitter(w, opts.CommitMaxBatch, m)
 	m.bootRecoverDur.ObserveDuration(time.Since(start))
 	return sh, nil
 }
@@ -501,12 +484,10 @@ func (e *Engine) ApplyShipped(i int, rec []byte) error {
 //
 // The whole run pays one group-commit wait: every record is enqueued on the
 // committer under a single shard-lock hold (so WAL order is the run's
-// order), and only then does the caller park on the commit signals — the
-// first enqueue's leader drains the entire run into as few fsync batches as
-// CommitMaxBatch allows, instead of each record paying its own commit cycle
-// (and, with a non-zero CommitLinger, its own full linger). When the call
-// returns nil, every record in the run is in the WAL under the engine's
-// fsync policy.
+// order), and the caller then commits the last record's LSN — the run goes
+// out in as few fsync batches as CommitMaxBatch allows, instead of each
+// record paying its own commit cycle. When the call returns nil, every record
+// in the run is in the WAL under the engine's fsync policy.
 func (e *Engine) AppendShippedBatch(i int, recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -527,37 +508,17 @@ func (e *Engine) AppendShippedBatch(i int, recs [][]byte) error {
 		s.mu.Unlock()
 		return nil
 	}
-	reqs := make([]*commitReq, 0, len(recs))
-	leaders := make([]bool, 0, len(recs))
-	var enqErr error
+	var lsn uint64
 	for _, rec := range recs {
-		req, leader, err := s.c.enqueue(rec)
-		if err != nil {
-			// Poisoned mid-run: stop enqueueing, but still wait on what was
-			// enqueued — a leader among them must run its batch (which will
-			// fail fast) or the queue would stall forever.
-			enqErr = err
-			break
-		}
-		reqs = append(reqs, req)
-		leaders = append(leaders, leader)
-		s.pending = append(s.pending, rec)
-		s.since++
+		lsn = s.c.enqueue(rec)
 	}
+	s.pending = append(s.pending, recs...)
+	s.since += len(recs)
 	compact := e.opts.CompactEvery > 0 && s.since >= e.opts.CompactEvery
 	s.mu.Unlock()
 
-	var firstErr error
-	for j, req := range reqs {
-		if err := s.c.commitWait(req, leaders[j]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if enqErr != nil {
-		return enqErr
-	}
-	if firstErr != nil {
-		return firstErr
+	if err := s.c.commit(lsn); err != nil {
+		return err
 	}
 	if compact {
 		e.compactIfDue(i)
@@ -638,16 +599,12 @@ func (e *Engine) mutate(i int, apply func() ([]byte, error), ship bool) error {
 		}
 		return nil
 	}
-	req, leader, err := s.c.enqueue(rec)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
+	lsn := s.c.enqueue(rec)
 	s.since++
 	compact := e.opts.CompactEvery > 0 && s.since >= e.opts.CompactEvery
 	s.mu.Unlock()
 
-	if err := s.c.commitWait(req, leader); err != nil {
+	if err := s.c.commit(lsn); err != nil {
 		return err
 	}
 	if rtok != 0 {
@@ -666,18 +623,17 @@ func (e *Engine) mutate(i int, apply func() ([]byte, error), ship bool) error {
 
 // compactIfDue compacts shard i if it is still over the auto-compaction
 // threshold. Several writers can cross the threshold while one batch is in
-// flight; re-checking under the lock makes exactly one of them do the work,
-// and an in-flight off-lock persist makes this a no-op (the rotation that
-// started it already reset the counter, but a racer may have sampled the
-// old value).
+// flight; re-checking under the persist mutex makes exactly one of them do
+// the work, and an in-flight persist makes this a no-op (the rotation that
+// started it already reset the counter, but a racer may have sampled the old
+// value).
 func (e *Engine) compactIfDue(i int) {
 	s := e.shards[i]
-	s.mu.Lock()
-	if s.compacting || s.w == nil || s.sticky() != nil || s.since < e.opts.CompactEvery {
-		s.mu.Unlock()
+	if !s.persist.TryLock() {
 		return
 	}
-	if err := e.compactShard(s); err != nil { // releases s.mu
+	defer s.persist.Unlock()
+	if err := e.compactShard(s, e.opts.CompactEvery); err != nil {
 		// Resetting the counter spaces retries instead of attempting on
 		// every append. (After a post-rotation persist failure the counter
 		// is already reset; this covers failures before the rotation.)
@@ -697,22 +653,24 @@ func (e *Engine) View(i int, read func()) {
 }
 
 // compactShard rotates the shard to a new generation using the two-phase
-// protocol of DESIGN.md §16. The caller holds s.mu (not compacting, not
-// poisoned, w non-nil); the lock is RELEASED by the time compactShard
-// returns, success or not.
+// protocol of DESIGN.md §16. The caller holds s.persist — which is what keeps
+// s.w and the generation numbers stable between the phases — and no other
+// lock. A shard without a log (memory-only, closed), or with fewer than
+// minSince records since its last rotation, is left alone.
 //
-// Phase 1, under the lock (the only part writers ever wait on): drain the
-// commit queue, materialize parked replica records, capture a snapshot
+// Phase 1, under the shard lock (the only part writers ever wait on): drain
+// the commit queue, materialize parked replica records, capture a snapshot
 // encoder, and switch appends to a fresh wal-(N+1). The commit queue is
 // drained first because every queued record was applied to the state before
-// enqueue (so the snapshot captures it) but its waiter is parked on an fsync
-// of the old log, which must complete before that log can be retired; new
-// enqueues are blocked by the write lock.
+// enqueue (so the snapshot captures it) but belongs in the old log, which
+// must hold it before that log can be retired; its writer then finds its LSN
+// durable and returns without a second append. New enqueues are blocked by
+// the write lock.
 //
-// Phase 2, off the lock, while writers proceed on wal-(N+1): close the old
-// log (flushing any unsynced tail — the retained generation must be complete
-// before it becomes part of the recovery chain's past), stream the snapshot
-// to snapshot-(N+1) via temp + fsync + rename, and only then delete
+// Phase 2, off the shard lock, while writers proceed on wal-(N+1): close the
+// old log (flushing any unsynced tail — the retained generation must be
+// complete before it becomes part of the recovery chain's past), stream the
+// snapshot to snapshot-(N+1) via temp + fsync + rename, and only then delete
 // generations [base, N]. A crash at any point leaves either a complete
 // snapshot-(N+1) (recovery restores it and replays wal-(N+1)) or a missing /
 // truncated one (recovery falls back to snapshot-<base> and replays the
@@ -722,63 +680,23 @@ func (e *Engine) View(i int, read func()) {
 // immutable view and the lock-held pause is O(1) in shard size; a state
 // without a view is encoded under the lock (the pause metric then includes
 // the encode).
-func (e *Engine) compactShard(s *shard) error {
-	pauseStart := time.Now()
-	if err := s.c.drain(); err != nil {
-		// Poisoned: the in-memory state includes mutations the log rejected;
-		// snapshotting would persist the divergence as truth.
+func (e *Engine) compactShard(s *shard, minSince int) error {
+	s.mu.Lock()
+	if s.w == nil || s.since < minSince {
 		s.mu.Unlock()
-		return err
+		return nil
 	}
-	if err := s.materializeLocked(); err != nil {
-		// Snapshotting now would drop the parked records when the old WAL
-		// (the only durable copy) is retired.
-		s.mu.Unlock()
-		return err
-	}
-	var encode func(io.Writer) error
-	release := func() {}
-	if v, ok := s.state.(SnapshotViewer); ok {
-		enc, rel, err := v.SnapshotView()
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("storage: capture snapshot view: %w", err)
-		}
-		encode, release = enc, rel
-	} else {
-		payload, err := s.state.Snapshot()
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("storage: encode snapshot: %w", err)
-		}
-		encode = func(w io.Writer) error {
-			_, err := w.Write(payload)
-			return err
-		}
-	}
-	next := s.seq + 1
-	w, err := createWAL(filepath.Join(s.dir, walName(next)), s.w.policy, s.w.every, s.m)
+	start := time.Now()
+	old, base, next := s.w, s.base, s.seq+1
+	encode, release, err := s.rotateLocked(next)
 	if err != nil {
-		release()
 		s.mu.Unlock()
 		return err
 	}
-	if err := syncDir(w.path); err != nil {
-		w.Close()
-		os.Remove(filepath.Join(s.dir, walName(next)))
-		release()
-		s.mu.Unlock()
-		return err
-	}
-	old := s.w
-	base := s.base
-	s.w, s.seq, s.since = w, next, 0
-	s.c.setWAL(w)
-	s.compacting = true
-	s.m.compactPauseDur.ObserveDuration(time.Since(pauseStart))
+	s.m.compactPauseDur.ObserveDuration(time.Since(start))
 	s.mu.Unlock()
 
-	// Phase 2: persist off the lock.
+	// Phase 2: persist off the shard lock.
 	encStart := time.Now()
 	err = old.Close()
 	var payloadBytes int64
@@ -786,28 +704,70 @@ func (e *Engine) compactShard(s *shard) error {
 		payloadBytes, err = writeSnapshotFile(filepath.Join(s.dir, snapName(next)), encode)
 	}
 	release()
-	if err == nil {
-		for g := base; g < next; g++ {
-			os.Remove(filepath.Join(s.dir, walName(g)))
-			os.Remove(filepath.Join(s.dir, snapName(g)))
+	if err != nil {
+		// Generations [base, next-1] stay on disk and base is unchanged:
+		// recovery replays the whole chain, and the next compaction retries
+		// the persist from the new tip.
+		return err
+	}
+	for g := base; g < next; g++ {
+		os.Remove(filepath.Join(s.dir, walName(g)))
+		os.Remove(filepath.Join(s.dir, snapName(g)))
+	}
+	s.mu.Lock()
+	s.base = next
+	s.mu.Unlock()
+	s.m.compactions.Inc()
+	s.m.compactionDur.ObserveDuration(time.Since(start))
+	s.m.compactEncodeDur.ObserveDuration(time.Since(encStart))
+	s.m.snapshotBytes.Observe(payloadBytes)
+	return nil
+}
+
+// rotateLocked is compaction phase 1: it leaves the state captured behind
+// encode (release must be called once the view is no longer needed) and
+// appends switched to wal-<next>. Caller holds s.mu; s.w is non-nil. On error
+// nothing has changed.
+func (s *shard) rotateLocked(next uint64) (encode func(io.Writer) error, release func(), err error) {
+	if err := s.c.drain(); err != nil {
+		// Poisoned: the in-memory state includes mutations the log rejected;
+		// snapshotting would persist the divergence as truth.
+		return nil, nil, err
+	}
+	if err := s.materializeLocked(); err != nil {
+		// Snapshotting now would drop the parked records when the old WAL
+		// (the only durable copy) is retired.
+		return nil, nil, err
+	}
+	release = func() {}
+	if v, ok := s.state.(SnapshotViewer); ok {
+		if encode, release, err = v.SnapshotView(); err != nil {
+			return nil, nil, fmt.Errorf("storage: capture snapshot view: %w", err)
+		}
+	} else {
+		payload, err := s.state.Snapshot()
+		if err != nil {
+			return nil, nil, fmt.Errorf("storage: encode snapshot: %w", err)
+		}
+		encode = func(w io.Writer) error {
+			_, err := w.Write(payload)
+			return err
 		}
 	}
-
-	s.mu.Lock()
-	s.compacting = false
+	w, err := createWAL(filepath.Join(s.dir, walName(next)), s.w.policy, s.w.every, s.m)
 	if err == nil {
-		s.base = next
-		s.m.compactions.Inc()
-		s.m.compactionDur.ObserveDuration(time.Since(pauseStart))
-		s.m.compactEncodeDur.ObserveDuration(time.Since(encStart))
-		s.m.snapshotBytes.Observe(payloadBytes)
+		if err = syncDir(w.path); err != nil {
+			w.Close()
+			os.Remove(w.path)
+		}
 	}
-	// On failure generations [base, next-1] stay on disk and base is
-	// unchanged: recovery replays the whole chain, and the next compaction
-	// retries the persist from the new tip.
-	s.compactCond.Broadcast()
-	s.mu.Unlock()
-	return err
+	if err != nil {
+		release()
+		return nil, nil, err
+	}
+	s.w, s.seq, s.since = w, next, 0
+	s.c.setWAL(w)
+	return encode, release, nil
 }
 
 // Compact snapshots shard i and truncates its log chain. It waits for any
@@ -815,17 +775,9 @@ func (e *Engine) compactShard(s *shard) error {
 // at a single fresh generation.
 func (e *Engine) Compact(i int) error {
 	s := e.shards[i]
-	s.mu.Lock()
-	s.waitCompactLocked()
-	if err := s.sticky(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.w == nil {
-		s.mu.Unlock()
-		return nil
-	}
-	return e.compactShard(s) // releases s.mu
+	s.persist.Lock()
+	defer s.persist.Unlock()
+	return e.compactShard(s, 0)
 }
 
 // CompactAll snapshots every shard concurrently (bounded pool); the first
@@ -841,11 +793,7 @@ func (e *Engine) Sync() error {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		if s.w != nil {
-			if err := s.c.drain(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else if err := s.w.Sync(); err != nil && firstErr == nil {
+			if err := s.c.sync(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -863,30 +811,27 @@ func (e *Engine) Close() error {
 
 func (e *Engine) closeShard(i int) error {
 	s := e.shards[i]
-	s.mu.Lock()
-	s.waitCompactLocked()
-	if s.w == nil {
-		s.mu.Unlock()
-		return nil
-	}
+	s.persist.Lock()
+	defer s.persist.Unlock()
+	s.mu.RLock()
+	compact := s.sticky() == nil && (s.since > 0 || s.base != s.seq)
+	s.mu.RUnlock()
 	var firstErr error
-	if s.sticky() == nil && (s.since > 0 || s.base != s.seq) {
-		if err := e.compactShard(s); err != nil { // releases s.mu
-			firstErr = err
-		}
-		s.mu.Lock()
-		s.waitCompactLocked()
+	if compact {
+		firstErr = e.compactShard(s, 0)
 	}
-	if s.w != nil {
-		// Flush whatever the queue holds before the log closes — a writer
-		// may have slipped in while the final compaction persisted.
-		s.c.drain()
-		s.c.setWAL(nil) // late mutations are acknowledged but unjournaled, as before
-		if err := s.w.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("storage: close shard %d: %w", i, err)
-		}
-		s.w = nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.w == nil {
+		return firstErr
 	}
-	s.mu.Unlock()
+	// Flush whatever the queue holds before the log closes — a writer may
+	// have slipped in while the final compaction persisted.
+	s.c.drain()
+	s.c.setWAL(nil) // late mutations are acknowledged but unjournaled, as before
+	if err := s.w.Close(); err != nil && firstErr == nil {
+		firstErr = fmt.Errorf("storage: close shard %d: %w", i, err)
+	}
+	s.w = nil
 	return firstErr
 }

@@ -5,12 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // AppendShippedBatch is the receiver's journal path: one group-commit wait
-// for a whole run of shipped records instead of one (full CommitLinger each)
-// per record. These tests pin that how a stream is cut into runs does not
+// for a whole run of shipped records instead of one per record. These tests pin that how a stream is cut into runs does not
 // show on disk — same WAL, same state — because the replication suite's
 // byte-identical-replica claim rests on that.
 
@@ -46,7 +44,7 @@ func TestAppendShippedBatchEquivalentToSerial(t *testing.T) {
 			recs[i] = append(recs[i], kvRecord(fmt.Sprintf("k%d-%02d", i, j), fmt.Sprintf("v%d", j)))
 		}
 	}
-	opts := Options{Sync: SyncAlways, CommitLinger: 200 * time.Microsecond}
+	opts := Options{Sync: SyncAlways}
 
 	serialDir, batchDir := t.TempDir(), t.TempDir()
 	serial, _ := openKV(t, serialDir, shards, opts)

@@ -34,8 +34,10 @@ const (
 	// durable. This is the default and the policy the crash-recovery
 	// guarantees assume.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per SyncEvery (checked on append).
-	// A crash can lose up to one interval of acknowledged writes but never
+	// SyncInterval fsyncs at most once per SyncEvery: on the first append an
+	// interval or more after the last fsync, and — by the committer's tail
+	// timer — one interval after an append that left an unsynced tail. A
+	// crash can lose up to one interval of acknowledged writes but never
 	// corrupts the log.
 	SyncInterval
 	// SyncNever leaves flushing to the OS — for simulations and benchmarks
@@ -79,14 +81,16 @@ const frameHeaderSize = frame.FixedHeaderSize
 const MaxRecordSize = 64 << 20
 
 // wal is a single append-only log file. Not safe for concurrent use; in the
-// engine exactly one goroutine touches it at a time — the current group-commit
-// leader, or a rotation/close path that drained the commit queue first.
+// engine exactly one goroutine touches it at a time — the holder of the
+// committer's flush mutex, or a rotation/close path that already swapped it
+// out of the committer.
 type wal struct {
 	f        *os.File
 	path     string
 	policy   SyncPolicy
 	every    time.Duration
 	lastSync time.Time
+	dirty    bool // SyncInterval only: appended since the last fsync
 	size     int64
 	m        *engineMetrics
 	frame    []byte    // reused append buffer
@@ -152,6 +156,7 @@ func (w *wal) AppendBatch(recs [][]byte) error {
 		if time.Since(w.lastSync) >= w.every {
 			return w.Sync()
 		}
+		w.dirty = true
 	}
 	return nil
 }
@@ -163,6 +168,7 @@ func (w *wal) Sync() error {
 		return fmt.Errorf("storage: sync wal: %w", err)
 	}
 	w.lastSync = time.Now()
+	w.dirty = false
 	w.m.fsyncs.Inc()
 	w.m.fsyncDur.ObserveDuration(w.lastSync.Sub(start))
 	return nil
