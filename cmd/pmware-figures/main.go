@@ -1,11 +1,11 @@
-// Command pmware-bench regenerates the paper's figures and evaluation
+// Command pmware-figures regenerates the paper's figures and evaluation
 // numbers as text tables:
 //
-//	pmware-bench -fig 1       Figure 1: battery duration per location interface
-//	pmware-bench -fig 2       Figure 2: place-aware application characterization
-//	pmware-bench -fig study   Section 4 deployment study (also: pmware-sim)
-//	pmware-bench -fig ablations  triggered-sensing and shared-PMS ablations
-//	pmware-bench -fig all     everything
+//	pmware-figures -fig 1       Figure 1: battery duration per location interface
+//	pmware-figures -fig 2       Figure 2: place-aware application characterization
+//	pmware-figures -fig study   Section 4 deployment study (also: pmware-sim)
+//	pmware-figures -fig ablations  triggered-sensing and shared-PMS ablations
+//	pmware-figures -fig all     everything
 package main
 
 import (

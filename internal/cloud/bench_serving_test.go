@@ -11,7 +11,7 @@ import (
 	"repro/internal/world"
 )
 
-// The benchmarks behind BENCH_serving.json (ISSUE 3 acceptance): each pair
+// The serving micro-benchmarks (DESIGN.md §9): each pair
 // measures one analytics hot path as the pre-index baseline (the scan*
 // reference: deep-copy the history, rescan it) against the serving path (the
 // incremental index read under the shard lock). Same store, same 365-day

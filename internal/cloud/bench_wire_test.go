@@ -2,10 +2,7 @@ package cloud
 
 import (
 	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/gsm"
 	"repro/internal/profile"
@@ -13,13 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// The benchmarks behind BENCH_serving.json's wire_efficiency section
-// (ISSUE 8 acceptance): each pair measures one hot route's body codec — the
+// The wire codec micro-benchmarks (DESIGN.md §14): each pair measures one hot route's body codec — the
 // reflective JSON wire against the negotiated binary codec — at the codec
 // layer, where the bytes-on-the-wire and allocation deltas are not drowned by
 // net/http's per-request overhead (which both codecs pay identically). The
 // equivalence property in wire_test.go holds the two representations
-// interchangeable. Run with:
+// interchangeable and TestWireResponsesCompact pins the bytes and allocation
+// floors. Run with:
 //
 //	go test ./internal/cloud -run '^$' -bench Wire -benchmem
 
@@ -207,126 +204,4 @@ func BenchmarkWireObsStreamEncodeBinary(b *testing.B) {
 		size += len(wireFrameEnd)
 	}
 	b.ReportMetric(float64(size), "bodybytes/op")
-}
-
-// --- recorder --------------------------------------------------------------
-
-// wireCodecSide is one codec's measured cost on one route.
-type wireCodecSide struct {
-	NsPerOp     int64 `json:"ns_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	AllocBPerOp int64 `json:"alloc_b_per_op"`
-	BodyBytes   int64 `json:"body_bytes"`
-	Iterations  int   `json:"iterations"`
-}
-
-// wireRouteRow is one before/after row of the wire_efficiency section.
-type wireRouteRow struct {
-	Route      string        `json:"route"`
-	JSON       wireCodecSide `json:"json"`
-	Binary     wireCodecSide `json:"binary"`
-	ByteRatio  float64       `json:"byte_ratio"`
-	AllocRatio float64       `json:"alloc_ratio"`
-}
-
-func measureWire(t *testing.T, fn func(b *testing.B)) wireCodecSide {
-	t.Helper()
-	r := testing.Benchmark(fn)
-	return wireCodecSide{
-		NsPerOp:     r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		AllocBPerOp: r.AllocedBytesPerOp(),
-		BodyBytes:   int64(r.Extra["bodybytes/op"]),
-		Iterations:  r.N,
-	}
-}
-
-func ratio(num, den int64) float64 {
-	if den == 0 {
-		return float64(num) // vs zero: report the numerator as the factor
-	}
-	return float64(num) / float64(den)
-}
-
-// TestWireBenchRecord appends the wire_efficiency section to the JSON report
-// named by WIRE_BENCH_OUT (normally BENCH_serving.json, merged in place so
-// the serving rows survive). Skipped in normal test runs — measurement is
-// not a correctness gate — but when run it enforces the ISSUE 8 floor:
-// ≥ 5x fewer body bytes and ≥ 5x fewer encode allocations on all three
-// routes.
-func TestWireBenchRecord(t *testing.T) {
-	out := os.Getenv("WIRE_BENCH_OUT")
-	if out == "" {
-		t.Skip("set WIRE_BENCH_OUT to record the wire codec benchmarks")
-	}
-
-	routes := []struct {
-		name    string
-		encJSON func(b *testing.B)
-		encBin  func(b *testing.B)
-	}{
-		{"trace_sync_discover_response", BenchmarkWireDiscoverEncodeJSON, BenchmarkWireDiscoverEncodeBinary},
-		{"profile_range_response", BenchmarkWireProfileRangeEncodeJSON, BenchmarkWireProfileRangeEncodeBinary},
-		{"analytics_dwell_response", BenchmarkWireAnalyticsEncodeJSON, BenchmarkWireAnalyticsEncodeBinary},
-		{"obs_stream_request", BenchmarkWireObsStreamEncodeJSON, BenchmarkWireObsStreamEncodeBinary},
-	}
-
-	section := struct {
-		Recorded string         `json:"recorded"`
-		Go       string         `json:"go_version"`
-		Command  string         `json:"command"`
-		Note     string         `json:"note"`
-		Routes   []wireRouteRow `json:"routes"`
-	}{
-		Recorded: time.Now().UTC().Format("2006-01-02"),
-		Go:       runtime.Version(),
-		Command:  "WIRE_BENCH_OUT=BENCH_serving.json go test ./internal/cloud -run TestWireBenchRecord -v",
-		Note: "Body codec cost per route, JSON vs negotiated application/x-pmware-bin " +
-			"(encode into a reused pooled buffer). Ratios are JSON/binary; the first three " +
-			"routes carry the ISSUE 8 acceptance floor of 5x on both columns. " +
-			"TestWireRoundTripProperty holds the representations interchangeable.",
-	}
-
-	for _, rt := range routes {
-		row := wireRouteRow{
-			Route:  rt.name,
-			JSON:   measureWire(t, rt.encJSON),
-			Binary: measureWire(t, rt.encBin),
-		}
-		row.ByteRatio = ratio(row.JSON.BodyBytes, row.Binary.BodyBytes)
-		row.AllocRatio = ratio(row.JSON.AllocsPerOp, row.Binary.AllocsPerOp)
-		t.Logf("%s: %d -> %d body bytes (%.1fx), %d -> %d allocs/op (%.1fx), %d -> %d ns/op",
-			rt.name, row.JSON.BodyBytes, row.Binary.BodyBytes, row.ByteRatio,
-			row.JSON.AllocsPerOp, row.Binary.AllocsPerOp, row.AllocRatio,
-			row.JSON.NsPerOp, row.Binary.NsPerOp)
-		if rt.name != "obs_stream_request" {
-			if row.ByteRatio < 5 {
-				t.Errorf("%s: byte ratio %.2fx under the 5x floor", rt.name, row.ByteRatio)
-			}
-			if row.Binary.AllocsPerOp*5 > row.JSON.AllocsPerOp {
-				t.Errorf("%s: alloc ratio %.2fx under the 5x floor", rt.name, row.AllocRatio)
-			}
-		}
-		section.Routes = append(section.Routes, row)
-	}
-
-	// Merge into the existing report so the serving rows survive.
-	report := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, &report); err != nil {
-			t.Fatalf("existing %s is not a JSON object: %v", out, err)
-		}
-	}
-	blob, err := json.Marshal(section)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report["wire_efficiency"] = blob
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -26,7 +26,8 @@ func subscribeRetry() RetryPolicy {
 }
 
 func TestClientSubscribeDelivers(t *testing.T) {
-	ss := newStreamServer(t)
+	reg := obs.NewRegistry()
+	ss := newStreamServer(t, WithMetrics(reg))
 	c := NewClient(ss.srv.URL, "imei-9", "tester@example.com", ss.srv.Client())
 	if err := c.Register(); err != nil {
 		t.Fatal(err)
@@ -53,6 +54,15 @@ func TestClientSubscribeDelivers(t *testing.T) {
 	sub.Close()
 	if err := sub.Err(); err != nil {
 		t.Errorf("Err after clean Close = %v, want nil", err)
+	}
+	// The server notices the disconnect when its SSE handler returns,
+	// shortly after the client side closed.
+	gauge := reg.Gauge("pci_events_subscribers")
+	for start := time.Now(); gauge.Value() != 0 && time.Since(start) < 10*time.Second; {
+		time.Sleep(time.Millisecond)
+	}
+	if g := gauge.Value(); g != 0 {
+		t.Errorf("subscribers gauge = %d after Close, want 0", g)
 	}
 }
 

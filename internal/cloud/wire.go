@@ -417,13 +417,13 @@ func appendCells(e *trace.BinaryEncoder, cells []world.CellID) {
 }
 
 func decodeCells(d *trace.BinaryDecoder) []world.CellID {
-	n := d.Uvarint()
+	n := d.Int()
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
-	out := make([]world.CellID, 0, min(int(n), d.Rest()/4+1))
+	out := make([]world.CellID, 0, min(n, d.Rest()/4+1))
 	var prev world.CellID
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var c world.CellID
 		c.MCC = prev.MCC + int(d.Varint())
 		c.MNC = prev.MNC + int(d.Varint())

@@ -230,6 +230,111 @@ func TestWireRoundTripProperty(t *testing.T) {
 	}
 }
 
+// wireTarget returns a fresh decodeWire destination for a message kind, nil
+// for a kind decodeWire does not carry.
+func wireTarget(kind byte) any {
+	switch kind {
+	case wireKindDiscoverResponse:
+		return &DiscoverPlacesResponse{}
+	case wireKindStreamResult:
+		return &StreamResult{}
+	case wireKindProfile:
+		return &profile.DayProfile{}
+	case wireKindProfileRange:
+		return &[]*profile.DayProfile{}
+	case wireKindPredictArrival:
+		return &PredictArrivalResponse{}
+	case wireKindPredictNext:
+		return &PredictNextVisitResponse{}
+	case wireKindFrequency:
+		return &FrequencyResponse{}
+	case wireKindDwell:
+		return &DwellStatsResponse{}
+	}
+	return nil
+}
+
+// wireDecoded returns the value appendWire takes for a filled destination
+// and how many slice elements the decode produced.
+func wireDecoded(into any) (msg any, elems int) {
+	profileElems := func(p *profile.DayProfile) int { return len(p.Places) + len(p.Routes) + len(p.Contacts) }
+	switch v := into.(type) {
+	case *DiscoverPlacesResponse:
+		elems = len(v.Places)
+		for _, p := range v.Places {
+			elems += len(p.Signature) + len(p.Cells) + len(p.Visits)
+		}
+	case *profile.DayProfile:
+		elems = profileElems(v)
+	case *[]*profile.DayProfile:
+		elems = len(*v)
+		for _, p := range *v {
+			elems += profileElems(p)
+		}
+		return *v, elems
+	}
+	return into, elems
+}
+
+// FuzzDecodeWire: arbitrary bytes never panic the message decoder, whatever
+// destination the kind byte selects; a message it accepts holds no more
+// slice elements than it has bytes, and re-encodes to the input.
+func FuzzDecodeWire(f *testing.F) {
+	r := rand.New(rand.NewSource(7)) // TestWireRoundTripProperty's generators
+	for _, msg := range []any{
+		randDiscoverResponse(r), wireDiscoverFixture(),
+		&StreamResult{TraceLen: 41, TraceHash: 0x0123456789abcdef, Appended: 700, Events: 3},
+		randProfile(r), synthProfiles(3),
+		&PredictArrivalResponse{PlaceID: "home", TypicalArrivalSec: 66600, SampleCount: 12},
+		&PredictNextVisitResponse{PlaceID: "work", Confident: true, NextVisit: randWireTime(r)},
+		&PredictNextVisitResponse{PlaceID: "work"},
+		&FrequencyResponse{PlaceID: "mall", VisitsPerWeek: 1.5, TotalVisits: 9},
+		wireDwellFixture,
+	} {
+		buf, ok := appendWire(nil, msg)
+		if !ok {
+			f.Fatalf("no binary codec for %T", msg)
+		}
+		f.Add(buf)
+		f.Add(buf[:len(buf)/2])
+		f.Add(append(buf, 0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var into any
+		if len(data) > 1 {
+			into = wireTarget(data[1])
+		}
+		if into == nil {
+			// Too short for a kind, or no codec for it: any destination refuses.
+			if err := decodeWire(data, &DwellStatsResponse{}); err == nil {
+				t.Fatalf("%x decoded as a dwell response", data)
+			}
+			return
+		}
+		if err := decodeWire(data, into); err != nil {
+			return
+		}
+		msg, elems := wireDecoded(into)
+		if elems > len(data) {
+			t.Fatalf("%d elements from %d bytes", elems, len(data))
+		}
+		re, _ := appendWire(nil, msg)
+		if !bytes.Equal(re, data) {
+			// Non-minimal varints, any-nonzero booleans and a nanosecond delta
+			// that is a whole number of seconds are the ways two inputs share
+			// a meaning; the re-encoding is the one they all decode to.
+			into2 := wireTarget(re[1])
+			if err := decodeWire(re, into2); err != nil {
+				t.Fatalf("re-encoding of accepted input refused: %v", err)
+			}
+			msg2, _ := wireDecoded(into2)
+			if re2, _ := appendWire(nil, msg2); !bytes.Equal(re2, re) {
+				t.Fatal("accepted input does not round-trip")
+			}
+		}
+	})
+}
+
 // TestWireObservationsCompact pins the codec's reason to exist: a day of
 // observations costs a small fraction of its JSON rendering.
 func TestWireObservationsCompact(t *testing.T) {
@@ -242,9 +347,38 @@ func TestWireObservationsCompact(t *testing.T) {
 	}
 	// The fixed 8-byte signal field keeps raw observations around 4–5x; the
 	// response-side codecs (places, profiles, analytics) compress far more —
-	// the wire benchmarks pin those ratios.
+	// TestWireResponsesCompact pins those ratios.
 	if len(e.Buf)*4 > len(jsonBytes) {
 		t.Errorf("binary observations = %d bytes, want ≤ 1/4 of JSON's %d", len(e.Buf), len(jsonBytes))
+	}
+}
+
+// TestWireResponsesCompact pins the response-side floor on the three hot
+// routes' bodies (the fixtures the Wire benchmarks time): the binary
+// rendering is at most a fifth of JSON's bytes, and encoding it into a
+// reused buffer allocates at most a fifth as often.
+func TestWireResponsesCompact(t *testing.T) {
+	for name, msg := range map[string]any{
+		"discover":      wireDiscoverFixture(),
+		"profile_range": synthProfiles(7),
+		"dwell":         wireDwellFixture,
+	} {
+		jsonBytes, err := json.Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, ok := appendWire(nil, msg)
+		if !ok {
+			t.Fatalf("%s: no binary codec for %T", name, msg)
+		}
+		if len(buf)*5 > len(jsonBytes) {
+			t.Errorf("%s: binary body = %d bytes, want ≤ 1/5 of JSON's %d", name, len(buf), len(jsonBytes))
+		}
+		jsonAllocs := testing.AllocsPerRun(20, func() { _, _ = json.Marshal(msg) })
+		binAllocs := testing.AllocsPerRun(20, func() { buf, _ = appendWire(buf[:0], msg) })
+		if binAllocs*5 > jsonAllocs {
+			t.Errorf("%s: binary encode = %.0f allocs, want ≤ 1/5 of JSON's %.0f", name, binAllocs, jsonAllocs)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package events
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,26 +10,11 @@ import (
 	"repro/internal/obs"
 )
 
-// fanoutRun is one measured row of BENCH_events.json: a hub with one hot user
-// stream, N draining subscribers, and E published events — deliveries per
-// second is the fanout throughput, and the latency columns are hub publish
-// stamp to subscriber receive.
-type fanoutRun struct {
-	Subscribers      int     `json:"subscribers"`
-	Events           int     `json:"events"`
-	QueueCap         int     `json:"queue_cap"`
-	Delivered        uint64  `json:"delivered"`
-	Evicted          int     `json:"evicted"`
-	WallSec          float64 `json:"wall_sec"`
-	DeliveriesPerSec float64 `json:"deliveries_per_sec"`
-	DeliveryP50US    float64 `json:"delivery_p50_us"`
-	DeliveryP99US    float64 `json:"delivery_p99_us"`
-	DeliveryMaxUS    int64   `json:"delivery_max_us"`
-}
-
-// measureFanout runs one fanout measurement. Subscribers drain as fast as
-// they can; the wall clock spans first publish to last receive.
-func measureFanout(subscribers, eventsN, queueCap int) (fanoutRun, error) {
+// measureFanout runs one fanout measurement: a hub with one hot user stream,
+// subscribers draining as fast as they can, and eventsN published events.
+// It returns deliveries per second over first publish to last receive, and
+// the p99 of hub publish stamp to subscriber receive in microseconds.
+func measureFanout(subscribers, eventsN, queueCap int) (deliveriesPerSec, deliveryP99US float64, err error) {
 	h := NewHub(Config{QueueCap: queueCap})
 	defer h.Close()
 
@@ -43,7 +26,6 @@ func measureFanout(subscribers, eventsN, queueCap int) (fanoutRun, error) {
 	var wg sync.WaitGroup
 	hists := make([]obs.HistogramSnapshot, subscribers)
 	received := make([]uint64, subscribers)
-	evicted := make([]bool, subscribers)
 	start := time.Now()
 	for i := range subs {
 		wg.Add(1)
@@ -58,9 +40,6 @@ func measureFanout(subscribers, eventsN, queueCap int) (fanoutRun, error) {
 					break
 				}
 			}
-			if n < uint64(eventsN) && subs[i].Evicted() {
-				evicted[i] = true
-			}
 			subs[i].Close()
 			received[i] = n
 			hists[i] = hist.Snapshot()
@@ -68,7 +47,7 @@ func measureFanout(subscribers, eventsN, queueCap int) (fanoutRun, error) {
 	}
 	for i := 0; i < eventsN; i++ {
 		if !h.Publish(Event{Type: KindPlaceEntry, UserID: "bench", Label: "fanout"}) {
-			return fanoutRun{}, fmt.Errorf("publish %d rejected", i)
+			return 0, 0, fmt.Errorf("publish %d rejected", i)
 		}
 		// Yield between publishes so consumers get scheduled even on a
 		// single-CPU runner; otherwise the measurement degenerates into
@@ -78,34 +57,15 @@ func measureFanout(subscribers, eventsN, queueCap int) (fanoutRun, error) {
 	wg.Wait()
 	wall := time.Since(start)
 
-	run := fanoutRun{
-		Subscribers: subscribers,
-		Events:      eventsN,
-		QueueCap:    queueCap,
-		WallSec:     wall.Seconds(),
+	merged, err := obs.MergeHistogramSnapshots(hists...)
+	if err != nil {
+		return 0, 0, err
 	}
-	merged := hists[0]
-	for i, h := range hists {
-		run.Delivered += received[i]
-		if evicted[i] {
-			run.Evicted++
-		}
-		if i > 0 {
-			var err error
-			if merged, err = obs.MergeHistogramSnapshots(merged, h); err != nil {
-				return fanoutRun{}, err
-			}
-		}
+	var delivered uint64
+	for _, n := range received {
+		delivered += n
 	}
-	if run.WallSec > 0 {
-		run.DeliveriesPerSec = float64(run.Delivered) / run.WallSec
-	}
-	run.DeliveryP50US = merged.Quantile(0.50)
-	run.DeliveryP99US = merged.Quantile(0.99)
-	if merged.Count > 0 {
-		run.DeliveryMaxUS = merged.Max
-	}
-	return run, nil
+	return float64(delivered) / wall.Seconds(), merged.Quantile(0.99), nil
 }
 
 // BenchmarkHubFanout is the CI bench-smoke surface: one hot user stream
@@ -113,59 +73,12 @@ func measureFanout(subscribers, eventsN, queueCap int) (fanoutRun, error) {
 func BenchmarkHubFanout(b *testing.B) {
 	for _, subscribers := range []int{8, 64, 1024} {
 		b.Run(fmt.Sprintf("subs=%d", subscribers), func(b *testing.B) {
-			run, err := measureFanout(subscribers, b.N, 256)
+			perSec, p99, err := measureFanout(subscribers, b.N, 256)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(run.DeliveriesPerSec, "deliveries/s")
-			b.ReportMetric(run.DeliveryP99US, "p99-us")
+			b.ReportMetric(perSec, "deliveries/s")
+			b.ReportMetric(p99, "p99-us")
 		})
-	}
-}
-
-// TestEventsBenchRecord writes the BENCH_events.json artifact when
-// EVENTS_BENCH_OUT names a path: fanout throughput and delivery quantiles at
-// increasing subscriber counts, topping out past the ISSUE's 1k-subscriber
-// floor. Skipped in normal test runs — measurement is not a correctness gate.
-func TestEventsBenchRecord(t *testing.T) {
-	out := os.Getenv("EVENTS_BENCH_OUT")
-	if out == "" {
-		t.Skip("set EVENTS_BENCH_OUT to record the events fanout benchmark")
-	}
-	report := struct {
-		Suite      string `json:"suite"`
-		RecordedAt string `json:"recorded_at"`
-		Host       struct {
-			GoVersion string `json:"go_version"`
-			OS        string `json:"os"`
-			Arch      string `json:"arch"`
-			CPUs      int    `json:"cpus"`
-		} `json:"host"`
-		Runs []fanoutRun `json:"runs"`
-	}{
-		Suite:      "pmware events hub fanout",
-		RecordedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-	report.Host.GoVersion = runtime.Version()
-	report.Host.OS = runtime.GOOS
-	report.Host.Arch = runtime.GOARCH
-	report.Host.CPUs = runtime.NumCPU()
-
-	for _, subscribers := range []int{64, 256, 1024} {
-		run, err := measureFanout(subscribers, 2000, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("subs=%d: %.0f deliveries/s, p99 %.0fµs, %d evicted",
-			run.Subscribers, run.DeliveriesPerSec, run.DeliveryP99US, run.Evicted)
-		report.Runs = append(report.Runs, run)
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

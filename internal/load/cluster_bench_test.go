@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -414,7 +415,12 @@ func TestClusterBenchRecord(t *testing.T) {
 	report := map[string]any{
 		"schema":      1,
 		"recorded_at": time.Now().UTC().Format(time.RFC3339),
-		"host":        CurrentHost(),
+		"host": map[string]any{
+			"go_version": runtime.Version(),
+			"os":         runtime.GOOS,
+			"arch":       runtime.GOARCH,
+			"cpus":       runtime.NumCPU(),
+		},
 		"methodology": map[string]any{
 			"quota_mechanism": "SIGSTOP/SIGCONT consumption governor: nodes bank allowance at the quota rate, thaw together in joint bursts, and are charged actual schedstat nanoseconds; an integral loop trims accrual until the cumulative utime+stime share sits on the target",
 			"slot_ms":         benchSlotMS,

@@ -39,8 +39,8 @@ type SimUser struct {
 }
 
 // UserIdentity returns user i's stable identity without synthesizing
-// anything — the executor needs (imei, email) to build a client before the
-// user's payloads are ever touched.
+// anything — bench/ builds a client from (imei, email) for virtual users
+// whose payloads come from another user's template.
 func UserIdentity(i int) (id, imei, email string) {
 	id = fmt.Sprintf("lu%07d", i)
 	return id, "imei-" + id, id + "@load.invalid"
@@ -71,7 +71,7 @@ type Population struct {
 
 // defaultPayloadCache bounds how many synthesized users stay resident. The
 // per-user payload is a few hundred KB; 4096 users is a few hundred MB worst
-// case while letting hot users (Zipf head) stay cached.
+// case.
 const defaultPayloadCache = 4096
 
 // NewPopulation builds the lazy population for a spec. The world derives

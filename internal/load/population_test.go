@@ -5,17 +5,11 @@ import (
 	"testing"
 )
 
-func popSpec() *Spec {
-	s := DefaultSpec()
-	s.Users = 50
-	return s
-}
-
 // TestPopulationOrderIndependent is the lazy-generation contract: a user's
 // synthesized payloads are identical whether the user is generated alone,
 // after many others, or re-generated after cache eviction.
 func TestPopulationOrderIndependent(t *testing.T) {
-	spec := popSpec()
+	spec := DefaultSpec()
 	key := Key{Seed: 31}
 
 	solo := NewPopulation(spec, key)
@@ -55,7 +49,7 @@ func TestPopulationOrderIndependent(t *testing.T) {
 // monotone trace, validated profiles covering the trace days, and query
 // places that the first profile really contains.
 func TestPopulationPayloads(t *testing.T) {
-	spec := popSpec()
+	spec := DefaultSpec()
 	spec.TraceDays = 2
 	pop := NewPopulation(spec, Key{Seed: 11})
 
@@ -102,7 +96,7 @@ func TestPopulationPayloads(t *testing.T) {
 // TestPopulationCacheBound pins the eviction policy actually bounds
 // residency.
 func TestPopulationCacheBound(t *testing.T) {
-	spec := popSpec()
+	spec := DefaultSpec()
 	pop := NewPopulation(spec, Key{Seed: 3})
 	pop.maxKeep = 4
 	for i := 0; i < 10; i++ {

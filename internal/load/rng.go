@@ -1,17 +1,14 @@
-// Package load is the deterministic load-generation layer behind
-// cmd/pmware-load: it synthesizes an arbitrarily large user population
-// lazily (per-user on demand, never materialized up front), compiles a
-// workload spec into a virtual-time request schedule, executes the schedule
-// against a real PMWare cloud server over HTTP, and emits a machine-readable
-// SLO report (DESIGN.md §12).
+// Package load synthesizes the benchmark's inputs: an arbitrarily large user
+// population, built lazily (per user on demand, never materialized up front),
+// whose GSM traces and day profiles bench/ turns into request templates
+// (DESIGN.md §12). It drives nothing itself; bench/ is the load executor.
 //
 // Determinism is the package's core contract: the same seed and spec
-// reproduce the same request sequence byte-for-byte, on any machine, so a
-// performance trajectory recorded in BENCH_load.json compares successive
-// commits under literally identical offered load. Everything random flows
-// from a Key — a partitioned RNG root that derives one isolated stream per
-// (subsystem, user), so changing how many draws one subsystem consumes never
-// perturbs another subsystem's sequence.
+// synthesize the same users byte-for-byte, on any machine, so successive
+// commits are benchmarked under literally identical inputs. Everything
+// random flows from a Key — a partitioned RNG root that derives one isolated
+// stream per (subsystem, user), so changing how many draws one subsystem
+// consumes never perturbs another subsystem's sequence.
 package load
 
 import (
@@ -24,14 +21,6 @@ import (
 // Subsystem stream names. Each is an isolated RNG universe under a Key:
 // adding draws to one never shifts another (TestStreamIsolation pins this).
 const (
-	// SubsysArrivals paces open-loop request arrivals.
-	SubsysArrivals = "arrivals"
-	// SubsysUsers picks which user issues each request.
-	SubsysUsers = "users"
-	// SubsysRoutes picks each request's route from the spec's mix.
-	SubsysRoutes = "routes"
-	// SubsysThink paces one closed-loop client's think times (per client).
-	SubsysThink = "think"
 	// SubsysPlan draws one user's home/work/haunt plan (per user).
 	SubsysPlan = "plan"
 	// SubsysSchedule drives one user's daily itinerary (per user).
@@ -59,12 +48,6 @@ func (k Key) Stream(parts ...string) *rand.Rand {
 // UserStream returns the per-user stream of a subsystem.
 func (k Key) UserStream(subsystem string, user int) *rand.Rand {
 	return k.Stream(subsystem, strconv.Itoa(user))
-}
-
-// Scoped returns a child Key rooted at the given address — used to give
-// each saturation-ramp step its own full universe of streams.
-func (k Key) Scoped(parts ...string) Key {
-	return Key{Seed: k.streamSeed(parts)}
 }
 
 func (k Key) streamSeed(parts []string) int64 {

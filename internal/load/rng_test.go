@@ -23,15 +23,15 @@ func TestStreamIsolation(t *testing.T) {
 	check := func(seed int64, extraDraws uint8) bool {
 		k := Key{Seed: seed}
 
-		before := drawN(k, 16, SubsysUsers)
+		before := drawN(k, 16, SubsysPlan)
 
 		// Perturb a different subsystem by a seed-dependent amount.
-		other := k.Stream(SubsysArrivals)
+		other := k.Stream(SubsysSensors)
 		for i := 0; i < int(extraDraws); i++ {
 			other.Float64()
 		}
 
-		after := drawN(k, 16, SubsysUsers)
+		after := drawN(k, 16, SubsysPlan)
 		for i := range before {
 			if before[i] != after[i] {
 				return false
@@ -98,27 +98,5 @@ func TestStreamAddressing(t *testing.T) {
 		if same {
 			t.Fatalf("addresses %q and %q produced the same stream", p[0], p[1])
 		}
-	}
-}
-
-// TestScopedKeys pins that scoped keys derive distinct universes that still
-// obey isolation.
-func TestScopedKeys(t *testing.T) {
-	k := Key{Seed: 7}
-	s0 := k.Scoped("ramp", "0")
-	s1 := k.Scoped("ramp", "1")
-	if s0.Seed == s1.Seed || s0.Seed == k.Seed {
-		t.Fatalf("scoped seeds collide: %d %d %d", k.Seed, s0.Seed, s1.Seed)
-	}
-	a := drawN(s0, 8, SubsysArrivals)
-	b := drawN(s1, 8, SubsysArrivals)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("scoped universes share the arrivals stream")
 	}
 }

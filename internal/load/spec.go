@@ -1,375 +1,31 @@
 package load
 
-import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"sort"
-
-	"repro/internal/cloud"
-)
-
-// Harness route names. These are the units of the spec's route mix and of
-// the SLO report; ServerRoute maps each to the label the server's
-// pci_http_requests_total family uses, which is what lets the E2E test pin
-// client-side counts to server-side metric deltas.
-const (
-	// RouteRegister obtains a device token. The schedule generator forces
-	// every user's first request to be a register, whatever the mix says.
-	RouteRegister = "register"
-	// RouteDiscover uploads the user's GSM trace (delta sync after the
-	// first call) and runs place discovery.
-	RouteDiscover = "discover"
-	// RouteObsStream uploads the user's not-yet-acknowledged observations
-	// over the streaming ingest endpoint (chunked batches, online event
-	// detection server-side). Cursor-aware: later calls stream only what
-	// discover or earlier streams have not already synced.
-	RouteObsStream = "obs_stream"
-	// RouteProfilePut syncs one day's mobility profile.
-	RouteProfilePut = "profile_put"
-	// RoutePlacesGet reads the user's discovered places.
-	RoutePlacesGet = "places_get"
-	// RoutePopular reads the k-anonymous popular-places aggregate.
-	RoutePopular = "popular"
-	// RouteProfileRange reads a date range of profiles.
-	RouteProfileRange = "profile_range"
-	// RoutePredictArrival asks for the typical arrival time at a place the
-	// user has profiled. Gated behind the user's first profile_put.
-	RoutePredictArrival = "predict_arrival"
-	// RouteStatsDwell reads dwell statistics for a profiled place. Gated.
-	RouteStatsDwell = "stats_dwell"
-	// RouteStatsFrequency reads visit frequency for a profiled place. Gated.
-	RouteStatsFrequency = "stats_frequency"
-)
-
-// AllRoutes lists every route the harness can drive, in report order.
-func AllRoutes() []string {
-	return []string{
-		RouteRegister, RouteDiscover, RouteObsStream, RouteProfilePut,
-		RoutePlacesGet, RoutePopular, RouteProfileRange, RoutePredictArrival,
-		RouteStatsDwell, RouteStatsFrequency,
-	}
-}
-
-// ServerRoute returns the server-side instrumentation label for a harness
-// route ("" for unknown routes).
-func ServerRoute(route string) string {
-	switch route {
-	case RouteRegister:
-		return "register"
-	case RouteDiscover:
-		return "places_discover"
-	case RouteObsStream:
-		return "obs_stream"
-	case RouteProfilePut:
-		return "profile_put"
-	case RoutePlacesGet:
-		return "places_get"
-	case RoutePopular:
-		return "places_popular"
-	case RouteProfileRange:
-		return "profile_range"
-	case RoutePredictArrival:
-		return "predict_arrival"
-	case RouteStatsDwell:
-		return "stats_dwell"
-	case RouteStatsFrequency:
-		return "stats_frequency"
-	}
-	return ""
-}
-
-// analyticsGated reports whether a route reads per-place analytics that 404
-// until the user has synced at least one profile.
-func analyticsGated(route string) bool {
-	switch route {
-	case RoutePredictArrival, RouteStatsDwell, RouteStatsFrequency:
-		return true
-	}
-	return false
-}
-
-// Spec is the workload description cmd/pmware-load loads from -spec. A
-// (seed, spec) pair fully determines the request sequence; everything that
-// shapes the workload lives here so the spec file plus one integer
-// reproduces a run.
+// Spec shapes the synthesized population: the shared city and how much
+// trace each user carries. A (seed, spec) pair fully determines every user's
+// payloads.
 type Spec struct {
-	// Name labels the spec in reports.
-	Name string `json:"name"`
-	// Users is the population size. Users are synthesized lazily: a run
-	// that touches 3k of 1M users pays for 3k.
-	Users int `json:"users"`
-	// Mode is "open" (arrivals paced by RatePerSec regardless of
-	// completions — the saturation-honest model) or "closed" (Concurrency
-	// clients issuing request, think, request, ...).
-	Mode string `json:"mode"`
-	// RatePerSec is the offered Poisson arrival rate (open mode).
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
-	// Concurrency is the number of executor workers; in closed mode it is
-	// also the number of think-looping clients.
-	Concurrency int `json:"concurrency"`
-	// ThinkTimeMS is the mean exponential think time between one closed
-	// client's requests.
-	ThinkTimeMS int `json:"think_time_ms,omitempty"`
-	// DurationSec is the virtual duration of the main phase's schedule.
-	DurationSec int `json:"duration_sec"`
-	// ZipfS skews user popularity (P(user k) ∝ 1/(k+1)^s). Must be > 1;
-	// 0 means uniform.
-	ZipfS float64 `json:"zipf_s,omitempty"`
-	// RouteMix weights the non-register routes. Weights are relative;
-	// unknown route names are rejected.
-	RouteMix map[string]float64 `json:"route_mix"`
-	// Wire selects the client codec every harness client speaks: "json"
-	// (the default, and what the empty string means) or "bin"/"binary" for
-	// the negotiated application/x-pmware-bin wire format (DESIGN.md §14).
-	// Identical specs differing only in wire are the codec A/B comparison:
-	// same schedule, same payloads, different encoding.
-	Wire string `json:"wire,omitempty"`
-
-	// World/population shape.
-
 	// WorldSeed generates the shared city (towers, public venues).
-	WorldSeed int64 `json:"world_seed"`
+	WorldSeed int64
 	// ExtentMeters is the city's half-width.
-	ExtentMeters float64 `json:"extent_meters"`
+	ExtentMeters float64
 	// HauntsPerUser is how many public venues each user frequents.
-	HauntsPerUser int `json:"haunts_per_user"`
+	HauntsPerUser int
 	// TraceDays is how many days of itinerary each user's trace and
 	// profiles cover.
-	TraceDays int `json:"trace_days"`
+	TraceDays int
 	// ObsIntervalSec is the GSM sampling period within those days.
-	ObsIntervalSec int `json:"obs_interval_sec"`
-
-	// Subscribers, when set, rides K concurrent SSE event subscribers along
-	// the main phase and reports publish-to-receive delivery latency.
-	Subscribers *SubscribersSpec `json:"subscribers,omitempty"`
-
-	// Ramp, when set, runs a saturation search after the main phase.
-	Ramp *RampSpec `json:"ramp,omitempty"`
-	// SLO bounds what counts as a passing ramp step.
-	SLO *SLOSpec `json:"slo,omitempty"`
+	ObsIntervalSec int
 }
 
-// SubscribersSpec describes the SSE subscriber side-channel: Count
-// subscribers attach before the main phase starts (subscriber i as user
-// i mod Users) and detach after it ends. They receive the events the
-// obs_stream route's ingest publishes for their user; each event's
-// publish-to-receive latency feeds the report's delivery quantiles.
-type SubscribersSpec struct {
-	// Count is how many concurrent subscribers to run.
-	Count int `json:"count"`
-	// Buffer overrides each subscriber's client-side channel buffer
-	// (0 = the client default).
-	Buffer int `json:"buffer,omitempty"`
-}
-
-// RampSpec describes the saturation search: open-loop steps at
-// geometrically increasing offered rates until a step misses the SLO.
-type RampSpec struct {
-	StartRPS        float64 `json:"start_rps"`
-	MaxRPS          float64 `json:"max_rps"`
-	Factor          float64 `json:"factor"`
-	StepDurationSec int     `json:"step_duration_sec"`
-}
-
-// SLOSpec is the pass criterion for a ramp step.
-type SLOSpec struct {
-	// MinAchievedFrac is the fraction of the offered rate the step must
-	// actually sustain (default 0.95).
-	MinAchievedFrac float64 `json:"min_achieved_frac,omitempty"`
-	// MaxErrorRate bounds (5xx + transport errors) / requests
-	// (default 0.01). 429s are backpressure, not errors, and are reported
-	// separately.
-	MaxErrorRate float64 `json:"max_error_rate,omitempty"`
-	// MaxP99MS, when > 0, additionally bounds the all-route p99.
-	MaxP99MS float64 `json:"max_p99_ms,omitempty"`
-}
-
-// DefaultSLO returns the ramp pass criterion used when the spec omits one.
-func DefaultSLO() SLOSpec {
-	return SLOSpec{MinAchievedFrac: 0.95, MaxErrorRate: 0.01}
-}
-
-// DefaultSpec returns a small, fully populated spec — the starting point
-// for writing spec files (cmd/pmware-load -print-spec emits it).
+// DefaultSpec returns the population shape bench/ starts from: the city
+// cmd/pmware-cloud builds its cell database from by default, one day of
+// trace sampled every five minutes.
 func DefaultSpec() *Spec {
 	return &Spec{
-		Name:        "default",
-		Users:       1000,
-		Mode:        "closed",
-		Concurrency: 8,
-		ThinkTimeMS: 250,
-		DurationSec: 30,
-		RouteMix: map[string]float64{
-			RouteDiscover:       0.15,
-			RouteProfilePut:     0.25,
-			RoutePlacesGet:      0.20,
-			RoutePopular:        0.10,
-			RouteProfileRange:   0.05,
-			RoutePredictArrival: 0.10,
-			RouteStatsDwell:     0.05,
-			RouteStatsFrequency: 0.10,
-		},
 		WorldSeed:      2014,
 		ExtentMeters:   2600,
 		HauntsPerUser:  7,
 		TraceDays:      1,
 		ObsIntervalSec: 300,
 	}
-}
-
-// LoadSpec reads and validates a spec file.
-func LoadSpec(path string) (*Spec, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("load: read spec: %w", err)
-	}
-	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, fmt.Errorf("load: parse spec %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("load: spec %s: %w", path, err)
-	}
-	return &s, nil
-}
-
-// Validate checks the spec is runnable.
-func (s *Spec) Validate() error {
-	if s.Users <= 0 {
-		return fmt.Errorf("users must be positive")
-	}
-	if s.DurationSec <= 0 {
-		return fmt.Errorf("duration_sec must be positive")
-	}
-	switch s.Mode {
-	case "open":
-		if s.RatePerSec <= 0 {
-			return fmt.Errorf("open mode needs rate_per_sec > 0")
-		}
-	case "closed":
-		if s.ThinkTimeMS <= 0 {
-			return fmt.Errorf("closed mode needs think_time_ms > 0")
-		}
-	default:
-		return fmt.Errorf("mode must be \"open\" or \"closed\", got %q", s.Mode)
-	}
-	if s.Concurrency <= 0 {
-		return fmt.Errorf("concurrency must be positive")
-	}
-	if s.ZipfS != 0 && s.ZipfS <= 1 {
-		return fmt.Errorf("zipf_s must be > 1 (or 0 for uniform)")
-	}
-	if len(s.RouteMix) == 0 {
-		return fmt.Errorf("route_mix must not be empty")
-	}
-	total := 0.0
-	for route, w := range s.RouteMix {
-		if ServerRoute(route) == "" {
-			return fmt.Errorf("route_mix: unknown route %q", route)
-		}
-		if route == RouteRegister {
-			return fmt.Errorf("route_mix: register is implicit (every user's first request); do not weight it")
-		}
-		if w < 0 {
-			return fmt.Errorf("route_mix: negative weight for %q", route)
-		}
-		total += w
-	}
-	if total <= 0 {
-		return fmt.Errorf("route_mix: weights sum to zero")
-	}
-	if _, err := cloud.ParseWireCodec(s.Wire); err != nil {
-		return fmt.Errorf("wire: must be \"json\" or \"bin\", got %q", s.Wire)
-	}
-	if s.ExtentMeters <= 0 {
-		return fmt.Errorf("extent_meters must be positive")
-	}
-	if s.HauntsPerUser < 0 {
-		return fmt.Errorf("haunts_per_user must not be negative")
-	}
-	if s.TraceDays <= 0 {
-		return fmt.Errorf("trace_days must be positive")
-	}
-	if s.ObsIntervalSec <= 0 {
-		return fmt.Errorf("obs_interval_sec must be positive")
-	}
-	if sub := s.Subscribers; sub != nil {
-		if sub.Count <= 0 {
-			return fmt.Errorf("subscribers: count must be positive")
-		}
-		if sub.Buffer < 0 {
-			return fmt.Errorf("subscribers: buffer must not be negative")
-		}
-	}
-	if r := s.Ramp; r != nil {
-		if r.StartRPS <= 0 || r.MaxRPS < r.StartRPS {
-			return fmt.Errorf("ramp: need 0 < start_rps <= max_rps")
-		}
-		if r.Factor <= 1 {
-			return fmt.Errorf("ramp: factor must be > 1")
-		}
-		if r.StepDurationSec <= 0 {
-			return fmt.Errorf("ramp: step_duration_sec must be positive")
-		}
-	}
-	if s.SLO != nil {
-		if s.SLO.MinAchievedFrac < 0 || s.SLO.MinAchievedFrac > 1 {
-			return fmt.Errorf("slo: min_achieved_frac must be in [0,1]")
-		}
-		if s.SLO.MaxErrorRate < 0 || s.SLO.MaxErrorRate > 1 {
-			return fmt.Errorf("slo: max_error_rate must be in [0,1]")
-		}
-	}
-	return nil
-}
-
-// slo returns the effective SLO with defaults applied.
-func (s *Spec) slo() SLOSpec {
-	out := DefaultSLO()
-	if s.SLO != nil {
-		if s.SLO.MinAchievedFrac > 0 {
-			out.MinAchievedFrac = s.SLO.MinAchievedFrac
-		}
-		if s.SLO.MaxErrorRate > 0 {
-			out.MaxErrorRate = s.SLO.MaxErrorRate
-		}
-		out.MaxP99MS = s.SLO.MaxP99MS
-	}
-	return out
-}
-
-// mixEntries returns the route mix as a deterministically ordered list with
-// cumulative weights, independent of map iteration order.
-func (s *Spec) mixEntries() (routes []string, cum []float64) {
-	routes = make([]string, 0, len(s.RouteMix))
-	for r, w := range s.RouteMix {
-		if w > 0 {
-			routes = append(routes, r)
-		}
-	}
-	sort.Strings(routes)
-	cum = make([]float64, len(routes))
-	total := 0.0
-	for i, r := range routes {
-		total += s.RouteMix[r]
-		cum[i] = total
-	}
-	return routes, cum
-}
-
-// Hash returns the FNV-64a of the spec's canonical JSON encoding —
-// the identity stamped into traces and reports so a trajectory entry can be
-// matched back to the exact workload that produced it.
-func (s *Spec) Hash() uint64 {
-	// encoding/json sorts map keys, so Marshal of the struct is canonical.
-	raw, err := json.Marshal(s)
-	if err != nil {
-		// A Spec is plain data; Marshal cannot fail on one.
-		panic(fmt.Sprintf("load: marshal spec: %v", err))
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(raw)
-	return h.Sum64()
 }

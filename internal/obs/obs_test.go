@@ -55,6 +55,11 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Snapshot().Counts[2]; got != 1 {
 		t.Fatalf("ObserveDuration(250us) landed wrong: buckets %v", h.Snapshot().Counts)
 	}
+	// Snapshots over different bounds do not merge.
+	other := NewHistogram([]int64{10, 100, 2000}).Snapshot()
+	if _, err := MergeHistogramSnapshots(h.Snapshot(), other); err == nil {
+		t.Fatal("merging mismatched bounds succeeded")
+	}
 }
 
 func TestCounterVecAndFamilyTotal(t *testing.T) {

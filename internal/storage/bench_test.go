@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// The benchmarks behind BENCH_storage.json. The shard-scaling pair is the
-// acceptance measurement for the sharded engine: identical record volume,
-// identical fsync policy, only the shard count (and hence lock contention)
-// differs. Run with:
+// The storage micro-benchmarks (DESIGN.md §8, §9). The shard-scaling pair is
+// the acceptance measurement for the sharded engine: identical record
+// volume, identical fsync policy, only the shard count (and hence lock
+// contention) differs. Run with:
 //
 //	go test ./internal/storage -run '^$' -bench . -benchmem
 func benchEngine(b *testing.B, shards int, opts Options) (*Engine, []*kvState) {

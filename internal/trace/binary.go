@@ -81,17 +81,17 @@ func AppendObservations(e *BinaryEncoder, obs []GSMObservation) {
 // DecodeObservations decodes one observation block. An empty block decodes
 // to nil. On malformed input it returns nil and leaves the error on d.
 func DecodeObservations(d *BinaryDecoder) []GSMObservation {
-	n := d.Uvarint()
+	n := d.Int()
 	if d.Err() != nil || n == 0 {
 		return nil
 	}
 	// The count is attacker-controlled; size the initial allocation by what
 	// the remaining bytes could plausibly hold (>= 14 bytes per observation)
 	// and let append grow it if the data is real.
-	capHint := min(int(n), d.Rest()/14+1)
+	capHint := min(n, d.Rest()/14+1)
 	out := make([]GSMObservation, 0, capHint)
 	var prev world.CellID
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var o GSMObservation
 		o.At = d.Time()
 		o.Cell.MCC = prev.MCC + int(d.Varint())

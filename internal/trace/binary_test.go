@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"strings"
@@ -285,4 +286,47 @@ func TestParentFormatPin(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("parent bundle re-encodes to different bytes (%d vs %d)", got.Len(), len(want))
 	}
+}
+
+// FuzzDecodeObservations: arbitrary bytes never panic the block decoder; a
+// block it accepts holds no more observations than its bytes can carry (13
+// at the least: one timestamp byte, four cell bytes, the fixed signal), was
+// not sized by the count's say-so, and re-encodes to the bytes it consumed.
+func FuzzDecodeObservations(f *testing.F) {
+	var e BinaryEncoder
+	AppendObservations(&e, randomObservations(rand.New(rand.NewSource(903)), 50)) // TestObservationBlockTruncation's fixture
+	f.Add(e.Buf)
+	f.Add(e.Buf[:len(e.Buf)/2])
+	f.Add([]byte{0})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // TestObservationBlockBogusCount
+	// A count past MaxInt64 used to reach make() as a negative capacity.
+	f.Add(append(binary.AppendUvarint(nil, 1<<63), make([]byte, 40)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewBinaryDecoder(data)
+		obs := DecodeObservations(d)
+		if d.Err() != nil {
+			if obs != nil {
+				t.Fatalf("%d observations alongside %v", len(obs), d.Err())
+			}
+			return
+		}
+		if len(obs)*13 > len(data) || cap(obs) > len(data) {
+			t.Fatalf("%d observations (cap %d) from %d bytes", len(obs), cap(obs), len(data))
+		}
+		consumed := data[:len(data)-d.Rest()]
+		var re BinaryEncoder
+		AppendObservations(&re, obs)
+		if !bytes.Equal(re.Buf, consumed) {
+			// Non-minimal varints are the one way two inputs share a meaning.
+			d2 := NewBinaryDecoder(re.Buf)
+			var re2 BinaryEncoder
+			AppendObservations(&re2, DecodeObservations(d2))
+			if d2.Err() != nil || !bytes.Equal(re2.Buf, re.Buf) {
+				t.Fatalf("accepted input does not round-trip (%v)", d2.Err())
+			}
+			if len(re.Buf) > len(consumed) {
+				t.Fatalf("re-encoding grew %d → %d bytes", len(consumed), len(re.Buf))
+			}
+		}
+	})
 }
