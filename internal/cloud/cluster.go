@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -139,60 +138,46 @@ func (s *Store) userIDs() []string {
 // map reads against concurrent shipped applies, not the snapshot/stream
 // consistency the gate provides.
 func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipRecord, error) {
-	type expUser struct {
-		u   User
-		key string
-	}
-	var users []expUser
+	var users []User
 	s.eng.View(0, func() {
 		for id, u := range s.meta.users {
 			if own(id) {
-				users = append(users, expUser{u: *u, key: deviceKey(u.IMEI, u.Email)})
+				users = append(users, *u)
 			}
 		}
 	})
-	sort.Slice(users, func(i, j int) bool { return users[i].u.ID < users[j].u.ID })
+	sort.Slice(users, func(i, j int) bool { return users[i].ID < users[j].ID })
 
+	// The receiver journals these bytes verbatim, and its WAL (and the batch
+	// decoder before it) refuses a record over the engine's bound: a user
+	// that large fails here, by name, instead of as a resync that never lands.
 	var recs []cluster.ShipRecord
-	add := func(engine uint8, shard int, rec any) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
+	var err error
+	add := func(engine uint8, shard int, rec *record) {
+		b := encodeRecord(rec)
+		if len(b) > storage.MaxRecordSize && err == nil {
+			err = fmt.Errorf("cloud: user %s exports a %d-byte %v record, over storage.MaxRecordSize", rec.UserID, len(b), rec.Op)
 		}
 		recs = append(recs, cluster.ShipRecord{Engine: engine, Shard: shard, Rec: b})
-		return nil
 	}
-	for _, eu := range users {
-		uid := eu.u.ID
-		if err := add(cluster.EngineMain, 0, &walRecord{Op: opRegister, User: &eu.u, DeviceKey: eu.key}); err != nil {
-			return nil, err
-		}
+	for _, u := range users {
+		uid := u.ID
+		add(cluster.EngineMain, 0, &record{Op: opRegister, UserID: uid, IMEI: u.IMEI, Email: u.Email})
 		idx, d := s.dataFor(uid)
-		var err error
 		s.eng.View(idx, func() {
-			err = add(cluster.EngineMain, idx, &walRecord{
-				Op:         opSyncUser,
-				UserID:     uid,
-				Places:     d.places[uid],
-				Routes:     d.routes[uid],
-				Profiles:   d.profiles[uid],
-				Encounters: d.contacts[uid],
-			})
+			add(cluster.EngineMain, idx, syncUserRecord(uid, d.places[uid], d.routes[uid], d.profiles[uid], d.contacts[uid]))
 		})
-		if err != nil {
-			return nil, err
-		}
 		tidx := s.traceShard(uid)
 		s.traceEng.View(tidx, func() {
 			if ut := s.traces[tidx].users[uid]; ut != nil {
-				err = add(cluster.EngineTrace, tidx, &traceRecord{Op: opTraceReplace, UserID: uid, Observations: ut.obs})
+				add(cluster.EngineTrace, tidx, &record{Op: opTraceReplace, UserID: uid, Observations: ut.obs})
 			} else {
-				err = add(cluster.EngineTrace, tidx, &traceRecord{Op: opTraceDrop, UserID: uid})
+				add(cluster.EngineTrace, tidx, &record{Op: opTraceDrop, UserID: uid})
 			}
 		})
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
@@ -210,33 +195,19 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 // a crash mid-drop leaves the user discoverable.
 func (s *Store) dropUsersLocked(uids []string) error {
 	for _, uid := range uids {
-		var key string
-		s.eng.View(0, func() {
-			if u := s.meta.users[uid]; u != nil {
-				key = deviceKey(u.IMEI, u.Email)
-			}
-		})
 		// Eager (not the deferred AppendShippedBatch path): the dropped users
 		// must vanish from in-memory state before the handoff acks.
-		drop := func(engine uint8, shard int, rec any) error {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			eng, err := s.engineFor(engine, shard)
-			if err != nil {
-				return err
-			}
-			return eng.ApplyShipped(shard, b)
+		drop := func(eng *storage.Engine, shard int, o op) error {
+			return eng.ApplyShipped(shard, encodeRecord(&record{Op: o, UserID: uid}))
 		}
 		idx, _ := s.dataFor(uid)
-		if err := drop(cluster.EngineMain, idx, &walRecord{Op: opDropUser, UserID: uid}); err != nil {
+		if err := drop(s.eng, idx, opDropUser); err != nil {
 			return err
 		}
-		if err := drop(cluster.EngineTrace, s.traceShard(uid), &traceRecord{Op: opTraceDrop, UserID: uid}); err != nil {
+		if err := drop(s.traceEng, s.traceShard(uid), opTraceDrop); err != nil {
 			return err
 		}
-		if err := drop(cluster.EngineMain, 0, &walRecord{Op: opDropMeta, UserID: uid, DeviceKey: key}); err != nil {
+		if err := drop(s.eng, 0, opDropMeta); err != nil {
 			return err
 		}
 	}

@@ -419,9 +419,9 @@ func TestReplEpochMismatchForcesResync(t *testing.T) {
 }
 
 // TestReplResyncBinaryBody pins what the resync — the largest node-to-node
-// message — costs on the wire: a user with a ≥1 MB trace resyncs in a body
-// within 5 % of the records it carries (the JSON envelope base64'd every
-// record: ≥ 1.33×), and the resynced follower ends byte-identical to the
+// message — costs on the wire: a user with a ≥1 MB trace (64 000 observations
+// at ~18 B each in the record codec) resyncs in a body within 5 % of the
+// records it carries, and the resynced follower ends byte-identical to the
 // primary. JSON on the sync endpoint is 415 and applies nothing.
 func TestReplResyncBinaryBody(t *testing.T) {
 	const shards = 2
@@ -433,7 +433,7 @@ func TestReplResyncBinaryBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	uid := reg.UserID
-	if _, _, err := primary.SyncTrace(uid, false, 0, 0, testObs(12000)); err != nil {
+	if _, _, err := primary.SyncTrace(uid, false, 0, 0, testObs(64000)); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.PutProfile(uid, &profile.DayProfile{UserID: uid, Date: "2014-03-10"}); err != nil {

@@ -560,7 +560,7 @@ func TestClusterHandoffAdmission(t *testing.T) {
 	if err := dest.cn.AdoptRing(cluster.NewRing(3, v1.Nodes, v1.VNodes)); err != nil {
 		t.Fatal(err)
 	}
-	ghost, _ := json.Marshal(&walRecord{Op: opRegister, User: &User{ID: "ghost", IMEI: "g", Email: "g"}, DeviceKey: deviceKey("g", "g")})
+	ghost := encodeRecord(&record{Op: opRegister, UserID: "ghost", IMEI: "g", Email: "g"})
 	post := func(req cluster.BatchRequest) cluster.BatchResponse {
 		t.Helper()
 		req.From = sender.id

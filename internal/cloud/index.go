@@ -75,17 +75,8 @@ func newUserIndex() *userIndex {
 	}
 }
 
-// buildUserIndex rebuilds from scratch — the snapshot-restore and bulk-load
-// path.
-func buildUserIndex(days map[string]*profile.DayProfile) *userIndex {
-	ux := newUserIndex()
-	for _, p := range days {
-		ux.putDay(p)
-	}
-	return ux
-}
-
-// putDay upserts one day — the incremental step for opPutProfile. A day's
+// putDay upserts one day — the incremental step for opPutProfile, and in date
+// order (each an append) how opSyncUser rebuilds a user from scratch. A day's
 // contributions depend only on that day's profile (cross-day state is read
 // at query time through prevDate), so an upsert retracts and re-adds one
 // day's segments and never touches a neighbor.

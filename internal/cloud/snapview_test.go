@@ -12,11 +12,11 @@ import (
 )
 
 // The off-lock snapshot view property (DESIGN.md §16): for every shard-state
-// kind, the streaming view encoder must produce byte-for-byte the output of
-// Snapshot() at capture time — even while later mutations land on the live
-// state — and RestoreStream(those bytes) must reconstruct the same state as
-// Restore. Cluster equivalence compares data directories byte-identically,
-// so "semantically equal" is not enough here.
+// kind, the view encoder must produce byte-for-byte the output of Snapshot()
+// at capture time — even while later mutations land on the live state, which
+// shares structure with the view — and RestoreStream(those bytes) must
+// reconstruct the same state as Restore. Cluster equivalence compares data
+// directories byte-identically, so "semantically equal" is not enough here.
 
 func randPlaces(rng *rand.Rand, n int) []PlaceWire {
 	out := make([]PlaceWire, n)
@@ -38,14 +38,14 @@ func randDataState(t *testing.T, rng *rand.Rand, users int) *dataState {
 	d := newDataState()
 	for u := 0; u < users; u++ {
 		uid := fmt.Sprintf("u%03d", u)
-		recs := []*walRecord{
+		recs := []*record{
 			{Op: opSetPlaces, UserID: uid, Places: randPlaces(rng, 1+rng.Intn(4))},
 			{Op: opSetRoutes, UserID: uid, Routes: []RouteWire{{ID: 1, Cells: []world.CellID{{MCC: 1, CID: rng.Intn(99)}}}}},
 			{Op: opAddContacts, UserID: uid, Encounters: []profile.Encounter{{ContactID: "x", PlaceID: "home"}}},
 		}
 		for day := 0; day < 1+rng.Intn(3); day++ {
 			date := fmt.Sprintf("2014-03-%02d", day+1)
-			recs = append(recs, &walRecord{Op: opPutProfile, UserID: uid, Profile: genDayProfile(rng, uid, date)})
+			recs = append(recs, &record{Op: opPutProfile, UserID: uid, Profile: genDayProfile(rng, uid, date)})
 		}
 		for _, rec := range recs {
 			if err := d.apply(rec); err != nil {
@@ -72,7 +72,7 @@ func TestDataSnapshotViewMatchesSnapshot(t *testing.T) {
 	// Mutate the live state while the view is outstanding: the exact ops
 	// that share structure with the captured view (in-place label writes,
 	// same-user profile puts, contact appends, drops).
-	muts := []*walRecord{
+	muts := []*record{
 		{Op: opLabelPlace, UserID: "u000", PlaceID: 1, Label: "changed"},
 		{Op: opPutProfile, UserID: "u001", Profile: genDayProfile(rng, "u001", "2014-03-01")},
 		{Op: opPutProfile, UserID: "u001", Profile: genDayProfile(rng, "u001", "2014-03-20")},
@@ -123,7 +123,7 @@ func TestMetaSnapshotViewMatchesSnapshot(t *testing.T) {
 	m := newMetaState()
 	for i := 0; i < 10; i++ {
 		uid := fmt.Sprintf("u%d", i)
-		if err := m.apply(&walRecord{Op: opRegister, User: &User{ID: uid, IMEI: fmt.Sprintf("imei%d", i)}, DeviceKey: fmt.Sprintf("dk%d", i)}); err != nil {
+		if err := m.apply(&record{Op: opRegister, UserID: uid, IMEI: fmt.Sprintf("imei%d", i), Email: "e"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,10 +136,10 @@ func TestMetaSnapshotViewMatchesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Register and drop while the view is outstanding.
-	if err := m.apply(&walRecord{Op: opRegister, User: &User{ID: "late"}, DeviceKey: "dk-late"}); err != nil {
+	if err := m.apply(&record{Op: opRegister, UserID: "late", IMEI: "imei-late", Email: "e"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.apply(&walRecord{Op: opDropMeta, UserID: "u3", DeviceKey: "dk3"}); err != nil {
+	if err := m.apply(&record{Op: opDropMeta, UserID: "u3"}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -172,7 +172,7 @@ func TestTraceSnapshotViewMatchesSnapshot(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		uid := fmt.Sprintf("u%d", i)
-		if err := ts.apply(&traceRecord{Op: opTraceAppend, UserID: uid, Observations: obsFor(1 + rng.Intn(20))}); err != nil {
+		if err := ts.apply(&record{Op: opTraceAppend, UserID: uid, Observations: obsFor(1 + rng.Intn(20))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,13 +186,13 @@ func TestTraceSnapshotViewMatchesSnapshot(t *testing.T) {
 	}
 	// Appends and a replace while the view is outstanding — the append case
 	// is the one that shares a backing array with the captured headers.
-	if err := ts.apply(&traceRecord{Op: opTraceAppend, UserID: "u0", Observations: obsFor(5)}); err != nil {
+	if err := ts.apply(&record{Op: opTraceAppend, UserID: "u0", Observations: obsFor(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.apply(&traceRecord{Op: opTraceReplace, UserID: "u1", Observations: obsFor(3)}); err != nil {
+	if err := ts.apply(&record{Op: opTraceReplace, UserID: "u1", Observations: obsFor(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.apply(&traceRecord{Op: opTraceDrop, UserID: "u2"}); err != nil {
+	if err := ts.apply(&record{Op: opTraceDrop, UserID: "u2"}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

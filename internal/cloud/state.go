@@ -2,56 +2,19 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/profile"
 )
 
-// This file is the journaling side of the Store: the WAL record schema, the
-// two shard-state kinds the storage engine manages (registration keyspace,
-// per-user data keyspace), and the deep-copy helpers that keep journaled
-// state isolated from callers.
-
-// WAL op codes. These are a persistence format: renaming one breaks replay
-// of existing data directories.
-const (
-	opRegister    = "register"
-	opSetPlaces   = "set_places"
-	opLabelPlace  = "label_place"
-	opSetRoutes   = "set_routes"
-	opPutProfile  = "put_profile"
-	opAddContacts = "add_contacts"
-	opSyncUser    = "sync_user" // cluster resync/handoff: replace one user's data wholesale
-	opDropUser    = "drop_user" // cluster handoff: remove one user's data from this node
-	opDropMeta    = "drop_meta" // cluster handoff: remove one user's registration
-)
-
-// walRecord is the journaled form of every Store mutation. One struct for
-// all ops keeps the codec trivial; unused fields are omitted from the JSON.
-type walRecord struct {
-	Op string `json:"op"`
-
-	// opRegister
-	User      *User  `json:"user,omitempty"`
-	DeviceKey string `json:"device_key,omitempty"`
-
-	// data ops
-	UserID     string              `json:"user_id,omitempty"`
-	Places     []PlaceWire         `json:"places,omitempty"`
-	PlaceID    int                 `json:"place_id,omitempty"`
-	Label      string              `json:"label,omitempty"`
-	Routes     []RouteWire         `json:"routes,omitempty"`
-	Profile    *profile.DayProfile `json:"profile,omitempty"`
-	Encounters []profile.Encounter `json:"encounters,omitempty"`
-
-	// opSyncUser: the user's whole per-day history (Places/Routes/Encounters
-	// above carry the rest of the wholesale state).
-	Profiles map[string]*profile.DayProfile `json:"profiles,omitempty"`
-}
+// This file is the journaling side of the Store: the two shard-state kinds
+// the storage engine manages (registration keyspace, per-user data keyspace),
+// their single mutation path, and the deep-copy helpers that keep journaled
+// state isolated from callers. The record they apply is record.go's.
 
 // metaState is shard 0: the registration keyspace.
 type metaState struct {
@@ -63,40 +26,28 @@ func newMetaState() *metaState {
 	return &metaState{users: map[string]*User{}, byDevice: map[string]string{}}
 }
 
-// metaSnapshot is the persisted form of metaState.
-type metaSnapshot struct {
-	Users    map[string]*User  `json:"users"`
-	ByDevice map[string]string `json:"by_device"`
-}
-
-func (m *metaState) apply(rec *walRecord) error {
+func (m *metaState) apply(rec *record) error {
 	switch rec.Op {
 	case opRegister:
-		if rec.User == nil || rec.User.ID == "" {
+		if rec.UserID == "" {
 			return fmt.Errorf("cloud: register record without user")
 		}
-		m.users[rec.User.ID] = rec.User
-		m.byDevice[rec.DeviceKey] = rec.User.ID
+		m.users[rec.UserID] = &User{ID: rec.UserID, IMEI: rec.IMEI, Email: rec.Email}
+		m.byDevice[deviceKey(rec.IMEI, rec.Email)] = rec.UserID
 	case opDropMeta:
-		delete(m.users, rec.UserID)
-		delete(m.byDevice, rec.DeviceKey)
+		if u := m.users[rec.UserID]; u != nil {
+			delete(m.byDevice, deviceKey(u.IMEI, u.Email))
+			delete(m.users, rec.UserID)
+		}
 	default:
-		return fmt.Errorf("cloud: meta shard cannot apply op %q", rec.Op)
+		return fmt.Errorf("cloud: meta shard cannot apply a %v record", rec.Op)
 	}
 	return nil
 }
 
-func (m *metaState) Apply(b []byte) error {
-	var rec walRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return fmt.Errorf("cloud: decode meta record: %w", err)
-	}
-	return m.apply(&rec)
-}
+func (m *metaState) Apply(b []byte) error { return applyEncoded(b, m.apply) }
 
-func (m *metaState) Snapshot() ([]byte, error) {
-	return json.Marshal(metaSnapshot{Users: m.users, ByDevice: m.byDevice})
-}
+func (m *metaState) Snapshot() ([]byte, error) { return snapshotBytes(m) }
 
 func (m *metaState) Restore(b []byte) error { return m.RestoreStream(bytes.NewReader(b)) }
 
@@ -104,7 +55,7 @@ func (m *metaState) Restore(b []byte) error { return m.RestoreStream(bytes.NewRe
 // hashed onto it, plus the derived state apply maintains alongside it — the
 // per-user analytics index and the places change-version counters the
 // popular-places cache invalidates on. Derived state is never journaled or
-// snapshotted: replay and restore rebuild it through apply/install.
+// snapshotted: replay and restore rebuild it through apply.
 type dataState struct {
 	places   map[string][]PlaceWire
 	routes   map[string][]RouteWire
@@ -118,9 +69,10 @@ type dataState struct {
 	// snapViews counts outstanding off-lock snapshot views (snapview.go).
 	// While non-zero, apply copy-on-writes the inner structures a view may
 	// share instead of mutating them in place. A pointer so the count
-	// survives install's *d = *fresh value copy only when the maps it guards
-	// do — install replaces every map wholesale, so its fresh zero counter
-	// correctly stops the copy-on-write for structures no view references.
+	// survives a restore's *d = *fresh value copy only when the maps it
+	// guards do — a restore replaces every map wholesale, so its fresh zero
+	// counter correctly stops the copy-on-write for structures no view
+	// references.
 	snapViews *int32
 }
 
@@ -137,25 +89,28 @@ func newDataState() *dataState {
 }
 
 // bumpPlaces marks the user's places as changed. ver only ever grows (even
-// across install), so a (user, gen) pair is never reissued and stale cache
+// across a restore), so a (user, gen) pair is never reissued and stale cache
 // hits are impossible.
 func (d *dataState) bumpPlaces(userID string) {
 	d.ver++
 	d.placesGen[userID] = d.ver
 }
 
-// dataSnapshot is the persisted form of dataState.
-type dataSnapshot struct {
-	Places   map[string][]PlaceWire                    `json:"places"`
-	Routes   map[string][]RouteWire                    `json:"routes"`
-	Profiles map[string]map[string]*profile.DayProfile `json:"profiles"`
-	Contacts map[string][]profile.Encounter            `json:"contacts"`
+// setOrDelete stores a user's list, or removes the user's entry when the list
+// is empty: the state never holds an empty entry, so a user is present exactly
+// when there is something to snapshot and restore(snapshot) is the identity.
+func setOrDelete[V any](m map[string][]V, userID string, v []V) {
+	if len(v) == 0 {
+		delete(m, userID)
+	} else {
+		m[userID] = v
+	}
 }
 
 // apply is the single mutation path: live Store calls and crash-recovery
 // replay both go through it, so a replayed log reproduces the exact state
 // the acknowledged calls built.
-func (d *dataState) apply(rec *walRecord) error {
+func (d *dataState) apply(rec *record) error {
 	switch rec.Op {
 	case opSetPlaces:
 		// Carry labels from the previous generation by place ID (discovery
@@ -171,7 +126,7 @@ func (d *dataState) apply(rec *walRecord) error {
 				rec.Places[i].Label = labels[rec.Places[i].ID]
 			}
 		}
-		d.places[rec.UserID] = rec.Places
+		setOrDelete(d.places, rec.UserID, rec.Places)
 		d.bumpPlaces(rec.UserID)
 	case opLabelPlace:
 		ps := d.places[rec.UserID]
@@ -188,7 +143,7 @@ func (d *dataState) apply(rec *walRecord) error {
 		}
 		return fmt.Errorf("cloud: user %s has no place %d", rec.UserID, rec.PlaceID)
 	case opSetRoutes:
-		d.routes[rec.UserID] = rec.Routes
+		setOrDelete(d.routes, rec.UserID, rec.Routes)
 	case opPutProfile:
 		if rec.Profile == nil {
 			return fmt.Errorf("cloud: put_profile record without profile")
@@ -212,32 +167,27 @@ func (d *dataState) apply(rec *walRecord) error {
 		}
 		ux.putDay(rec.Profile)
 	case opAddContacts:
-		d.contacts[rec.UserID] = append(d.contacts[rec.UserID], rec.Encounters...)
+		if len(rec.Encounters) > 0 {
+			d.contacts[rec.UserID] = append(d.contacts[rec.UserID], rec.Encounters...)
+		}
 	case opSyncUser:
-		// Wholesale replacement of one user (cluster resync/handoff). Only
-		// this user's entries change; the rest of the shard — which may be
-		// primary data owned by the receiving node — is untouched.
-		if rec.Places == nil {
-			delete(d.places, rec.UserID)
-		} else {
-			d.places[rec.UserID] = rec.Places
-		}
-		if rec.Routes == nil {
-			delete(d.routes, rec.UserID)
-		} else {
-			d.routes[rec.UserID] = rec.Routes
-		}
-		if rec.Profiles == nil {
-			delete(d.profiles, rec.UserID)
-			delete(d.idx, rec.UserID)
-		} else {
-			d.profiles[rec.UserID] = rec.Profiles
-			d.idx[rec.UserID] = buildUserIndex(rec.Profiles)
-		}
-		if rec.Encounters == nil {
-			delete(d.contacts, rec.UserID)
-		} else {
-			d.contacts[rec.UserID] = rec.Encounters
+		// Wholesale replacement of one user (cluster resync/handoff, and
+		// every user of a snapshot). Only this user's entries change; the
+		// rest of the shard — which may be primary data owned by the
+		// receiving node — is untouched.
+		setOrDelete(d.places, rec.UserID, rec.Places)
+		setOrDelete(d.routes, rec.UserID, rec.Routes)
+		setOrDelete(d.contacts, rec.UserID, rec.Encounters)
+		delete(d.profiles, rec.UserID)
+		delete(d.idx, rec.UserID)
+		if len(rec.Profiles) > 0 {
+			days := make(map[string]*profile.DayProfile, len(rec.Profiles))
+			ux := newUserIndex()
+			for _, p := range rec.Profiles {
+				days[p.Date] = p
+				ux.putDay(p)
+			}
+			d.profiles[rec.UserID], d.idx[rec.UserID] = days, ux
 		}
 		d.bumpPlaces(rec.UserID)
 	case opDropUser:
@@ -249,55 +199,30 @@ func (d *dataState) apply(rec *walRecord) error {
 		delete(d.placesGen, rec.UserID)
 		d.ver++
 	default:
-		return fmt.Errorf("cloud: data shard cannot apply op %q", rec.Op)
+		return fmt.Errorf("cloud: data shard cannot apply a %v record", rec.Op)
 	}
 	return nil
 }
 
-func (d *dataState) install(snap *dataSnapshot) {
-	fresh := newDataState()
-	if snap.Places != nil {
-		fresh.places = snap.Places
-	}
-	if snap.Routes != nil {
-		fresh.routes = snap.Routes
-	}
-	if snap.Profiles != nil {
-		fresh.profiles = snap.Profiles
-	}
-	if snap.Contacts != nil {
-		fresh.contacts = snap.Contacts
-	}
-	// Rebuild derived state. ver keeps growing across the install so no
-	// (user, gen) pair issued before it can collide with one issued after.
-	fresh.ver = d.ver + 1
-	for u := range fresh.places {
-		fresh.placesGen[u] = fresh.ver
-	}
-	for u, days := range fresh.profiles {
-		fresh.idx[u] = buildUserIndex(days)
-	}
-	*d = *fresh
-}
+func (d *dataState) Apply(b []byte) error { return applyEncoded(b, d.apply) }
 
-func (d *dataState) Apply(b []byte) error {
-	var rec walRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return fmt.Errorf("cloud: decode data record: %w", err)
-	}
-	return d.apply(&rec)
-}
-
-func (d *dataState) Snapshot() ([]byte, error) {
-	return json.Marshal(dataSnapshot{
-		Places:   d.places,
-		Routes:   d.routes,
-		Profiles: d.profiles,
-		Contacts: d.contacts,
-	})
-}
+func (d *dataState) Snapshot() ([]byte, error) { return snapshotBytes(d) }
 
 func (d *dataState) Restore(b []byte) error { return d.RestoreStream(bytes.NewReader(b)) }
+
+// syncUserRecord is the wholesale record of one user's data — what a resync
+// or handoff ships and a snapshot stores — with the days in date order.
+func syncUserRecord(userID string, places []PlaceWire, routes []RouteWire, days map[string]*profile.DayProfile, contacts []profile.Encounter) *record {
+	rec := &record{Op: opSyncUser, UserID: userID, Places: places, Routes: routes, Encounters: contacts}
+	if len(days) > 0 {
+		rec.Profiles = make([]*profile.DayProfile, 0, len(days))
+		for _, p := range days {
+			rec.Profiles = append(rec.Profiles, p)
+		}
+		slices.SortFunc(rec.Profiles, func(a, b *profile.DayProfile) int { return strings.Compare(a.Date, b.Date) })
+	}
+	return rec
+}
 
 // clonePlace deep-copies one place, detaching every slice.
 func clonePlace(p PlaceWire) PlaceWire {

@@ -3,7 +3,6 @@ package cloud
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
@@ -28,9 +27,7 @@ const DefaultShards = 8
 
 // User is a registered device/account pair.
 type User struct {
-	ID    string `json:"id"`
-	IMEI  string `json:"imei"`
-	Email string `json:"email"`
+	ID, IMEI, Email string
 }
 
 type tokenInfo struct {
@@ -218,15 +215,19 @@ func newStore(dir string, cfg StoreConfig) (*Store, error) {
 		s.data[i] = newDataState()
 		states = append(states, s.data[i])
 	}
-	eng, err := storage.Open(storage.Options{
-		Dir:            dir,
-		Sync:           cfg.Sync,
-		SyncEvery:      cfg.SyncEvery,
-		CompactEvery:   cfg.CompactEvery,
-		RecoverWorkers: cfg.RecoverWorkers,
-		Metrics:        reg,
-		Repl:           cfg.Repl,
-	}, states)
+	open := func(dir string, repl storage.ReplSink, states []storage.ShardState) (*storage.Engine, error) {
+		return storage.Open(storage.Options{
+			Dir:            dir,
+			Sync:           cfg.Sync,
+			SyncEvery:      cfg.SyncEvery,
+			CompactEvery:   cfg.CompactEvery,
+			RecoverWorkers: cfg.RecoverWorkers,
+			Metrics:        reg,
+			Repl:           repl,
+			Format:         recordFormat,
+		}, states)
+	}
+	eng, err := open(dir, cfg.Repl, states)
 	if err != nil {
 		return nil, err
 	}
@@ -242,15 +243,7 @@ func newStore(dir string, cfg StoreConfig) (*Store, error) {
 		s.traces[i] = newTraceState()
 		tstates[i] = s.traces[i]
 	}
-	teng, err := storage.Open(storage.Options{
-		Dir:            traceDir,
-		Sync:           cfg.Sync,
-		SyncEvery:      cfg.SyncEvery,
-		CompactEvery:   cfg.CompactEvery,
-		RecoverWorkers: cfg.RecoverWorkers,
-		Metrics:        reg,
-		Repl:           cfg.TraceRepl,
-	}, tstates)
+	teng, err := open(traceDir, cfg.TraceRepl, tstates)
 	if err != nil {
 		eng.Close()
 		return nil, err
@@ -339,20 +332,23 @@ func (s *Store) admitWrite(userID string) error {
 	return nil
 }
 
-// mutateData runs one record through the owning data shard: the same apply
-// path recovery replays, journaled only when it succeeds. Marshal runs after
-// apply so the journal captures any normalization apply performed.
-func (s *Store) mutateData(userID string, rec *walRecord) error {
+// mutateData runs one record — built over the store's own copy of the
+// caller's values — through the owning data shard: the same apply path
+// recovery replays, journaled only when it succeeds. Its timestamps are
+// canonicalised first, and the encode runs after apply so the journal
+// captures any normalization apply performed.
+func (s *Store) mutateData(userID string, rec *record) error {
 	if err := s.admitWrite(userID); err != nil {
 		return err
 	}
 	defer s.gate.RUnlock()
+	rec.instants()
 	idx, d := s.dataFor(userID)
 	return s.eng.Mutate(idx, func() ([]byte, error) {
 		if err := d.apply(rec); err != nil {
 			return nil, err
 		}
-		return json.Marshal(rec)
+		return encodeRecord(rec), nil
 	})
 }
 
@@ -388,13 +384,12 @@ func (s *Store) Register(imei, email string) (RegisterResponse, error) {
 		if s.stableIDs {
 			id = StableUserID(imei, email)
 		}
-		u := &User{ID: id, IMEI: imei, Email: email}
-		rec := &walRecord{Op: opRegister, User: u, DeviceKey: key}
+		rec := &record{Op: opRegister, UserID: id, IMEI: imei, Email: email}
 		if err := s.meta.apply(rec); err != nil {
 			return nil, err
 		}
-		uid = u.ID
-		return json.Marshal(rec)
+		uid = id
+		return encodeRecord(rec), nil
 	})
 	s.gate.RUnlock()
 	if err != nil {
@@ -443,9 +438,9 @@ func (s *Store) Authenticate(token string) (string, error) {
 // recomputation, so replacement is the right semantic). Labels from the
 // previous generation are carried over by place ID.
 func (s *Store) SetPlaces(userID string, places []PlaceWire) error {
-	// Detach from the caller before journaling. Apply runs before Marshal,
+	// Detach from the caller before journaling. Apply runs before the encode,
 	// so the record captures the post-label-carry value.
-	rec := &walRecord{Op: opSetPlaces, UserID: userID, Places: clonePlaces(places)}
+	rec := &record{Op: opSetPlaces, UserID: userID, Places: clonePlaces(places)}
 	return s.mutateData(userID, rec)
 }
 
@@ -462,12 +457,12 @@ func (s *Store) Places(userID string) []PlaceWire {
 
 // LabelPlace tags a stored place.
 func (s *Store) LabelPlace(userID string, placeID int, label string) error {
-	return s.mutateData(userID, &walRecord{Op: opLabelPlace, UserID: userID, PlaceID: placeID, Label: label})
+	return s.mutateData(userID, &record{Op: opLabelPlace, UserID: userID, PlaceID: placeID, Label: label})
 }
 
 // SetRoutes replaces the user's stored routes.
 func (s *Store) SetRoutes(userID string, routes []RouteWire) error {
-	return s.mutateData(userID, &walRecord{Op: opSetRoutes, UserID: userID, Routes: cloneRoutes(routes)})
+	return s.mutateData(userID, &record{Op: opSetRoutes, UserID: userID, Routes: cloneRoutes(routes)})
 }
 
 // Routes returns deep copies of the user's routes with at least minFrequency
@@ -498,7 +493,7 @@ func (s *Store) PutProfile(userID string, p *profile.DayProfile) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	return s.mutateData(userID, &walRecord{Op: opPutProfile, UserID: userID, Profile: cloneProfile(p)})
+	return s.mutateData(userID, &record{Op: opPutProfile, UserID: userID, Profile: cloneProfile(p)})
 }
 
 // Profile returns a deep copy of the user's profile for a date.
@@ -604,7 +599,7 @@ func (s *Store) AddContacts(userID string, encs []profile.Encounter) error {
 	if len(encs) == 0 {
 		return nil
 	}
-	return s.mutateData(userID, &walRecord{Op: opAddContacts, UserID: userID, Encounters: slices.Clone(encs)})
+	return s.mutateData(userID, &record{Op: opAddContacts, UserID: userID, Encounters: slices.Clone(encs)})
 }
 
 // Contacts returns the user's encounters, optionally filtered by place.

@@ -2,32 +2,16 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 )
 
 // This file is the journaling side of the per-user GSM trace keyspace: the
 // server-side half of the delta sync protocol. Traces live in their own
-// storage engine (under <data-dir>/traces) so adding the keyspace never
-// disturbs the main engine's manifest-pinned shard layout on existing data
-// directories.
-
-// Trace WAL op codes. These are a persistence format: renaming one breaks
-// replay of existing data directories.
-const (
-	opTraceAppend  = "trace_append"  // extend the user's trace
-	opTraceReplace = "trace_replace" // replace it wholesale (full upload)
-	opTraceDrop    = "trace_drop"    // cluster handoff: remove the user's trace
-)
-
-// traceRecord is the journaled form of every trace mutation.
-type traceRecord struct {
-	Op           string                 `json:"op"`
-	UserID       string                 `json:"user_id"`
-	Observations []trace.GSMObservation `json:"observations"`
-}
+// storage engine (under <data-dir>/traces) so trace churn never competes with
+// place/profile writes for a WAL. The record it applies is record.go's.
 
 // userTrace is one user's persisted trace plus the derived state the delta
 // protocol needs: the chained hash of the whole trace and a generation that
@@ -59,17 +43,28 @@ func (t *traceState) ensure(userID string) *userTrace {
 	return u
 }
 
+// appendInstants appends obs to dst with every timestamp canonicalised
+// (instant): the trace's copy of an upload is where its record is built from.
+func appendInstants(dst, obs []trace.GSMObservation) []trace.GSMObservation {
+	dst = slices.Grow(dst, len(obs))
+	for _, o := range obs {
+		o.At = instant(o.At)
+		dst = append(dst, o)
+	}
+	return dst
+}
+
 // apply is the single mutation path: live SyncTrace calls and crash-recovery
 // replay both go through it.
-func (t *traceState) apply(rec *traceRecord) error {
+func (t *traceState) apply(rec *record) error {
 	switch rec.Op {
 	case opTraceAppend:
 		u := t.ensure(rec.UserID)
-		u.obs = append(u.obs, rec.Observations...)
+		u.obs = appendInstants(u.obs, rec.Observations)
 		u.hash = ExtendTraceHash(u.hash, rec.Observations)
 	case opTraceReplace:
 		u := t.ensure(rec.UserID)
-		u.obs = append([]trace.GSMObservation(nil), rec.Observations...)
+		u.obs = appendInstants(nil, rec.Observations)
 		u.hash = TraceHash(u.obs)
 		t.gens++
 		u.gen = t.gens
@@ -77,31 +72,13 @@ func (t *traceState) apply(rec *traceRecord) error {
 		delete(t.users, rec.UserID)
 		t.gens++
 	default:
-		return fmt.Errorf("cloud: trace shard cannot apply op %q", rec.Op)
+		return fmt.Errorf("cloud: trace shard cannot apply a %v record", rec.Op)
 	}
 	return nil
 }
 
-func (t *traceState) Apply(b []byte) error {
-	var rec traceRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return fmt.Errorf("cloud: decode trace record: %w", err)
-	}
-	return t.apply(&rec)
-}
+func (t *traceState) Apply(b []byte) error { return applyEncoded(b, t.apply) }
 
-// traceSnapshot is the persisted form of traceState. Hashes and generations
-// are derived and rebuilt on restore.
-type traceSnapshot struct {
-	Users map[string][]trace.GSMObservation `json:"users"`
-}
-
-func (t *traceState) Snapshot() ([]byte, error) {
-	snap := traceSnapshot{Users: make(map[string][]trace.GSMObservation, len(t.users))}
-	for id, u := range t.users {
-		snap.Users[id] = u.obs
-	}
-	return json.Marshal(snap)
-}
+func (t *traceState) Snapshot() ([]byte, error) { return snapshotBytes(t) }
 
 func (t *traceState) Restore(b []byte) error { return t.RestoreStream(bytes.NewReader(b)) }

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -54,17 +53,17 @@ func (s *Store) SyncTrace(userID string, delta bool, cursor int64, prefixHash ui
 	appended := 0
 	err := s.traceEng.Mutate(idx, func() ([]byte, error) {
 		u := t.ensure(userID)
-		var rec *traceRecord
+		var rec *record
 		if delta {
 			tail, err := deltaTail(u, cursor, prefixHash, obs)
 			if err != nil {
 				return nil, err
 			}
 			if len(tail) > 0 {
-				rec = &traceRecord{Op: opTraceAppend, UserID: userID, Observations: tail}
+				rec = &record{Op: opTraceAppend, UserID: userID, Observations: tail}
 			}
 		} else if int64(len(obs)) != int64(len(u.obs)) || TraceHash(obs) != u.hash {
-			rec = &traceRecord{Op: opTraceReplace, UserID: userID, Observations: obs}
+			rec = &record{Op: opTraceReplace, UserID: userID, Observations: obs}
 		}
 		if rec == nil {
 			status = TraceStatus{Len: int64(len(u.obs)), Hash: u.hash, Gen: u.gen}
@@ -77,7 +76,7 @@ func (s *Store) SyncTrace(userID string, delta bool, cursor int64, prefixHash ui
 			appended = len(rec.Observations)
 		}
 		status = TraceStatus{Len: int64(len(u.obs)), Hash: u.hash, Gen: u.gen}
-		return json.Marshal(rec)
+		return encodeRecord(rec), nil
 	})
 	if err != nil {
 		return TraceStatus{}, 0, err
@@ -122,12 +121,12 @@ func (s *Store) AppendTrace(userID string, obs []trace.GSMObservation) (TraceSta
 			}
 			last = obs[i].At
 		}
-		rec := &traceRecord{Op: opTraceAppend, UserID: userID, Observations: obs}
+		rec := &record{Op: opTraceAppend, UserID: userID, Observations: obs}
 		if err := t.apply(rec); err != nil {
 			return nil, err
 		}
 		status = TraceStatus{Len: int64(len(u.obs)), Hash: u.hash, Gen: u.gen}
-		return json.Marshal(rec)
+		return encodeRecord(rec), nil
 	})
 	if err != nil {
 		return TraceStatus{}, err

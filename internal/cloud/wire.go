@@ -354,44 +354,74 @@ func decodeWire(data []byte, into any) error {
 }
 
 func appendDiscoverResponse(e *trace.BinaryEncoder, m *DiscoverPlacesResponse) {
-	e.Uvarint(uint64(len(m.Places)))
-	for i := range m.Places {
-		p := &m.Places[i]
-		e.Varint(int64(p.ID))
-		appendCells(e, p.Signature)
-		appendCells(e, p.Cells)
-		e.Uvarint(uint64(len(p.Visits)))
-		for _, v := range p.Visits {
-			e.Time(v.Arrive)
-			e.Time(v.Depart)
-		}
-		e.String(p.Label)
-	}
+	appendPlaces(e, m.Places)
 	e.Varint(m.TraceLen)
 	e.Fixed64(m.TraceHash)
 }
 
 func decodeDiscoverResponse(d *trace.BinaryDecoder, m *DiscoverPlacesResponse) {
-	n := d.Uvarint()
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		var p PlaceWire
-		p.ID = int(d.Varint())
-		p.Signature = decodeCells(d)
-		p.Cells = decodeCells(d)
-		nv := d.Uvarint()
-		for j := uint64(0); j < nv && d.Err() == nil; j++ {
-			var v VisitWire
-			v.Arrive = d.Time()
-			v.Depart = d.Time()
-			p.Visits = append(p.Visits, v)
-		}
-		p.Label = d.String()
-		if d.Err() == nil {
-			m.Places = append(m.Places, p)
-		}
-	}
+	m.Places = decodePlaces(d)
 	m.TraceLen = d.Varint()
 	m.TraceHash = d.Fixed64()
+}
+
+// appendPlaces encodes a place list; visits ride e's timestamp chain.
+func appendPlaces(e *trace.BinaryEncoder, places []PlaceWire) {
+	e.Uvarint(uint64(len(places)))
+	for i := range places {
+		p := &places[i]
+		e.Varint(int64(p.ID))
+		appendCells(e, p.Signature)
+		appendCells(e, p.Cells)
+		appendVisits(e, p.Visits)
+		e.String(p.Label)
+	}
+}
+
+// decodePlaces decodes a place list; an empty one is nil. Like every list
+// decoder here it checks the count against the least its elements could cost
+// (frame's Decoder.Count) and leaves a malformed input's error on d — what it
+// returns then is not for use.
+func decodePlaces(d *trace.BinaryDecoder) (out []PlaceWire) {
+	for i, n := 0, d.Count(5); i < n; i++ { // id, two cell counts, visit count, label length
+		out = append(out, PlaceWire{ID: int(d.Varint()), Signature: decodeCells(d), Cells: decodeCells(d),
+			Visits: decodeVisits(d), Label: d.String()})
+	}
+	return out
+}
+
+func appendVisits(e *trace.BinaryEncoder, visits []VisitWire) {
+	e.Uvarint(uint64(len(visits)))
+	for _, v := range visits {
+		e.Time(v.Arrive)
+		e.Time(v.Depart)
+	}
+}
+
+func decodeVisits(d *trace.BinaryDecoder) (out []VisitWire) {
+	for i, n := 0, d.Count(2); i < n; i++ { // two time deltas
+		out = append(out, VisitWire{Arrive: d.Time(), Depart: d.Time()})
+	}
+	return out
+}
+
+// appendRoutes encodes a route list in the shape of a place list: id, cells,
+// trips on e's timestamp chain.
+func appendRoutes(e *trace.BinaryEncoder, routes []RouteWire) {
+	e.Uvarint(uint64(len(routes)))
+	for i := range routes {
+		r := &routes[i]
+		e.Varint(int64(r.ID))
+		appendCells(e, r.Cells)
+		appendVisits(e, r.Trips)
+	}
+}
+
+func decodeRoutes(d *trace.BinaryDecoder) (out []RouteWire) {
+	for i, n := 0, d.Count(3); i < n; i++ { // id, cell count, trip count
+		out = append(out, RouteWire{ID: int(d.Varint()), Cells: decodeCells(d), Trips: decodeVisits(d)})
+	}
+	return out
 }
 
 func appendStreamResult(e *trace.BinaryEncoder, m *StreamResult) {
@@ -489,14 +519,7 @@ func appendProfileBody(e *trace.BinaryEncoder, p *profile.DayProfile) {
 		tc.put(e, r.Start)
 		tc.put(e, r.End)
 	}
-	e.Uvarint(uint64(len(p.Contacts)))
-	for i := range p.Contacts {
-		c := &p.Contacts[i]
-		e.String(c.ContactID)
-		e.String(c.PlaceID)
-		tc.put(e, c.Start)
-		tc.put(e, c.End)
-	}
+	appendEncounters(e, &tc, p.Contacts)
 	e.Bool(p.Activity != nil)
 	if p.Activity != nil {
 		e.Varint(int64(p.Activity.MovingMinutes))
@@ -508,38 +531,39 @@ func decodeProfileBody(d *trace.BinaryDecoder, p *profile.DayProfile) {
 	var tc wireTimeChain
 	p.UserID = d.String()
 	p.Date = d.String()
-	np := d.Uvarint()
-	for i := uint64(0); i < np && d.Err() == nil; i++ {
-		var v profile.PlaceVisit
-		v.PlaceID = d.String()
-		v.Label = d.String()
-		v.Arrive = tc.get(d)
-		v.Depart = tc.get(d)
-		p.Places = append(p.Places, v)
+	for i, n := 0, d.Count(6); i < n; i++ { // two string lengths, two flagged time deltas
+		p.Places = append(p.Places, profile.PlaceVisit{PlaceID: d.String(), Label: d.String(), Arrive: tc.get(d), Depart: tc.get(d)})
 	}
-	nr := d.Uvarint()
-	for i := uint64(0); i < nr && d.Err() == nil; i++ {
-		var r profile.RouteUse
-		r.RouteID = d.String()
-		r.Start = tc.get(d)
-		r.End = tc.get(d)
-		p.Routes = append(p.Routes, r)
+	for i, n := 0, d.Count(5); i < n; i++ { // a string length, two flagged time deltas
+		p.Routes = append(p.Routes, profile.RouteUse{RouteID: d.String(), Start: tc.get(d), End: tc.get(d)})
 	}
-	nc := d.Uvarint()
-	for i := uint64(0); i < nc && d.Err() == nil; i++ {
-		var c profile.Encounter
-		c.ContactID = d.String()
-		c.PlaceID = d.String()
-		c.Start = tc.get(d)
-		c.End = tc.get(d)
-		p.Contacts = append(p.Contacts, c)
-	}
+	p.Contacts = decodeEncounters(d, &tc)
 	if d.Bool() {
 		p.Activity = &profile.ActivitySummary{
 			MovingMinutes: int(d.Varint()),
 			StillMinutes:  int(d.Varint()),
 		}
 	}
+}
+
+// appendEncounters encodes an encounter list on the caller's time chain: a
+// day profile's contacts continue its own, a record's contact log starts one.
+func appendEncounters(e *trace.BinaryEncoder, tc *wireTimeChain, encs []profile.Encounter) {
+	e.Uvarint(uint64(len(encs)))
+	for i := range encs {
+		c := &encs[i]
+		e.String(c.ContactID)
+		e.String(c.PlaceID)
+		tc.put(e, c.Start)
+		tc.put(e, c.End)
+	}
+}
+
+func decodeEncounters(d *trace.BinaryDecoder, tc *wireTimeChain) (out []profile.Encounter) {
+	for i, n := 0, d.Count(6); i < n; i++ { // two string lengths, two flagged time deltas
+		out = append(out, profile.Encounter{ContactID: d.String(), PlaceID: d.String(), Start: tc.get(d), End: tc.get(d)})
+	}
+	return out
 }
 
 // --- framing for streamed bodies ------------------------------------------

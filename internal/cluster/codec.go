@@ -29,9 +29,12 @@ import (
 const ContentTypeReplBinary = "application/x-pmware-repl"
 
 // replWireVersion is the first byte of every binary batch. v2 added the
-// sender's ring version to the stream header (stream admission control);
-// any other version fails the decode.
-const replWireVersion = 2
+// sender's ring version to the stream header (stream admission control); v3
+// changed nothing in this framing but marks the records inside as the binary
+// record codec (DESIGN.md §8) — a follower parks shipped records and decodes
+// them only later, so a peer with the other record format must be refused
+// here, at admission. Any other version fails the decode.
+const replWireVersion = 3
 
 // minRecordBytes is the least a record costs on the wire: its engine byte
 // and two one-byte uvarints.

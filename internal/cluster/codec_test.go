@@ -99,14 +99,15 @@ func TestBatchBinaryTruncation(t *testing.T) {
 	}
 }
 
-// pinnedBatch is the request testdata/parent/batch.bin was encoded from — by
-// the commit before internal/frame existed.
+// pinnedBatch is the request testdata/parent/batch.bin was encoded from. Its
+// records are opaque to this package; they have the shape of the record codec
+// (op byte 5, a 17-byte user id, a body).
 func pinnedBatch() *BatchRequest {
 	req := &BatchRequest{From: "n0", Epoch: 3, Start: 1 << 40, RingVersion: 7, DataShards: 8, TraceShards: 4}
 	for i := 0; i < 5; i++ {
 		req.Records = append(req.Records, ShipRecord{
 			Engine: uint8(i % 2), Shard: i * 37 % 8,
-			Rec: []byte(fmt.Sprintf(`{"op":"put_profile","user_id":"u%016x","n":%d}`, i*7919, i)),
+			Rec: append([]byte{5, 17}, fmt.Sprintf("u%016x\x00\x0a2014-03-%02d\x00\x00\x00\x00", i*7919, i+1)...),
 		})
 	}
 	req.Records = append(req.Records, ShipRecord{Engine: EngineTrace, Shard: 3})
@@ -114,22 +115,25 @@ func pinnedBatch() *BatchRequest {
 }
 
 // TestParentFormatPin is the cross-commit format pin: the same request
-// encodes to the parent's bytes, and the parent's bytes decode and re-encode
-// to themselves.
+// encodes to the fixture's bytes, and the fixture's bytes decode and
+// re-encode to themselves. The fixture was re-cut on purpose by the change
+// that took replWireVersion from 2 to 3 (the records inside a batch left
+// JSON for the record codec, DESIGN.md §8): batch.bin is v3, and the parent's
+// v2 body is kept as batch-v2.bin for TestReceiverRefusesOtherWireVersion.
 func TestParentFormatPin(t *testing.T) {
 	want, err := os.ReadFile("testdata/parent/batch.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := EncodeBatchBinary(nil, pinnedBatch()); !bytes.Equal(got, want) {
-		t.Fatalf("pinned request encodes to %d bytes that differ from the parent's %d", len(got), len(want))
+		t.Fatalf("pinned request encodes to %d bytes that differ from the fixture's %d", len(got), len(want))
 	}
 	req, err := DecodeBatchBinary(want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := EncodeBatchBinary(nil, req); !bytes.Equal(got, want) {
-		t.Fatal("parent batch body does not re-encode to itself")
+		t.Fatal("pinned batch body does not re-encode to itself")
 	}
 }
 

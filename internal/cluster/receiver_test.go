@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -141,6 +143,41 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 	}
 	if len(applier.recs) != 5 {
 		t.Fatalf("applied %d records, want 5", len(applier.recs))
+	}
+}
+
+// TestReceiverRefusesOtherWireVersion: a peer built before the record codec
+// speaks wire v2 with JSON records inside. A follower parks shipped records
+// and decodes them only at promotion, so the refusal has to happen here: the
+// parent commit's own v2 body is answered 400 naming the version it carries on
+// all three endpoints, nothing applied, no cursor moved.
+func TestReceiverRefusesOtherWireVersion(t *testing.T) {
+	v2, err := os.ReadFile("testdata/parent/batch-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	applier := &recApplier{}
+	imported := 0
+	reg := obs.NewRegistry()
+	r, err := OpenReceiver(ReceiverConfig{
+		Applier: applier, Import: func([]ShipRecord) error { imported++; return nil },
+		DataShards: 8, TraceShards: 4, Metrics: reg, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	for name, h := range map[string]http.HandlerFunc{"batch": r.HandleBatch, "resync": r.HandleSync, "handoff": r.HandleHandoff} {
+		req := httptest.NewRequest("POST", "/", bytes.NewReader(v2))
+		req.Header.Set("Content-Type", ContentTypeReplBinary)
+		w := httptest.NewRecorder()
+		h(w, req)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "wire version 2, want 3") {
+			t.Fatalf("%s: v2 body answered %d %q, want 400 naming version 2", name, w.Code, w.Body.String())
+		}
+	}
+	if e, s := r.Cursor("n0"); len(applier.recs) != 0 || imported != 0 || e != 0 || s != 0 {
+		t.Fatalf("v2 body applied %d records, imported %d, cursor %d/%d", len(applier.recs), imported, e, s)
 	}
 }
 

@@ -180,6 +180,18 @@ func (d *Decoder) Int() int {
 	return int(v)
 }
 
+// Count reads the length of a list whose elements cost at least minBytes
+// each. A count the remaining input cannot hold is a format error, so a
+// caller may size an allocation by the result.
+func (d *Decoder) Count(minBytes int) int {
+	n := d.Int()
+	if n > d.Rest()/minBytes {
+		d.fail(fmt.Errorf("%w: %d elements claimed in %d bytes", ErrCorrupt, n, d.Rest()))
+		return 0
+	}
+	return n
+}
+
 // Fixed64 reads 8 little-endian bytes.
 func (d *Decoder) Fixed64() uint64 {
 	if b := d.take(8); b != nil {

@@ -239,6 +239,27 @@ func TestPolicyErrorsPassThrough(t *testing.T) {
 	}
 }
 
+// TestDecoderCount: a list length is believed only as far as the remaining
+// bytes could hold that many elements.
+func TestDecoderCount(t *testing.T) {
+	var e Encoder
+	e.Uvarint(3)
+	e.Buf = append(e.Buf, make([]byte, 6)...)
+	if d := NewDecoder(e.Buf); d.Count(2) != 3 || d.Err() != nil || d.Rest() != 6 {
+		t.Fatalf("3 two-byte elements in 6 bytes refused: %v", d.Err())
+	}
+	d := NewDecoder(e.Buf)
+	if n := d.Count(3); n != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("3 three-byte elements in 6 bytes: count %d, err %v", n, d.Err())
+	}
+	if d.Count(1) != 0 || d.Rest() != 6 {
+		t.Fatal("Count after a failure read on")
+	}
+	if d := NewDecoder(nil); d.Count(1) != 0 || !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("Count of empty input: %v", d.Err())
+	}
+}
+
 func FuzzReadFixed(f *testing.F) {
 	f.Add(fixedStream(0, "record-00", "", "record-02-xxxxxx"), false)
 	f.Add(fixedStream(testEnd, "chunk one", "chunk two"), true)

@@ -90,6 +90,13 @@ type Options struct {
 	// ApplyShipped (i.e. records that are themselves replicas) bypass the
 	// sink: replication is one hop, never a chain.
 	Repl ReplSink
+	// Format numbers the layout of the records and snapshot payloads the
+	// engine's owner writes — bytes the engine itself never interprets. It is
+	// stored in MANIFEST.json when the directory is created (0 means 1, which
+	// is written as no number at all) and a directory holding another format
+	// fails Open before any shard is read: the owner has no reader for it,
+	// and shard recovery would take its snapshots for corrupt ones.
+	Format int
 }
 
 // ReplSink is the engine's replication hook. Implementations live in
@@ -112,32 +119,41 @@ const DefaultSyncEvery = 100 * time.Millisecond
 const DefaultCompactEvery = 4096
 
 // manifestName is the engine's layout descriptor inside Dir. It pins the
-// shard count: reopening with a different count would hash keys to the
-// wrong shards, so Open fails loudly on a mismatch.
+// shard count — reopening with a different count would hash keys to the
+// wrong shards — and the owner's record format (Options.Format), so Open
+// fails loudly on a mismatch of either.
 const manifestName = "MANIFEST.json"
 
 type manifest struct {
 	Shards int `json:"shards"`
+	Format int `json:"format,omitempty"` // absent means 1
 }
 
 // ReadManifest reports the shard count a data directory was created with.
 // ok is false when the directory has no manifest (fresh or memory-only).
 func ReadManifest(dir string) (shards int, ok bool, err error) {
+	m, ok, err := readManifest(dir)
+	return m.Shards, ok, err
+}
+
+func readManifest(dir string) (m manifest, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
-		return 0, false, nil
+		return m, false, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("storage: read manifest: %w", err)
+		return m, false, fmt.Errorf("storage: read manifest: %w", err)
 	}
-	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return 0, false, fmt.Errorf("storage: parse manifest: %w", err)
+		return m, false, fmt.Errorf("storage: parse manifest: %w", err)
 	}
 	if m.Shards <= 0 {
-		return 0, false, fmt.Errorf("storage: manifest declares %d shards", m.Shards)
+		return m, false, fmt.Errorf("storage: manifest declares %d shards", m.Shards)
 	}
-	return m.Shards, true, nil
+	if m.Format == 0 {
+		m.Format = 1
+	}
+	return m, true, nil
 }
 
 // shard pairs one ShardState with its lock and its log generations.
@@ -204,6 +220,9 @@ func Open(opts Options, states []ShardState) (*Engine, error) {
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = DefaultCompactEvery
 	}
+	if opts.Format == 0 {
+		opts.Format = 1
+	}
 	m := newEngineMetrics(opts.Metrics)
 	e := &Engine{opts: opts, shards: make([]*shard, len(states))}
 	if opts.Dir == "" {
@@ -216,12 +235,18 @@ func Open(opts Options, states []ShardState) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create data dir: %w", err)
 	}
-	if n, ok, err := ReadManifest(opts.Dir); err != nil {
+	if mf, ok, err := readManifest(opts.Dir); err != nil {
 		return nil, err
-	} else if ok && n != len(states) {
-		return nil, fmt.Errorf("storage: data dir %s was created with %d shards, engine opened with %d", opts.Dir, n, len(states))
+	} else if ok && mf.Format != opts.Format {
+		return nil, fmt.Errorf("storage: data dir %s holds record format %d, this program reads and writes format %d only", opts.Dir, mf.Format, opts.Format)
+	} else if ok && mf.Shards != len(states) {
+		return nil, fmt.Errorf("storage: data dir %s was created with %d shards, engine opened with %d", opts.Dir, mf.Shards, len(states))
 	} else if !ok {
-		data, err := json.Marshal(manifest{Shards: len(states)})
+		mf = manifest{Shards: len(states), Format: opts.Format}
+		if mf.Format == 1 {
+			mf.Format = 0 // format 1 directories carry no number
+		}
+		data, err := json.Marshal(mf)
 		if err != nil {
 			return nil, err
 		}

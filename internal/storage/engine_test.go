@@ -276,6 +276,52 @@ func TestEngineManifestMismatch(t *testing.T) {
 	}
 }
 
+// TestEngineFormatMismatch: the owner's record format is pinned like the
+// shard count. A directory created without one is format 1 and its manifest
+// carries no number (what every directory written before the field existed
+// looks like); a mismatch in either direction fails Open naming both numbers,
+// before a shard is touched.
+func TestEngineFormatMismatch(t *testing.T) {
+	open := func(dir string, format int) error {
+		e, err := Open(Options{Dir: dir, Sync: SyncNever, Format: format}, []ShardState{newKV(), newKV()})
+		if err == nil {
+			err = e.Close()
+		}
+		return err
+	}
+	v1, v2 := t.TempDir(), t.TempDir()
+	if err := open(v1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := open(v2, 2); err != nil {
+		t.Fatal(err)
+	}
+	for dir, want := range map[string]string{v1: `{"shards":2}`, v2: `{"shards":2,"format":2}`} {
+		if got, _ := os.ReadFile(filepath.Join(dir, manifestName)); string(got) != want {
+			t.Fatalf("manifest = %s, want %s", got, want)
+		}
+	}
+	if err := open(v1, 1); err != nil {
+		t.Fatalf("format 1 over a directory with no number: %v", err)
+	}
+	if err := open(v2, 2); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(v1, "shard-000")
+	if err := os.RemoveAll(shard); err != nil {
+		t.Fatal(err)
+	}
+	if err := open(v1, 2); err == nil || !strings.Contains(err.Error(), "holds record format 1") || !strings.Contains(err.Error(), "format 2 only") {
+		t.Fatalf("format 2 over a format 1 directory: %v", err)
+	}
+	if _, err := os.Stat(shard); !os.IsNotExist(err) {
+		t.Fatal("refused open still created a shard directory")
+	}
+	if err := open(v2, 0); err == nil || !strings.Contains(err.Error(), "holds record format 2") {
+		t.Fatalf("format 1 over a format 2 directory: %v", err)
+	}
+}
+
 func TestEngineMutateApplyError(t *testing.T) {
 	dir := t.TempDir()
 	e, kvs := openKV(t, dir, 1, Options{Sync: SyncNever})
