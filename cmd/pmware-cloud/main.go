@@ -92,7 +92,6 @@ func main() {
 	nodeID := flag.String("node-id", "", "this node's ID within -cluster")
 	advertiseURL := flag.String("advertise", "", "override this node's advertised base URL (default: its -cluster entry)")
 	replDir := flag.String("repl-dir", "", "replication state directory (stream epoch + cursors); default <data-dir>/repl")
-	shipLinger := flag.Duration("ship-linger", 0, "hold partial replication batches this long to coalesce writers (0 = default, negative = ship immediately)")
 	coord := flag.Bool("coord", false, "run the embedded cluster coordinator on this node (health probes + ring pushes)")
 	coordInterval := flag.Duration("coord-interval", 2*time.Second, "coordinator health probe period")
 	coordFails := flag.Int("coord-fails", 3, "consecutive failed probes before the coordinator promotes a node's follower")
@@ -131,11 +130,10 @@ func main() {
 			rd = filepath.Join(*dataDir, "repl")
 		}
 		cnode, err = cloud.NewClusterNode(*dataDir, storeCfg, cloud.ClusterNodeConfig{
-			Self:       self,
-			Peers:      peers,
-			ReplDir:    rd,
-			ShipLinger: *shipLinger,
-			Logf:       log.Printf,
+			Self:    self,
+			Peers:   peers,
+			ReplDir: rd,
+			Logf:    log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("cluster node: %v", err)

@@ -52,9 +52,10 @@ func (s *Store) engineFor(engine uint8, shard int) (*storage.Engine, error) {
 
 // ApplyShippedBatch journals a contiguous run of replicated records verbatim
 // (cluster.Applier), grouped per engine shard so each shard pays one
-// group-commit wait for the whole run instead of one per record — with a
-// non-zero commit linger a per-record apply would cost a full linger each,
-// stalling the stream and everything queued behind it. Stream order is
+// group-commit wait for the whole run instead of one per record: a shard's
+// group is enqueued under one lock hold and acknowledged by one commit of
+// its last LSN (storage.AppendShippedBatch), where a per-record apply would
+// fsync once per record and stall the stream behind it. Stream order is
 // preserved within each shard, and per-shard WALs are the only place
 // replication order exists. Shipped records bypass the write gate: they
 // never enqueue on this node's own stream, and they only touch users owned
@@ -228,12 +229,6 @@ type ClusterNodeConfig struct {
 	// ReplDir persists the stream epoch and replication cursors ("" =
 	// memory-only: every restart full-resyncs).
 	ReplDir string
-	// VNodes is the virtual-node count per member (0 = cluster.DefaultVNodes).
-	VNodes int
-	// ShipLinger holds partial replication batches briefly so concurrent
-	// writers share one POST (0 = DefaultShipLinger, negative = ship each
-	// batch immediately). See cluster.ShipperConfig.Linger.
-	ShipLinger time.Duration
 	// HTTP issues replication, proxy, and handoff requests.
 	HTTP *http.Client
 	// Metrics receives the pci_repl_* and pci_cluster_* families.
@@ -273,11 +268,6 @@ var ErrStaleRing = errors.New("cloud: stale ring version")
 // the server answers the gate's 421 contract so the client re-targets.
 var ErrNotOwner = errors.New("cloud: user not owned by this node")
 
-// DefaultShipLinger is the default replication batch linger: long enough to
-// coalesce a busy node's concurrent writers into shared POSTs, short enough
-// to stay invisible next to a WAN round trip.
-const DefaultShipLinger = 2 * time.Millisecond
-
 // NewClusterNode opens the node's store (dir may be "" for memory-only) with
 // replication wired in, restores replication cursors, and points the WAL
 // stream at the ring-assigned follower. Close order on shutdown: HTTP server
@@ -285,15 +275,6 @@ const DefaultShipLinger = 2 * time.Millisecond
 func NewClusterNode(dir string, storeCfg StoreConfig, cfg ClusterNodeConfig) (*ClusterNode, error) {
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{Timeout: 15 * time.Second}
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = cluster.DefaultVNodes
-	}
-	switch {
-	case cfg.ShipLinger == 0:
-		cfg.ShipLinger = DefaultShipLinger
-	case cfg.ShipLinger < 0:
-		cfg.ShipLinger = 0
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -315,7 +296,7 @@ func NewClusterNode(dir string, storeCfg StoreConfig, cfg ClusterNodeConfig) (*C
 		cfg:       cfg,
 		httpc:     cfg.HTTP,
 		logf:      logf,
-		ring:      cluster.NewRing(1, cfg.Peers, cfg.VNodes),
+		ring:      cluster.NewRing(1, cfg.Peers, cluster.DefaultVNodes),
 		proxied:   reg.Counter("pci_cluster_proxied_total"),
 		misrouted: reg.Counter("pci_cluster_misrouted_total"),
 		handoffs:  reg.Counter("pci_cluster_handoff_users_total"),
@@ -345,7 +326,6 @@ func NewClusterNode(dir string, storeCfg StoreConfig, cfg ClusterNodeConfig) (*C
 		TraceShards: traceShards,
 		Export:      cn.exportForResync,
 		RingVersion: func() uint64 { return cn.Ring().Version },
-		Linger:      cfg.ShipLinger,
 		Metrics:     reg,
 		Logf:        logf,
 	})

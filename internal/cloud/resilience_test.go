@@ -240,8 +240,8 @@ func TestTimeoutMiddlewareUnwedgesSlowHandler(t *testing.T) {
 	}
 }
 
-// TestZeroTimeoutDisablesMiddleware: WithRequestTimeout(0) passes the mux
-// through unwrapped.
+// TestZeroTimeoutDisablesMiddleware: a zero timeout passes the mux through
+// unwrapped.
 func TestZeroTimeoutDisablesMiddleware(t *testing.T) {
 	h := http.NewServeMux()
 	if got := TimeoutMiddleware(h, 0); got != http.Handler(h) {

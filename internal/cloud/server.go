@@ -33,7 +33,6 @@ type Server struct {
 
 	gsmParams   gsm.Params
 	routeParams route.Params
-	reqTimeout  time.Duration
 	maxBody     int64
 
 	discoverWorkers int
@@ -75,12 +74,6 @@ type ServerOption func(*Server)
 // WithCellDatabase installs the Cell-ID geolocation database.
 func WithCellDatabase(db *CellDatabase) ServerOption {
 	return func(s *Server) { s.cells = db }
-}
-
-// WithRequestTimeout overrides the per-request handler deadline (0 disables
-// the timeout middleware entirely).
-func WithRequestTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.reqTimeout = d }
 }
 
 // WithDiscoverPool sizes the discovery worker pool: workers bounds how many
@@ -137,7 +130,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		analytics:   NewAnalytics(store),
 		gsmParams:   gsm.DefaultParams(),
 		routeParams: route.DefaultParams(),
-		reqTimeout:  DefaultRequestTimeout,
 		maxBody:     DefaultMaxBodyBytes,
 	}
 	for _, opt := range opts {
@@ -187,7 +179,7 @@ func (s *Server) Hub() *events.Hub { return s.hub }
 // /healthz mount on the root mux outside both gate and timeout.
 func (s *Server) Handler() http.Handler {
 	root := http.NewServeMux()
-	api := TimeoutMiddleware(s.mux, s.reqTimeout)
+	api := TimeoutMiddleware(s.mux, DefaultRequestTimeout)
 	obsStream := s.instrument("obs_stream", s.auth(s.handleObsStream))
 	evSub := s.instrument("events_subscribe", s.auth(s.handleEventsSubscribe))
 	if s.cnode != nil {

@@ -150,7 +150,8 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 // speaks wire v2 with JSON records inside. A follower parks shipped records
 // and decodes them only at promotion, so the refusal has to happen here: the
 // parent commit's own v2 body is answered 400 naming the version it carries on
-// all three endpoints, nothing applied, no cursor moved.
+// all three endpoints, nothing applied, no cursor moved — and PostBatch hands
+// that reason to the sender.
 func TestReceiverRefusesOtherWireVersion(t *testing.T) {
 	v2, err := os.ReadFile("testdata/parent/batch-v2.bin")
 	if err != nil {
@@ -175,6 +176,14 @@ func TestReceiverRefusesOtherWireVersion(t *testing.T) {
 		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "wire version 2, want 3") {
 			t.Fatalf("%s: v2 body answered %d %q, want 400 naming version 2", name, w.Code, w.Body.String())
 		}
+	}
+	// The sender's error — what its "degraded after N failures" line logs —
+	// carries the receiver's reason, not just the status.
+	srv := httptest.NewServer(http.HandlerFunc(r.HandleBatch))
+	defer srv.Close()
+	if _, err := PostBatch(srv.Client(), srv.URL, v2); err == nil ||
+		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "wire version 2, want 3") {
+		t.Fatalf("PostBatch of a v2 body: %v, want an error naming 400 and version 2", err)
 	}
 	if e, s := r.Cursor("n0"); len(applier.recs) != 0 || imported != 0 || e != 0 || s != 0 {
 		t.Fatalf("v2 body applied %d records, imported %d, cursor %d/%d", len(applier.recs), imported, e, s)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -91,11 +92,6 @@ type ShipperConfig struct {
 	// from a sender whose topology view is stale (nil = unversioned, only
 	// acceptable against a receiver with no VerifyStream check).
 	RingVersion func() uint64
-	// Linger, when positive, delays each partial batch by this long so
-	// concurrent writers coalesce into one POST instead of paying a full
-	// inter-node round trip per record or two. It adds at most Linger to
-	// the semi-sync ack latency; full batches ship immediately.
-	Linger time.Duration
 	// Metrics receives the pci_repl_* shipper families (nil = obs.Default).
 	Metrics *obs.Registry
 	Logf    func(format string, args ...any)
@@ -276,10 +272,13 @@ func (s *Shipper) Close() {
 	}
 }
 
-// run is the ship loop: one in-flight batch (or resync) at a time.
+// run is the ship loop: one in-flight batch (or resync) at a time. A batch
+// is whatever was enqueued while the previous POST was in flight, so its size
+// follows the follower's own latency.
 func (s *Shipper) run() {
 	defer close(s.done)
 	backoff := 50 * time.Millisecond
+	var recs []ShipRecord // the batch in flight, reused like encBuf
 	for {
 		s.mu.Lock()
 		for !s.closing && (s.target == nil || (!s.resync && len(s.buf) == 0)) {
@@ -291,24 +290,13 @@ func (s *Shipper) run() {
 		}
 		target := *s.target
 		doResync := s.resync
-		if !doResync && s.cfg.Linger > 0 && len(s.buf) < shipMaxBatch {
-			// Partial batch: hold briefly so writers landing now ride the
-			// same POST. State may change while unlocked — re-evaluate from
-			// the top if it did (the loop top also handles a close).
-			s.mu.Unlock()
-			time.Sleep(s.cfg.Linger)
-			s.mu.Lock()
-			if s.target == nil || s.resync || len(s.buf) == 0 {
-				s.mu.Unlock()
-				continue
-			}
-			target = *s.target
-		}
-		var batch []bufRec
+		var start uint64
 		if !doResync {
-			n := min(len(s.buf), shipMaxBatch)
-			batch = make([]bufRec, n)
-			copy(batch, s.buf[:n])
+			start = s.buf[0].seq
+			recs = recs[:0]
+			for _, b := range s.buf[:min(len(s.buf), shipMaxBatch)] {
+				recs = append(recs, b.rec)
+			}
 		}
 		s.mu.Unlock()
 
@@ -316,7 +304,7 @@ func (s *Shipper) run() {
 		if doResync {
 			err = s.doResync(target)
 		} else {
-			err = s.shipBatch(target, batch)
+			err = s.shipBatch(target, start, recs)
 		}
 
 		s.mu.Lock()
@@ -348,21 +336,18 @@ func (s *Shipper) run() {
 	}
 }
 
-// shipBatch POSTs one contiguous batch and advances the cursor.
-func (s *Shipper) shipBatch(target Node, batch []bufRec) error {
-	req := BatchRequest{
+// shipBatch POSTs one contiguous batch, records start..start+len(recs)-1 of
+// the stream, and advances the cursor.
+func (s *Shipper) shipBatch(target Node, start uint64, recs []ShipRecord) error {
+	s.encBuf = EncodeBatchBinary(s.encBuf[:0], &BatchRequest{
 		From:        s.cfg.Self,
 		Epoch:       s.epoch,
-		Start:       batch[0].seq,
+		Start:       start,
 		RingVersion: s.ringVersion(),
 		DataShards:  s.cfg.DataShards,
 		TraceShards: s.cfg.TraceShards,
-		Records:     make([]ShipRecord, len(batch)),
-	}
-	for i, b := range batch {
-		req.Records[i] = b.rec
-	}
-	s.encBuf = EncodeBatchBinary(s.encBuf[:0], &req)
+		Records:     recs,
+	})
 	resp, err := PostBatch(s.cfg.HTTP, target.URL+PathReplBatch, s.encBuf)
 	if err != nil {
 		return err
@@ -449,7 +434,12 @@ func PostBatch(c *http.Client, url string, body []byte) (BatchResponse, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return into, fmt.Errorf("cluster: %s returned %d", url, resp.StatusCode)
+		// The body is the receiver's reason (a foreign wire version, a wrong
+		// Content-Type): keep a bounded prefix for the sender's log, drain
+		// the rest so the keep-alive connection survives the refusal.
+		reason, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		io.Copy(io.Discard, resp.Body)
+		return into, fmt.Errorf("cluster: %s returned %d: %s", url, resp.StatusCode, bytes.TrimSpace(reason))
 	}
 	return into, json.NewDecoder(resp.Body).Decode(&into)
 }
