@@ -35,8 +35,8 @@ const (
 	PathStatsFrequency  = "/api/v1/stats/frequency"
 	PathStatsDwell      = "/api/v1/stats/dwell"
 	// Streaming endpoints (DESIGN.md §13). Both are exempt from the request
-	// timeout middleware and the -max-body cap: the connections are
-	// long-lived by design.
+	// timeout middleware and, as a whole, from the -max-body cap: the
+	// connections are long-lived by design.
 	PathObservationsStream = "/api/v1/observations/stream"
 	PathEventsSubscribe    = "/api/v1/events/subscribe"
 )

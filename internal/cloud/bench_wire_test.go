@@ -1,7 +1,10 @@
 package cloud
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"repro/internal/gsm"
@@ -168,22 +171,81 @@ func BenchmarkWireAnalyticsDecodeBinary(b *testing.B) {
 
 // --- request side: streamed observation upload ----------------------------
 
+// The stream pairs run what StreamObservations and handleObsStream run: the
+// JSON observation codec (byte-identical to encoding/json's wire) against the
+// binary frames, one day of observations in DefaultStreamBatchSize batches.
+
+// obsStreamJSON is a day's stream body as the JSON client sends it.
+func obsStreamJSON(b *testing.B) []byte {
+	obs := synthDays(1)
+	var body []byte
+	for start := 0; start < len(obs); start += DefaultStreamBatchSize {
+		var err error
+		end := min(start+DefaultStreamBatchSize, len(obs))
+		if body, err = appendStreamBatchJSON(body, &StreamBatch{Observations: obs[start:end]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return body
+}
+
 func BenchmarkWireObsStreamEncodeJSON(b *testing.B) {
 	obs := synthDays(1)
 	b.ReportAllocs()
+	var buf []byte
 	var size int
 	for i := 0; i < b.N; i++ {
 		size = 0
 		for start := 0; start < len(obs); start += DefaultStreamBatchSize {
+			var err error
 			end := min(start+DefaultStreamBatchSize, len(obs))
-			data, err := json.Marshal(StreamBatch{Observations: obs[start:end]})
-			if err != nil {
+			if buf, err = appendStreamBatchJSON(buf[:0], &StreamBatch{Observations: obs[start:end]}); err != nil {
 				b.Fatal(err)
 			}
-			size += len(data) + 1 // newline per JSON stream batch
+			size += len(buf)
 		}
 	}
 	b.ReportMetric(float64(size), "bodybytes/op")
+}
+
+func BenchmarkWireObsStreamDecodeJSON(b *testing.B) {
+	body := obsStreamJSON(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jr := trace.NewJSONReader(bytes.NewReader(body), DefaultMaxBodyBytes)
+		for {
+			var batch StreamBatch
+			err := readStreamBatchJSON(jr, &batch)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		jr.Release()
+	}
+	b.ReportMetric(float64(len(body)), "bodybytes/op")
+}
+
+func BenchmarkWireObsStreamDecodeBinary(b *testing.B) {
+	var body bytes.Buffer
+	if err := writeObsFrames(&body, synthDays(1), DefaultStreamBatchSize); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br := bufio.NewReader(bytes.NewReader(body.Bytes()))
+		if err := readWireHeader(br, wireKindObsStream); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := readObsBlocks(br, func([]trace.GSMObservation) bool { return true }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(body.Len()), "bodybytes/op")
 }
 
 func BenchmarkWireObsStreamEncodeBinary(b *testing.B) {

@@ -81,7 +81,7 @@ type Client struct {
 type WireCodec int
 
 const (
-	// WireJSON is the historical reflective-JSON wire — the default, and
+	// WireJSON is the historical JSON wire — the default, and
 	// what every peer understands.
 	WireJSON WireCodec = iota
 	// WireBinary speaks application/x-pmware-bin (DESIGN.md §14) for every
@@ -583,21 +583,24 @@ func (c *Client) DiscoverPlacesContext(ctx context.Context, obs []trace.GSMObser
 }
 
 // discoverCall routes one discover upload: framed binary streaming when the
-// binary wire is active, the buffered JSON call otherwise. Both retry — the
-// server replaces or extends by cursor, so a replay is safe.
+// binary wire is active, a buffered JSON body from the observation codec
+// otherwise. Both retry — the server replaces or extends by cursor, so a
+// replay is safe.
 func (c *Client) discoverCall(ctx context.Context, req *DiscoverPlacesRequest, out *DiscoverPlacesResponse) error {
-	if !c.useBinary() {
-		return c.authedCall(ctx, http.MethodPost, PathPlacesDiscover, nil, req, out, true)
+	rq := &request{method: http.MethodPost, path: PathPlacesDiscover, auth: true, idempotent: true, into: out}
+	if c.useBinary() {
+		rq.stream = func(w io.Writer) error { return writeDiscoverFrames(w, req) }
+		rq.header = http.Header{"Content-Type": {ContentTypeBinary}, "Accept": {acceptBinary}}
+	} else {
+		rq.header = http.Header{"Content-Type": {contentTypeJSON}}
+		// An observation of whole-second UTC time, five-digit cell fields
+		// and a full-precision signal encodes to about 112 bytes.
+		buf := make([]byte, 0, 128*(len(req.Observations)+1))
+		if rq.payload, rq.err = appendDiscoverRequestJSON(buf, req); rq.err != nil {
+			rq.err = fmt.Errorf("marshal request: %w", rq.err)
+		}
 	}
-	return c.withTokenRecovery(ctx, &request{
-		method:     http.MethodPost,
-		path:       PathPlacesDiscover,
-		stream:     func(w io.Writer) error { return writeDiscoverFrames(w, req) },
-		header:     http.Header{"Content-Type": {ContentTypeBinary}, "Accept": {acceptBinary}},
-		auth:       true,
-		idempotent: true,
-		into:       out,
-	})
+	return c.withTokenRecovery(ctx, rq)
 }
 
 // traceCursor decides whether obs can be uploaded as a delta: the stored

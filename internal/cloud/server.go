@@ -87,7 +87,8 @@ func WithDiscoverPool(workers, queueLen int) ServerOption {
 }
 
 // WithMaxBodyBytes overrides the request body cap (0 keeps the default).
-// Streaming endpoints are exempt (DESIGN.md §13).
+// Streaming endpoints are exempt as a whole; the cap bounds each batch of a
+// JSON observation stream instead (DESIGN.md §13).
 func WithMaxBodyBytes(n int64) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -348,6 +349,20 @@ func (s *Server) decodeBinaryBody(w http.ResponseWriter, r *http.Request, into a
 	return true
 }
 
+// decodeDiscoverJSON parses a JSON discover upload through the observation
+// codec under decode's size cap and status contract: 413 over the cap, 400
+// for a body encoding/json would refuse. Like decode it stops at the end of
+// the request object; bytes after it are never read.
+func (s *Server) decodeDiscoverJSON(w http.ResponseWriter, r *http.Request, req *DiscoverPlacesRequest) bool {
+	jr := trace.NewJSONReader(http.MaxBytesReader(w, r.Body, s.maxBody), 0)
+	defer jr.Release()
+	if err := readDiscoverRequestJSON(jr, req); err != nil {
+		bodyError(w, "bad request body", err)
+		return false
+	}
+	return true
+}
+
 // decodeDiscoverBinary incrementally parses a binary discover upload: a
 // fixed header (version, kind, flags, cursor, prefix hash) followed by
 // CRC-framed observation blocks and an explicit end marker, so neither side
@@ -450,7 +465,7 @@ func (s *Server) handlePlacesDiscover(w http.ResponseWriter, r *http.Request, ui
 			return
 		}
 	case codecJSON:
-		if !s.decode(w, r, &req) {
+		if !s.decodeDiscoverJSON(w, r, &req) {
 			return
 		}
 	default:

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -157,12 +156,20 @@ func (s *Server) handleObsStream(w http.ResponseWriter, r *http.Request, uid str
 			return
 		}
 	case codecJSON:
-		dec := json.NewDecoder(r.Body)
+		// The stream as a whole is exempt from -max-body; each batch document
+		// is held to it, as the binary codec holds each frame to maxWireFrame.
+		jr := trace.NewJSONReader(r.Body, s.maxBody)
+		defer jr.Release()
 		for {
 			var batch StreamBatch
-			err := dec.Decode(&batch)
+			err := readStreamBatchJSON(jr, &batch)
 			if errors.Is(err, io.EOF) {
 				break
+			}
+			if errors.Is(err, trace.ErrJSONTooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge,
+					"stream batch over %d bytes after %d observations", s.maxBody, appended)
+				return
 			}
 			if err != nil {
 				// Mid-stream garbage: everything before it is already durable;

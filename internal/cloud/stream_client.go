@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 
@@ -48,10 +47,14 @@ func (c *Client) StreamObservations(ctx context.Context, obs []trace.GSMObservat
 		path:   PathObservationsStream,
 		header: http.Header{"Content-Type": {"application/json"}},
 		stream: func(w io.Writer) error {
-			enc := json.NewEncoder(w)
+			var buf []byte
 			for start := 0; start < len(obs); start += batchSize {
 				end := min(start+batchSize, len(obs))
-				if err := enc.Encode(StreamBatch{Observations: obs[start:end]}); err != nil {
+				var err error
+				if buf, err = appendStreamBatchJSON(buf[:0], &StreamBatch{Observations: obs[start:end]}); err != nil {
+					return err
+				}
+				if _, err := w.Write(buf); err != nil {
 					return err
 				}
 			}

@@ -284,6 +284,81 @@ func TestStreamExemptFromMaxBody(t *testing.T) {
 	}
 }
 
+// TestStreamBatchOverMaxBody pins the per-batch bound on the JSON stream: a
+// batch document over -max-body answers 413 naming the observations already
+// appended, and exactly the batches before it are persisted. The body goes
+// over a pipe, each good batch without a trailing newline, and the test waits
+// for each to land before writing the next: a batch is ingested the moment
+// its closing brace arrives, not when the next one starts.
+func TestStreamBatchOverMaxBody(t *testing.T) {
+	const cap = 2048
+	ss := newStreamServer(t, WithMaxBodyBytes(cap))
+	token, uid := ss.register(t)
+
+	batch := func(from, n int) []byte {
+		var obs []trace.GSMObservation
+		for i := from; i < from+n; i++ {
+			obs = append(obs, cellObs(i, 1+i%3))
+		}
+		return bytes.TrimSuffix(streamBody(t, obs), []byte("\n"))
+	}
+	good1, good2, big := batch(0, 5), batch(5, 5), batch(10, 40)
+	if len(good1) > cap || len(big) <= cap {
+		t.Fatalf("batch sizes %d and %d do not straddle the cap %d", len(good1), len(big), cap)
+	}
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, ss.srv.URL+PathObservationsStream, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	respc := make(chan *http.Response, 1)
+	go func() {
+		resp, err := ss.srv.Client().Do(req)
+		if err != nil {
+			t.Errorf("stream: %v", err)
+		}
+		respc <- resp
+	}()
+	waitLen := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for ss.store.TraceStatusFor(uid).Len != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("trace len %d, want %d: the batch was not ingested on its closing brace", ss.store.TraceStatusFor(uid).Len, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i, b := range [][]byte{good1, good2} {
+		if _, err := pw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		waitLen(int64(5 * (i + 1)))
+	}
+	go func() {
+		pw.Write(big) // the server stops reading partway; the error is the point
+		pw.Close()
+	}()
+	resp := <-respc
+	if resp == nil {
+		return
+	}
+	defer resp.Body.Close()
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("error body: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, "after 10 observations") {
+		t.Errorf("oversized batch: http %d %q, want 413 naming 10 observations", resp.StatusCode, e.Error)
+	}
+	if st := ss.store.TraceStatusFor(uid); st.Len != 10 {
+		t.Errorf("persisted %d observations, want exactly the two good batches' 10", st.Len)
+	}
+}
+
 // TestStreamOutOfOrderConflict pins the 409 on appends that would break the
 // trace's time order, both within a batch and against the persisted tail.
 func TestStreamOutOfOrderConflict(t *testing.T) {

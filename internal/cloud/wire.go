@@ -566,6 +566,73 @@ func decodeEncounters(d *trace.BinaryDecoder, tc *wireTimeChain) (out []profile.
 	return out
 }
 
+// --- JSON upload envelopes ------------------------------------------------
+
+// The two JSON bodies that carry observations — the discover upload and the
+// stream batch — go through internal/trace's hand-written observation codec,
+// not encoding/json's reflection: the same bytes out, the same inputs
+// accepted and the same values decoded (FuzzObservationsJSON holds them to
+// encoding/json). Every other JSON body stays on encoding/json.
+
+// appendDiscoverRequestJSON appends m exactly as json.Marshal encodes it.
+func appendDiscoverRequestJSON(dst []byte, m *DiscoverPlacesRequest) ([]byte, error) {
+	dst = append(dst, `{"observations":`...)
+	dst, err := trace.AppendObservationsJSON(dst, m.Observations)
+	if err != nil {
+		return nil, err
+	}
+	if m.Delta {
+		dst = append(dst, `,"delta":true`...)
+	}
+	if m.Cursor != 0 {
+		dst = strconv.AppendInt(append(dst, `,"cursor":`...), m.Cursor, 10)
+	}
+	if m.PrefixHash != 0 {
+		dst = strconv.AppendUint(append(dst, `,"prefix_hash":`...), m.PrefixHash, 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendStreamBatchJSON appends m exactly as json.Encoder writes it,
+// trailing newline included.
+func appendStreamBatchJSON(dst []byte, m *StreamBatch) ([]byte, error) {
+	dst = append(dst, `{"observations":`...)
+	dst, err := trace.AppendObservationsJSON(dst, m.Observations)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// readDiscoverRequestJSON decodes the next document of jr into m as
+// json.Decoder.Decode would.
+func readDiscoverRequestJSON(jr *trace.JSONReader, m *DiscoverPlacesRequest) error {
+	return jr.Document(func(key []byte) error {
+		switch {
+		case trace.JSONKeyIs(key, "observations"):
+			return jr.Observations(&m.Observations)
+		case trace.JSONKeyIs(key, "delta"):
+			return jr.Bool(&m.Delta)
+		case trace.JSONKeyIs(key, "cursor"):
+			return jr.Int64(&m.Cursor)
+		case trace.JSONKeyIs(key, "prefix_hash"):
+			return jr.Uint64(&m.PrefixHash)
+		}
+		return jr.Skip()
+	})
+}
+
+// readStreamBatchJSON decodes the next document of jr into m as
+// json.Decoder.Decode would; io.EOF means the stream ended cleanly.
+func readStreamBatchJSON(jr *trace.JSONReader, m *StreamBatch) error {
+	return jr.Document(func(key []byte) error {
+		if trace.JSONKeyIs(key, "observations") {
+			return jr.Observations(&m.Observations)
+		}
+		return jr.Skip()
+	})
+}
+
 // --- framing for streamed bodies ------------------------------------------
 
 // readWireHeader consumes the two bytes every binary message opens with and
