@@ -154,26 +154,26 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 	// that large fails here, by name, instead of as a resync that never lands.
 	var recs []cluster.ShipRecord
 	var err error
-	add := func(engine uint8, shard int, rec *record) {
-		b := encodeRecord(rec)
+	add := func(engine uint8, shard int, uid string, b []byte) {
 		if len(b) > storage.MaxRecordSize && err == nil {
-			err = fmt.Errorf("cloud: user %s exports a %d-byte %v record, over storage.MaxRecordSize", rec.UserID, len(b), rec.Op)
+			err = fmt.Errorf("cloud: user %s exports a %d-byte %v record, over storage.MaxRecordSize", uid, len(b), op(b[0]))
 		}
 		recs = append(recs, cluster.ShipRecord{Engine: engine, Shard: shard, Rec: b})
 	}
 	for _, u := range users {
 		uid := u.ID
-		add(cluster.EngineMain, 0, &record{Op: opRegister, UserID: uid, IMEI: u.IMEI, Email: u.Email})
+		add(cluster.EngineMain, 0, uid, encodeRecord(&record{Op: opRegister, UserID: uid, IMEI: u.IMEI, Email: u.Email}))
 		idx, d := s.dataFor(uid)
 		s.eng.View(idx, func() {
-			add(cluster.EngineMain, idx, syncUserRecord(uid, d.places[uid], d.routes[uid], d.profiles[uid], d.contacts[uid]))
+			add(cluster.EngineMain, idx, uid, encodeRecord(syncUserRecord(uid, d.places[uid], d.routes[uid], d.profiles[uid], d.contacts[uid])))
 		})
 		tidx := s.traceShard(uid)
 		s.traceEng.View(tidx, func() {
 			if ut := s.traces[tidx].users[uid]; ut != nil {
-				add(cluster.EngineTrace, tidx, &record{Op: opTraceReplace, UserID: uid, Observations: ut.obs})
+				// The resident run is the record's body: copied, not re-encoded.
+				add(cluster.EngineTrace, tidx, uid, appendTraceReplace(make([]byte, 0, 16+len(uid)+len(ut.run)), uid, ut.n, ut.run))
 			} else {
-				add(cluster.EngineTrace, tidx, &record{Op: opTraceDrop, UserID: uid})
+				add(cluster.EngineTrace, tidx, uid, encodeRecord(&record{Op: opTraceDrop, UserID: uid}))
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/gsm"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Default discovery pool sizing (overridable with WithDiscoverPool / the
@@ -240,17 +239,19 @@ func (p *discoverPool) runJob(job *discoverJob) {
 	var res *gsm.Result
 	var gen uint64
 	var traceLen int
-	p.store.viewTrace(job.uid, func(obs []trace.GSMObservation, _ uint64, g uint64) {
-		gen, traceLen = g, len(obs)
-		if entry == nil || entry.gen != g || entry.pipe.Len() > len(obs) {
+	p.store.viewTrace(job.uid, func(v *traceView) {
+		gen, traceLen = v.Gen, int(v.Len)
+		if entry == nil || entry.gen != gen || entry.pipe.Len() > traceLen {
 			// No cached pipeline for this trace generation (cold user, LRU
 			// eviction, or a full replace invalidated it): rebuild.
-			entry = &pipeEntry{gen: g, pipe: gsm.NewPipeline(p.params)}
+			entry = &pipeEntry{gen: gen, pipe: gsm.NewPipeline(p.params)}
 			p.m.full.Inc()
 		} else {
 			p.m.incremental.Inc()
 		}
-		entry.pipe.Extend(obs[entry.pipe.Len():])
+		// Only what the pipeline has not seen is decoded: everything on a
+		// rebuild, the new tail otherwise.
+		entry.pipe.Extend(v.From(entry.pipe.Len()))
 		res = entry.pipe.Result()
 	})
 	wire := make([]PlaceWire, 0, len(res.Places))

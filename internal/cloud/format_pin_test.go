@@ -2,6 +2,9 @@ package cloud
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/frame"
 )
 
 // TestParentFormatPin is the cross-commit format pin for the streamed wire:
@@ -99,5 +103,117 @@ func TestJSONEraDirRefused(t *testing.T) {
 		if files != 10 || after != files {
 			t.Fatalf("%s: fixture has %d files, directory %d afterwards; want 10 and 10", name, files, after)
 		}
+	}
+}
+
+// TestFormat2StorePin is the cross-commit pin for trace state on disk:
+// testdata/parent/format2store was written by the commit that held a user's
+// trace as decoded observations (2 data and 2 trace shards): one snapshot per
+// trace shard, then a WAL tail of trace_append, trace_replace and trace_drop
+// records. testdata/parent/format2final holds the Snapshot() bytes that
+// commit rendered for each trace shard after the tail. Today each committed
+// snapshot restores to a state that snapshots back to the same bytes, and the
+// reopened store holds every user's trace position and renders each trace
+// shard's Snapshot() exactly as that commit did.
+func TestFormat2StorePin(t *testing.T) {
+	const src = "testdata/parent/format2store"
+	missing := map[op]bool{opTraceAppend: true, opTraceReplace: true, opTraceDrop: true}
+	for i := 0; i < 2; i++ {
+		shard := filepath.Join(src, "traces", fmt.Sprintf("shard-%03d", i))
+		want := snapshotFilePayload(t, filepath.Join(shard, "snapshot-0000000000000001.snap"))
+		ts := newTraceState()
+		if err := ts.Restore(want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ts.Snapshot(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("trace shard %d: committed snapshot re-renders to different bytes (%d vs %d, %v)", i, len(got), len(want), err)
+		}
+		for _, o := range walOps(t, filepath.Join(shard, "wal-0000000000000001.log")) {
+			delete(missing, o)
+		}
+	}
+	if len(missing) != 0 {
+		t.Fatalf("fixture WAL tails lack %v", missing)
+	}
+
+	dir := t.TempDir()
+	copyTree(t, src, dir)
+	s, err := OpenStore(dir, StoreConfig{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for uid, want := range map[string]TraceStatus{
+		"user-0001": {Len: 170, Hash: 0xbb2928cb6a162cc0}, // snapshot + trace_append (delta)
+		"user-0002": {Len: 166, Hash: 0xc54c2e9f85e27269}, // snapshot + trace_append (stream)
+		"user-0003": {Len: 130, Hash: 0x09310e5570b79fe5}, // snapshot, then trace_replace
+		"user-0004": {Len: 0, Hash: EmptyTraceHash()},     // snapshot, then trace_drop
+		"user-0005": {Len: 65, Hash: 0x4bdd5f7715f0c0ce},  // trace_replace only
+	} {
+		if got := s.TraceStatusFor(uid); got.Len != want.Len || got.Hash != want.Hash {
+			t.Errorf("%s: trace (%d, %#x), want (%d, %#x)", uid, got.Len, got.Hash, want.Len, want.Hash)
+		}
+	}
+	for i, ts := range s.traces {
+		want, err := os.ReadFile(fmt.Sprintf("testdata/parent/format2final/shard-%03d.snap", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ts.Snapshot(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("trace shard %d: reopened store snapshots to different bytes (%d vs %d, %v)", i, len(got), len(want), err)
+		}
+	}
+}
+
+// snapshotFilePayload returns the shard-state bytes inside a storage snapshot
+// file: the payloads of the fixed frames between the magic and the end marker.
+func snapshotFilePayload(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const magic = "PMSNAP02"
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(f, head); err != nil || string(head) != magic {
+		t.Fatalf("%s: magic %q, %v", path, head, err)
+	}
+	var out, scratch []byte
+	for {
+		b, err := frame.ReadFixed(f, 4<<20, frame.EndSum(magic), &scratch)
+		if errors.Is(err, frame.ErrEnd) {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, b...)
+	}
+}
+
+// walOps returns the ops of the records in a WAL file.
+func walOps(t *testing.T, path string) []op {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var ops []op
+	var scratch []byte
+	for {
+		b, err := frame.ReadFixed(f, 1<<20, 0, &scratch)
+		if err == io.EOF {
+			return ops
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		rec, err := decodeRecord(b)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		ops = append(ops, rec.Op)
 	}
 }

@@ -112,6 +112,16 @@ func appendRecord(dst []byte, r *record) []byte {
 	return e.Buf
 }
 
+// appendTraceReplace appends the opTraceReplace record of a whole trace held
+// as its count and element run (userTrace.run): appendRecord's bytes for the
+// same observations, with the run copied instead of re-encoded.
+func appendTraceReplace(dst []byte, userID string, n int, run []byte) []byte {
+	e := frame.Encoder{Buf: append(dst, byte(opTraceReplace))}
+	e.String(userID)
+	e.Uvarint(uint64(n))
+	return append(e.Buf, run...)
+}
+
 // encodeRecord returns r's encoding in a buffer of its own — what the engine
 // journals and the shipper sends both keep it.
 func encodeRecord(r *record) []byte {
@@ -185,12 +195,13 @@ func decodeRecord(b []byte) (*record, error) {
 // maxSnapshotRecord bounds one snapshot record: a user's whole history.
 const maxSnapshotRecord = 1 << 30
 
-// writeSnapshot writes rec(id) for every user id, sorted here and each once.
-func writeSnapshot(w io.Writer, ids []string, rec func(id string) *record) error {
+// writeSnapshot writes the record appendRec(dst, id) appends for every user
+// id, sorted here and each once.
+func writeSnapshot(w io.Writer, ids []string, appendRec func(dst []byte, id string) []byte) error {
 	slices.Sort(ids)
 	var buf, fr []byte
 	for _, id := range slices.Compact(ids) {
-		if buf = appendRecord(buf[:0], rec(id)); len(buf) > maxSnapshotRecord {
+		if buf = appendRec(buf[:0], id); len(buf) > maxSnapshotRecord {
 			return fmt.Errorf("cloud: user %s snapshots to a %d-byte record, over the %d-byte bound", id, len(buf), maxSnapshotRecord)
 		}
 		fr = frame.AppendVar(fr[:0], buf)
@@ -249,7 +260,8 @@ func instant(t time.Time) time.Time { return time.Unix(0, t.UnixNano()).UTC() }
 func instantPair(a, b *time.Time) { *a, *b = instant(*a), instant(*b) }
 
 // instants canonicalises, in place, every timestamp a data record carries
-// (a trace record's are canonicalised as apply copies them, appendInstants).
+// (a trace record's need nothing: apply keeps them encoded, and the encoding
+// is of the instant).
 func (r *record) instants() {
 	visits := func(vs []VisitWire) {
 		for i := range vs {

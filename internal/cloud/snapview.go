@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // This file implements the storage engine's off-lock snapshot extensions
@@ -31,8 +30,8 @@ func (m *metaState) SnapshotView() (func(io.Writer) error, func(), error) {
 	// place after registration, so sharing them with the live map is safe.
 	users := maps.Clone(m.users)
 	encode := func(w io.Writer) error {
-		return writeSnapshot(w, appendKeys(nil, users), func(id string) *record {
-			return &record{Op: opRegister, UserID: id, IMEI: users[id].IMEI, Email: users[id].Email}
+		return writeSnapshot(w, appendKeys(nil, users), func(dst []byte, id string) []byte {
+			return appendRecord(dst, &record{Op: opRegister, UserID: id, IMEI: users[id].IMEI, Email: users[id].Email})
 		})
 	}
 	return encode, func() {}, nil
@@ -63,8 +62,8 @@ func (d *dataState) SnapshotView() (func(io.Writer) error, func(), error) {
 	atomic.AddInt32(views, 1)
 	encode := func(w io.Writer) error {
 		users := appendKeys(appendKeys(appendKeys(appendKeys(nil, places), routes), profiles), contacts)
-		return writeSnapshot(w, users, func(id string) *record {
-			return syncUserRecord(id, places[id], routes[id], profiles[id], contacts[id])
+		return writeSnapshot(w, users, func(dst []byte, id string) []byte {
+			return appendRecord(dst, syncUserRecord(id, places[id], routes[id], profiles[id], contacts[id]))
 		})
 	}
 	return encode, func() { atomic.AddInt32(views, -1) }, nil
@@ -83,19 +82,25 @@ func (d *dataState) RestoreStream(r io.Reader) error {
 }
 
 func (t *traceState) SnapshotView() (func(io.Writer) error, func(), error) {
-	// Copying the slice headers freezes each trace's length; opTraceAppend
-	// only writes past that length (or into a grown array the view doesn't
-	// reference) and opTraceReplace swaps in a fresh slice: no copy-on-write
-	// flag is needed. An empty trace restores to nothing and is left out.
-	users := make(map[string][]trace.GSMObservation, len(t.users))
+	// Copying each run's slice header (and count) freezes the trace's
+	// length; opTraceAppend only writes past that length (or into a grown
+	// array the view doesn't reference) and opTraceReplace swaps in a fresh
+	// run: no copy-on-write flag is needed. The encoder writes the runs
+	// verbatim — a run is the record's body, so nothing is re-encoded. An
+	// empty trace restores to nothing and is left out.
+	type frozen struct {
+		n   int
+		run []byte
+	}
+	users := make(map[string]frozen, len(t.users))
 	for id, u := range t.users {
-		if len(u.obs) > 0 {
-			users[id] = u.obs
+		if u.n > 0 {
+			users[id] = frozen{u.n, u.run}
 		}
 	}
 	encode := func(w io.Writer) error {
-		return writeSnapshot(w, appendKeys(nil, users), func(id string) *record {
-			return &record{Op: opTraceReplace, UserID: id, Observations: users[id]}
+		return writeSnapshot(w, appendKeys(nil, users), func(dst []byte, id string) []byte {
+			return appendTraceReplace(dst, id, users[id].n, users[id].run)
 		})
 	}
 	return encode, func() {}, nil

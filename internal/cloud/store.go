@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -279,9 +278,20 @@ func (s *Store) ShardCount() int { return len(s.data) }
 
 // dataShard maps a user to its engine shard index (1-based; 0 is meta).
 func (s *Store) dataShard(userID string) int {
-	h := fnv.New32a()
-	h.Write([]byte(userID))
-	return 1 + int(h.Sum32()%uint32(len(s.data)))
+	return 1 + int(shardHash(userID)%uint32(len(s.data)))
+}
+
+// shardHash is the FNV-1a-32 hash of userID that places a user on a data and
+// a trace shard — hash/fnv's function, computed over the string in place so
+// placement costs no allocation. Changing it moves users between shards on
+// disk.
+func shardHash(userID string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(userID); i++ {
+		h ^= uint32(userID[i])
+		h *= 16777619
+	}
+	return h
 }
 
 func (s *Store) dataFor(userID string) (int, *dataState) {

@@ -86,17 +86,17 @@ func (s *Server) feedDetector(uid string, appended int) []events.Transition {
 	defer ui.mu.Unlock()
 
 	var out []events.Transition
-	s.store.viewTrace(uid, func(obs []trace.GSMObservation, _ uint64, gen uint64) {
-		if ui.det == nil || ui.gen != gen || ui.det.Len() > len(obs) {
+	s.store.viewTrace(uid, func(v *traceView) {
+		if ui.det == nil || ui.gen != v.Gen || int64(ui.det.Len()) > v.Len {
 			ui.det = events.NewDetector(s.gsmParams)
-			ui.gen = gen
-			catch := len(obs) - appended
-			if catch < 0 {
-				catch = 0
-			}
+			ui.gen = v.Gen
+			obs := v.From(0)
+			catch := max(len(obs)-appended, 0)
 			ui.det.CatchUp(obs[:catch])
+			out = ui.det.Feed(obs[catch:])
+			return
 		}
-		out = ui.det.Feed(obs[ui.det.Len():])
+		out = ui.det.Feed(v.From(ui.det.Len()))
 	})
 	return out
 }

@@ -3,7 +3,7 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -24,9 +24,7 @@ type TraceStatus struct {
 
 // traceShard maps a user to its trace-engine shard index.
 func (s *Store) traceShard(userID string) int {
-	h := fnv.New32a()
-	h.Write([]byte(userID))
-	return int(h.Sum32() % uint32(len(s.traces)))
+	return int(shardHash(userID) % uint32(len(s.traces)))
 }
 
 // SyncTrace is the server side of the delta sync protocol. A full upload
@@ -62,11 +60,11 @@ func (s *Store) SyncTrace(userID string, delta bool, cursor int64, prefixHash ui
 			if len(tail) > 0 {
 				rec = &record{Op: opTraceAppend, UserID: userID, Observations: tail}
 			}
-		} else if int64(len(obs)) != int64(len(u.obs)) || TraceHash(obs) != u.hash {
+		} else if len(obs) != u.n || TraceHash(obs) != u.hash {
 			rec = &record{Op: opTraceReplace, UserID: userID, Observations: obs}
 		}
 		if rec == nil {
-			status = TraceStatus{Len: int64(len(u.obs)), Hash: u.hash, Gen: u.gen}
+			status = u.status()
 			return nil, nil // nothing new: nothing to journal
 		}
 		if err := t.apply(rec); err != nil {
@@ -75,7 +73,7 @@ func (s *Store) SyncTrace(userID string, delta bool, cursor int64, prefixHash ui
 		if rec.Op == opTraceAppend {
 			appended = len(rec.Observations)
 		}
-		status = TraceStatus{Len: int64(len(u.obs)), Hash: u.hash, Gen: u.gen}
+		status = u.status()
 		return encodeRecord(rec), nil
 	})
 	if err != nil {
@@ -107,12 +105,12 @@ func (s *Store) AppendTrace(userID string, obs []trace.GSMObservation) (TraceSta
 	err := s.traceEng.Mutate(idx, func() ([]byte, error) {
 		u := t.ensure(userID)
 		if len(obs) == 0 {
-			status = TraceStatus{Len: int64(len(u.obs)), Hash: u.hash, Gen: u.gen}
+			status = u.status()
 			return nil, nil
 		}
 		last := obs[0].At
-		if len(u.obs) > 0 {
-			last = u.obs[len(u.obs)-1].At
+		if u.n > 0 {
+			last = time.Unix(0, u.lastNs).UTC()
 		}
 		for i := range obs {
 			if obs[i].At.Before(last) {
@@ -125,7 +123,7 @@ func (s *Store) AppendTrace(userID string, obs []trace.GSMObservation) (TraceSta
 		if err := t.apply(rec); err != nil {
 			return nil, err
 		}
-		status = TraceStatus{Len: int64(len(u.obs)), Hash: u.hash, Gen: u.gen}
+		status = u.status()
 		return encodeRecord(rec), nil
 	})
 	if err != nil {
@@ -137,7 +135,7 @@ func (s *Store) AppendTrace(userID string, obs []trace.GSMObservation) (TraceSta
 // deltaTail validates a delta upload against the stored trace and returns
 // the observations that genuinely extend it.
 func deltaTail(u *userTrace, cursor int64, prefixHash uint64, obs []trace.GSMObservation) ([]trace.GSMObservation, error) {
-	have := int64(len(u.obs))
+	have := int64(u.n)
 	switch {
 	case cursor < 0 || cursor > have:
 		return nil, fmt.Errorf("%w: cursor %d, server holds %d observations", ErrTraceConflict, cursor, have)
@@ -148,16 +146,17 @@ func deltaTail(u *userTrace, cursor int64, prefixHash uint64, obs []trace.GSMObs
 		return obs, nil
 	default:
 		// Retry path: the server is already past the cursor. Verify the
-		// claimed prefix, dedup the overlap, and append only the tail.
-		if prefixHash != TraceHash(u.obs[:cursor]) {
+		// claimed prefix, dedup the overlap, and append only the tail — the
+		// one writer that decodes the stored trace, and only this far.
+		overlap := min(have-cursor, int64(len(obs)))
+		v := openView(u)
+		defer v.release()
+		stored := v.decode(0, int(cursor+overlap))
+		if prefixHash != TraceHash(stored[:cursor]) {
 			return nil, fmt.Errorf("%w: prefix hash mismatch at cursor %d", ErrTraceConflict, cursor)
 		}
-		overlap := have - cursor
-		if overlap > int64(len(obs)) {
-			overlap = int64(len(obs))
-		}
 		for i := int64(0); i < overlap; i++ {
-			a, b := u.obs[cursor+i], obs[i]
+			a, b := stored[cursor+i], obs[i]
 			if !a.At.Equal(b.At) || a.Cell != b.Cell || a.SignalDBM != b.SignalDBM {
 				return nil, fmt.Errorf("%w: overlap diverges at observation %d", ErrTraceConflict, cursor+i)
 			}
@@ -166,20 +165,18 @@ func deltaTail(u *userTrace, cursor int64, prefixHash uint64, obs []trace.GSMObs
 	}
 }
 
-// viewTrace runs fn with the user's live persisted trace under the owning
-// trace shard's read lock. The copy-free read path the discovery workers
-// extend their pipelines from: fn must not retain or mutate the slice, and
-// must not call back into the store.
-func (s *Store) viewTrace(userID string, fn func(obs []trace.GSMObservation, hash uint64, gen uint64)) {
+// viewTrace runs fn with a view of the user's persisted trace under the
+// owning trace shard's read lock: its status without decoding anything, and
+// suffix decodes (traceView.From) — how the discovery workers and stream
+// detectors extend their cached pipelines by only what is new. fn must not
+// retain what the view decodes, and must not call back into the store.
+func (s *Store) viewTrace(userID string, fn func(v *traceView)) {
 	idx := s.traceShard(userID)
 	t := s.traces[idx]
 	s.traceEng.View(idx, func() {
-		u := t.users[userID]
-		if u == nil {
-			fn(nil, EmptyTraceHash(), 0)
-			return
-		}
-		fn(u.obs, u.hash, u.gen)
+		v := openView(t.users[userID])
+		defer v.release()
+		fn(v)
 	})
 }
 
@@ -187,8 +184,6 @@ func (s *Store) viewTrace(userID string, fn func(obs []trace.GSMObservation, has
 // empty hash when no trace is persisted).
 func (s *Store) TraceStatusFor(userID string) TraceStatus {
 	var st TraceStatus
-	s.viewTrace(userID, func(obs []trace.GSMObservation, hash, gen uint64) {
-		st = TraceStatus{Len: int64(len(obs)), Hash: hash, Gen: gen}
-	})
+	s.viewTrace(userID, func(v *traceView) { st = v.TraceStatus })
 	return st
 }

@@ -410,6 +410,9 @@ func TestShipperQueueOverflowDropsToResync(t *testing.T) {
 	s.enqueue(EngineMain, 0, rec)
 	f.expectPost(PathReplBatch, tok+1, 1)
 	awaitSemiSync(t, s)
+	// degrade can clear before the shipper has taken in the follower's ack
+	// of that last batch: wait for it before reading the lag.
+	expectReturn(t, waiting(s, tok+1), "the follower acked the last batch")
 	if got := f.exports.Load(); got != 2 || s.Lag() != 0 {
 		t.Fatalf("%d Exports and lag %d after the follower answered, want 2 and 0", got, s.Lag())
 	}

@@ -31,9 +31,10 @@ func (e *Encoder) Reset(buf []byte) {
 	e.lastNs = 0
 }
 
-// ResetChain restarts the timestamp delta chain without touching Buf. Call
-// it at frame boundaries so each frame decodes independently.
-func (e *Encoder) ResetChain() { e.lastNs = 0 }
+// SetChain makes ns (UnixNano) the instant the next Time is a delta from,
+// without touching Buf: 0 at a frame boundary, so each frame decodes
+// independently, or an earlier element's instant to continue its chain.
+func (e *Encoder) SetChain(ns int64) { e.lastNs = ns }
 
 // Byte appends one raw byte.
 func (e *Encoder) Byte(b byte) { e.Buf = append(e.Buf, b) }
@@ -72,7 +73,7 @@ func (e *Encoder) Bytes(b []byte) {
 }
 
 // Time appends t as a zigzag varint delta of UnixNano from the previous
-// Time written (absolute on the first write after Reset/ResetChain).
+// Time written (absolute on the first write after Reset or SetChain(0)).
 func (e *Encoder) Time(t time.Time) {
 	ns := t.UnixNano()
 	e.Varint(ns - e.lastNs)
@@ -98,8 +99,9 @@ func (d *Decoder) Err() error { return d.err }
 // Rest returns the number of unconsumed bytes.
 func (d *Decoder) Rest() int { return len(d.buf) - d.off }
 
-// ResetChain restarts the timestamp delta chain (frame boundary).
-func (d *Decoder) ResetChain() { d.lastNs = 0 }
+// SetChain makes ns the instant the next Time is a delta from (see
+// Encoder.SetChain).
+func (d *Decoder) SetChain(ns int64) { d.lastNs = ns }
 
 func (d *Decoder) fail(err error) {
 	if d.err == nil {
@@ -157,12 +159,18 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a zigzag value.
+// Varint reads a zigzag value. A one-byte value — the zero and small cell
+// deltas that make up most of an observation block — skips binary.Varint.
 func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.buf[d.off:])
+	b := d.buf[d.off:]
+	if len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return int64(b[0]>>1) ^ -int64(b[0]&1)
+	}
+	v, n := binary.Varint(b)
 	if !d.advance(n) {
 		return 0
 	}

@@ -5,7 +5,9 @@ package trace
 // §14). Two things live here:
 //
 //  1. The GSM observation block (AppendObservations/DecodeObservations) over
-//     internal/frame's field codec, which BinaryEncoder/BinaryDecoder name.
+//     internal/frame's field codec, which BinaryEncoder/BinaryDecoder name,
+//     and the element codec both it and the PCI's resident traces use
+//     (AppendObservationElems/DecodeObservationElems).
 //
 //  2. A framed binary file format for Bundle: magic + version, then one
 //     var-shape frame (internal/frame) per observation/scan/fix/sample, ended
@@ -58,24 +60,13 @@ type (
 func NewBinaryDecoder(b []byte) *BinaryDecoder { return frame.NewDecoder(b) }
 
 // AppendObservations encodes a GSM observation block: a uvarint count, then
-// per observation a delta-chained timestamp, zigzag deltas of the four cell
-// fields against the previous observation's cell (a stationary handset
-// costs 4 zero bytes per reading), and the fixed-8-byte signal. The block
-// shares e's timestamp chain, so decode blocks in write order or reset the
-// chain per block.
+// the observations' elements (AppendObservationElems). The block shares e's
+// timestamp chain, so decode blocks in write order or reset the chain per
+// block.
 func AppendObservations(e *BinaryEncoder, obs []GSMObservation) {
 	e.Uvarint(uint64(len(obs)))
 	var prev world.CellID
-	for i := range obs {
-		o := &obs[i]
-		e.Time(o.At)
-		e.Varint(int64(o.Cell.MCC - prev.MCC))
-		e.Varint(int64(o.Cell.MNC - prev.MNC))
-		e.Varint(int64(o.Cell.LAC - prev.LAC))
-		e.Varint(int64(o.Cell.CID - prev.CID))
-		e.Float64(o.SignalDBM)
-		prev = o.Cell
-	}
+	AppendObservationElems(e, &prev, obs)
 }
 
 // DecodeObservations decodes one observation block. An empty block decodes
@@ -88,24 +79,61 @@ func DecodeObservations(d *BinaryDecoder) []GSMObservation {
 	// The count is attacker-controlled; size the initial allocation by what
 	// the remaining bytes could plausibly hold (>= 14 bytes per observation)
 	// and let append grow it if the data is real.
-	capHint := min(n, d.Rest()/14+1)
-	out := make([]GSMObservation, 0, capHint)
 	var prev world.CellID
+	out := DecodeObservationElems(d, &prev, make([]GSMObservation, 0, min(n, d.Rest()/14+1)), 0, n)
+	if d.Err() != nil {
+		return nil
+	}
+	return out
+}
+
+// AppendObservationElems is the observation element encoder: per observation
+// a delta-chained timestamp on e's chain, zigzag deltas of the four cell
+// fields against *prev — the previous element's cell, zero before a block's
+// first (a stationary handset costs 4 zero bytes per reading) — and the
+// fixed-8-byte signal. It leaves *prev at the last cell written, so a run of
+// elements appended over several calls is byte-identical to one appended at
+// once.
+func AppendObservationElems(e *BinaryEncoder, prev *world.CellID, obs []GSMObservation) {
+	c := *prev
+	for i := range obs {
+		o := &obs[i]
+		e.Time(o.At)
+		e.Varint(int64(o.Cell.MCC - c.MCC))
+		e.Varint(int64(o.Cell.MNC - c.MNC))
+		e.Varint(int64(o.Cell.LAC - c.LAC))
+		e.Varint(int64(o.Cell.CID - c.CID))
+		e.Float64(o.SignalDBM)
+		c = o.Cell
+	}
+	*prev = c
+}
+
+// DecodeObservationElems is the range decoder: it decodes the next n
+// elements from d, on d's timestamp chain and the cell chain *prev as
+// AppendObservationElems wrote them, and appends all but the first skip to
+// dst. The skipped elements are parsed only to advance the chains. On
+// malformed input it stops and leaves the error on d.
+func DecodeObservationElems(d *BinaryDecoder, prev *world.CellID, dst []GSMObservation, skip, n int) []GSMObservation {
+	c := *prev
 	for i := 0; i < n; i++ {
 		var o GSMObservation
 		o.At = d.Time()
-		o.Cell.MCC = prev.MCC + int(d.Varint())
-		o.Cell.MNC = prev.MNC + int(d.Varint())
-		o.Cell.LAC = prev.LAC + int(d.Varint())
-		o.Cell.CID = prev.CID + int(d.Varint())
+		o.Cell.MCC = c.MCC + int(d.Varint())
+		o.Cell.MNC = c.MNC + int(d.Varint())
+		o.Cell.LAC = c.LAC + int(d.Varint())
+		o.Cell.CID = c.CID + int(d.Varint())
 		o.SignalDBM = d.Float64()
 		if d.Err() != nil {
-			return nil
+			break
 		}
-		prev = o.Cell
-		out = append(out, o)
+		c = o.Cell
+		if i >= skip {
+			dst = append(dst, o)
+		}
 	}
-	return out
+	*prev = c
+	return dst
 }
 
 // BinaryWriter streams trace records in the framed binary format. It mirrors

@@ -250,11 +250,11 @@ func TestEncoderChainReset(t *testing.T) {
 	at := simclock.Epoch.Add(48 * time.Hour)
 	var e BinaryEncoder
 	e.Time(at)
-	e.ResetChain()
+	e.SetChain(0)
 	e.Time(at)
 	d := NewBinaryDecoder(e.Buf)
 	first := d.Time()
-	d.ResetChain()
+	d.SetChain(0)
 	second := d.Time()
 	if d.Err() != nil {
 		t.Fatal(d.Err())
