@@ -8,6 +8,7 @@ package cloud
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/gsm"
@@ -83,7 +84,7 @@ func PlaceToWire(p *gsm.Place) PlaceWire {
 	for c := range p.AllCells {
 		w.Cells = append(w.Cells, c)
 	}
-	sortCells(w.Cells)
+	slices.SortFunc(w.Cells, world.CompareCellStrings)
 	for _, v := range p.Visits {
 		w.Visits = append(w.Visits, VisitWire{Arrive: v.Arrive, Depart: v.Depart})
 	}
@@ -100,14 +101,6 @@ func WireToPlace(w PlaceWire) *gsm.Place {
 		p.Visits = append(p.Visits, gsm.Visit{Arrive: v.Arrive, Depart: v.Depart})
 	}
 	return p
-}
-
-func sortCells(cs []world.CellID) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].String() < cs[j-1].String(); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
 }
 
 // DiscoverPlacesRequest uploads a GSM trace for GCA offload.

@@ -103,8 +103,11 @@ func SortedCells(set map[world.CellID]struct{}) []world.CellID {
 	return cells
 }
 
-// CompareCells is the canonical cell ordering used everywhere a cell set is
-// serialized.
+// CompareCells is the canonical cell ordering used everywhere a transition's
+// cell set is serialized: numeric, field by field. It is not
+// world.CompareCellStrings, the textual order discovery output uses ("10-…"
+// sorts before "9-…" there); event payloads and the canonical transition
+// bytes are pinned to this numeric order, so the two stay distinct.
 func CompareCells(a, b world.CellID) int {
 	switch {
 	case a.MCC != b.MCC:

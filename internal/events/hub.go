@@ -15,8 +15,9 @@ type Config struct {
 	// loop. Default 64.
 	QueueCap int
 	// History is the per-user replay ring capacity backing Last-Event-ID
-	// resume. A reconnect asking for events older than the ring holds gets
-	// a gap signal instead of silence. Default 256.
+	// resume; a user's ring grows to it on demand. A reconnect asking for
+	// events older than the ring holds gets a gap signal instead of
+	// silence. Default 256.
 	History int
 	// Registry, when set, registers the pci_events_* metric families.
 	Registry *obs.Registry
@@ -61,10 +62,9 @@ type Hub struct {
 }
 
 type userStream struct {
-	seq   uint64  // last assigned sequence number
-	ring  []Event // cyclic replay buffer, capacity cfg.History
-	count int     // live entries in ring (<= cap)
-	subs  []*Subscriber
+	seq  uint64  // last assigned sequence number
+	ring []Event // replay buffer: grows to cfg.History, then cyclic
+	subs []*Subscriber
 }
 
 type hubCmd struct {
@@ -274,7 +274,7 @@ func (h *Hub) apply(cmd hubCmd) {
 func (h *Hub) stream(userID string) *userStream {
 	us := h.users[userID]
 	if us == nil {
-		us = &userStream{ring: make([]Event, h.cfg.History)}
+		us = &userStream{}
 		h.users[userID] = us
 	}
 	return us
@@ -287,9 +287,16 @@ func (h *Hub) publish(ev Event) {
 	us.seq++
 	ev.Seq = us.seq
 	ev.PublishedUnixNano = h.cfg.Now().UnixNano()
-	us.ring[int((us.seq-1)%uint64(len(us.ring)))] = ev
-	if us.count < len(us.ring) {
-		us.count++
+	if n := len(us.ring); n < h.cfg.History {
+		// Grow on demand by doubling, never past History, so a user with a
+		// dozen events holds 16 slots, not History. Until the ring is full,
+		// seq-1 is the next index, so the cyclic indexing holds throughout.
+		if n == cap(us.ring) {
+			us.ring = append(make([]Event, 0, min(max(2*n, 1), h.cfg.History)), us.ring...)
+		}
+		us.ring = append(us.ring, ev)
+	} else {
+		us.ring[int((us.seq-1)%uint64(n))] = ev
 	}
 	h.published.Inc()
 
@@ -326,7 +333,7 @@ func (h *Hub) subscribe(req *subscribeReq) *Subscriber {
 		// The client is ahead of us — a server restart reset the stream.
 		gap = true
 	} else if req.lastSeq < us.seq {
-		oldest := us.seq - uint64(us.count) + 1
+		oldest := us.seq - uint64(len(us.ring)) + 1
 		from := req.lastSeq + 1
 		if from < oldest {
 			gap = true

@@ -216,6 +216,52 @@ func TestHubResumeGap(t *testing.T) {
 	}
 }
 
+// TestHubRingModel checks the replay ring against a reference model that
+// keeps every published event: after each publish the ring holds exactly
+// min(seq, History) slots, and for every Last-Event-ID from 0 to one past
+// the head, Subscribe replays exactly what the model says — resume no
+// earlier than seq-History+1, with Gap set when that cuts the request short
+// or the ID is ahead of the stream.
+func TestHubRingModel(t *testing.T) {
+	const history = 8
+	h := NewHub(Config{History: history, Now: testNow()})
+	defer h.Close()
+
+	var published []string // published[s-1] is the label of seq s
+	for seq := uint64(1); seq <= 20; seq++ {
+		label := fmt.Sprintf("e%d", seq)
+		h.Publish(Event{Type: KindPlaceEntry, UserID: "u1", Label: label})
+		h.Sync()
+		published = append(published, label)
+		// The dispatch loop is idle after Sync, so reading its state is safe.
+		if got, want := len(h.users["u1"].ring), min(int(seq), history); got != want {
+			t.Fatalf("after seq %d: ring holds %d slots, want %d", seq, got, want)
+		}
+
+		for lastSeq := uint64(0); lastSeq <= seq+1; lastSeq++ {
+			var want []string
+			wantGap := lastSeq > seq
+			if !wantGap {
+				from := lastSeq + 1
+				if oldest := uint64(max(int(seq)-history+1, 1)); from < oldest {
+					wantGap, from = true, oldest
+				}
+				want = published[from-1 : seq]
+			}
+			sub := h.Subscribe("u1", lastSeq)
+			var got []string
+			for _, ev := range drain(sub) {
+				got = append(got, ev.Label)
+			}
+			sub.Close()
+			if sub.Gap != wantGap || sub.HeadSeq != seq || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seq %d, Last-Event-ID %d: replay %v gap %v head %d, want %v gap %v head %d",
+					seq, lastSeq, got, sub.Gap, sub.HeadSeq, want, wantGap, seq)
+			}
+		}
+	}
+}
+
 // TestHubWedgedSubscriberNeverBlocksPublish pins the no-blocking guarantee
 // with a subscriber that is never read at all: publishing far past its queue
 // capacity completes promptly.

@@ -3,6 +3,7 @@ package gsm
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -338,11 +339,11 @@ func topCells(dwell map[world.CellID]int, k int) []world.CellID {
 	for c, d := range dwell {
 		all = append(all, cd{c, d})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d > all[j].d
+	slices.SortFunc(all, func(a, b cd) int {
+		if a.d != b.d {
+			return b.d - a.d
 		}
-		return all[i].c.String() < all[j].c.String()
+		return world.CompareCellStrings(a.c, b.c)
 	})
 	if k > len(all) {
 		k = len(all)

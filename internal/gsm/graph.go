@@ -9,7 +9,7 @@
 package gsm
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/trace"
@@ -178,7 +178,7 @@ func (g *Graph) OscillationPartners(id world.CellID, minWeight int) []world.Cell
 			out = append(out, other)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, world.CompareCellStrings)
 	return out
 }
 
@@ -188,6 +188,6 @@ func (g *Graph) Cells() []world.CellID {
 	for id := range g.nodes {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, world.CompareCellStrings)
 	return out
 }

@@ -1,6 +1,7 @@
 package gsm
 
 import (
+	"maps"
 	"time"
 
 	"repro/internal/trace"
@@ -17,11 +18,13 @@ import (
 //     the same observe step BuildGraph uses;
 //   - a stationarity flag depends only on the look-back window, so it is
 //     final the moment it is computed, and a stay run is final as soon as a
-//     non-stationary observation closes it — only the open tail run is
-//     rebuilt per Result;
-//   - the buffer keeps just the observations still reachable by the window,
-//     the open run, and the two-observation graph-fold context, so resident
-//     trace state is O(window + open run), not O(history).
+//     non-stationary observation closes it;
+//   - the open stationary run is kept as its first instant and a per-cell
+//     dwell tally — exactly the Start anchor and dwell vector its segment
+//     needs — so no observation has to stay buffered for it;
+//   - the buffer keeps just the observations still reachable by the window
+//     and the two-observation graph-fold context, so resident trace state is
+//     O(window), not O(history) or O(open run).
 //
 // The merge pass still runs per Result, but over stay segments (hundreds),
 // not observations (millions), and it is pruned and parallel (see
@@ -40,17 +43,17 @@ type Pipeline struct {
 
 	g *Graph
 
-	segs     []Segment // finalized stay segments, in trace order
-	runStart int       // global index where the open stationary run began, -1 when none
+	segs  []Segment            // finalized stay segments, in trace order
+	run   map[world.CellID]int // open stationary run's per-cell dwell tally, nil when none is open
+	runAt time.Time            // instant of the open run's first observation
 }
 
 // NewPipeline returns an empty pipeline; its Result equals Discover(nil, p).
 func NewPipeline(p Params) *Pipeline {
 	return &Pipeline{
-		p:        p,
-		counts:   map[world.CellID]int{},
-		g:        &Graph{nodes: make(map[world.CellID]*node)},
-		runStart: -1,
+		p:      p,
+		counts: map[world.CellID]int{},
+		g:      &Graph{nodes: make(map[world.CellID]*node)},
 	}
 }
 
@@ -66,13 +69,15 @@ func (pl *Pipeline) Extend(obs []trace.GSMObservation) {
 	for _, o := range obs {
 		pl.extendOne(o)
 	}
-	pl.prune()
 }
 
 func (pl *Pipeline) extendOne(o trace.GSMObservation) {
 	i := pl.n
 	if i == 0 {
 		pl.firstAt = o.At
+	}
+	if len(pl.buf) == cap(pl.buf) {
+		pl.prune()
 	}
 	pl.buf = append(pl.buf, o)
 	pl.n++
@@ -101,60 +106,68 @@ func (pl *Pipeline) extendOne(o trace.GSMObservation) {
 	stationary := len(pl.counts) <= pl.p.MaxCellsInWindow
 
 	// Run tracking: flags are final, so a run closes for good at the first
-	// non-stationary observation after it.
+	// non-stationary observation after it, and its tally becomes the
+	// segment's dwell vector.
 	if stationary {
-		if pl.runStart < 0 {
-			pl.runStart = i
+		if pl.run == nil {
+			pl.run = map[world.CellID]int{}
+			pl.runAt = o.At
 		}
-	} else if pl.runStart >= 0 {
-		if seg, ok := pl.segment(pl.runStart, i-1); ok {
+		pl.run[o.Cell]++
+	} else if pl.run != nil {
+		if seg, ok := pl.segment(prev.At); ok {
 			pl.segs = append(pl.segs, seg)
 		}
-		pl.runStart = -1
+		pl.run = nil
 	}
 }
 
-// segment builds the stay segment for the buffered run [rs, re] (global
-// indices), applying the same start pull-back, first-observation clamp, and
-// MinStay filter as segmentStays. ok is false when the stay is too short.
-func (pl *Pipeline) segment(rs, re int) (Segment, bool) {
-	start := pl.buf[rs-pl.base].At.Add(-pl.p.Window / 2)
-	if start.Before(pl.firstAt) {
-		start = pl.firstAt
-	}
-	end := pl.buf[re-pl.base].At
+// segment builds the open run's stay segment ending at end, applying the same
+// start pull-back, first-observation clamp, and MinStay filter as
+// segmentStays. ok is false when the stay is too short. The segment's dwell
+// vector is the run's tally itself, not a copy.
+func (pl *Pipeline) segment(end time.Time) (Segment, bool) {
+	start := pl.runStart()
 	if end.Sub(start) < pl.p.MinStay {
 		return Segment{}, false
 	}
 	seg := Segment{
 		Start: start, End: end,
-		Cells:   map[world.CellID]struct{}{},
-		dwellBy: map[world.CellID]int{},
+		Cells:   make(map[world.CellID]struct{}, len(pl.run)),
+		dwellBy: pl.run,
 	}
-	for m := rs; m <= re; m++ {
-		c := pl.buf[m-pl.base].Cell
+	for c := range pl.run {
 		seg.Cells[c] = struct{}{}
-		seg.dwellBy[c]++
 	}
 	return seg, true
 }
 
+// runStart is the open run's segment Start: its first instant pulled back by
+// half the window (the window lags the true arrival), clamped to the first
+// observation.
+func (pl *Pipeline) runStart() time.Time {
+	start := pl.runAt.Add(-pl.p.Window / 2)
+	if start.Before(pl.firstAt) {
+		return pl.firstAt
+	}
+	return start
+}
+
 // prune drops buffered observations no longer reachable by the stationarity
-// window, the open run, or the graph fold's two-observation context. Append
-// reallocations release the dropped prefix over time, keeping residency
-// proportional to the window plus the open run rather than the history.
+// window or the graph fold's two-observation context. It runs only when the
+// buffer is full, and compacts in place while that frees at least half of
+// it; otherwise it moves the live tail into an array twice its length. Either
+// way the capacity stays about twice the window, whatever the batch size,
+// and the copying is amortized O(1) per observation.
 func (pl *Pipeline) prune() {
-	keep := pl.n - 2
-	if pl.j < keep {
-		keep = pl.j
+	keep := max(min(pl.j, pl.n-2), pl.base)
+	live := pl.buf[keep-pl.base:]
+	if 2*len(live) > cap(pl.buf) {
+		pl.buf = append(make([]trace.GSMObservation, 0, 2*len(live)), live...)
+	} else {
+		pl.buf = append(pl.buf[:0], live...)
 	}
-	if pl.runStart >= 0 && pl.runStart < keep {
-		keep = pl.runStart
-	}
-	if keep > pl.base {
-		pl.buf = pl.buf[keep-pl.base:]
-		pl.base = keep
-	}
+	pl.base = keep
 }
 
 // FinalSegments returns the finalized stay segments in trace order. The
@@ -168,29 +181,31 @@ func (pl *Pipeline) FinalSegments() []Segment { return pl.segs }
 // OpenStay reports the candidate stay bounds of the still-open stationary
 // run, with the same start pull-back and first-observation clamp a finalized
 // segment gets. ok is true only when the run already satisfies MinStay — the
-// earliest moment the eventual segment's Start is guaranteed: the run index
-// is fixed when the run opens, so Start never changes afterwards, while End
-// keeps extending until a non-stationary observation closes the run. O(1).
+// earliest moment the eventual segment's Start is guaranteed: the run's first
+// instant is fixed when the run opens, so Start never changes afterwards,
+// while End keeps extending until a non-stationary observation closes the
+// run. O(1).
 func (pl *Pipeline) OpenStay() (start, end time.Time, ok bool) {
-	if pl.runStart < 0 {
+	if pl.run == nil {
 		return time.Time{}, time.Time{}, false
 	}
-	start = pl.buf[pl.runStart-pl.base].At.Add(-pl.p.Window / 2)
-	if start.Before(pl.firstAt) {
-		start = pl.firstAt
-	}
-	end = pl.buf[pl.n-1-pl.base].At
+	start, end = pl.runStart(), pl.buf[len(pl.buf)-1].At
 	return start, end, end.Sub(start) >= pl.p.MinStay
 }
 
 // OpenSegment materializes the open stationary run's candidate segment —
-// the same open tail Result folds into the merge pass. ok is false when no
-// run is open or it is still shorter than MinStay. Costs O(open run).
+// the same open tail Result folds into the merge pass — over a copy of the
+// run's tally. ok is false when no run is open or it is still shorter than
+// MinStay. Costs O(distinct cells in the open run).
 func (pl *Pipeline) OpenSegment() (Segment, bool) {
-	if pl.runStart < 0 {
+	if pl.run == nil {
 		return Segment{}, false
 	}
-	return pl.segment(pl.runStart, pl.n-1)
+	seg, ok := pl.segment(pl.buf[len(pl.buf)-1].At)
+	if ok {
+		seg.dwellBy = maps.Clone(pl.run)
+	}
+	return seg, ok
 }
 
 // Result runs the merge pass over the finalized segments plus the open tail
@@ -199,12 +214,10 @@ func (pl *Pipeline) OpenSegment() (Segment, bool) {
 // Extend, and the graph in the returned Result keeps growing with it.
 func (pl *Pipeline) Result() *Result {
 	segs := pl.segs
-	if pl.runStart >= 0 {
-		if tail, ok := pl.segment(pl.runStart, pl.n-1); ok {
-			all := make([]Segment, len(pl.segs), len(pl.segs)+1)
-			copy(all, pl.segs)
-			segs = append(all, tail)
-		}
+	if tail, ok := pl.OpenSegment(); ok {
+		all := make([]Segment, len(pl.segs), len(pl.segs)+1)
+		copy(all, pl.segs)
+		segs = append(all, tail)
 	}
 	return &Result{Places: mergeSegments(segs, pl.g, pl.p), Segments: segs, Graph: pl.g}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/simclock"
 	"repro/internal/trace"
+	"repro/internal/world"
 )
 
 // canonicalPlaces serializes places into a deterministic byte form so tests
@@ -164,6 +165,89 @@ func TestPipelineOneByOne(t *testing.T) {
 	}
 }
 
+// TestPipelineResidency pins what a warm pipeline holds: a user parked at
+// one cell for 20 000 observations is one open stay, yet the buffer stays at
+// about twice the stationarity window (the open run lives in its tally), a
+// one-observation Extend allocates nothing once warm, and the output is still
+// batch Discover's — fed as one batch and one observation at a time.
+func TestPipelineResidency(t *testing.T) {
+	p := DefaultParams()
+	const parked = 20000
+	cids := make([]int, parked, parked+10)
+	for i := range cids {
+		cids[i] = 1
+	}
+	for c := 2; c <= 11; c++ { // the move: ten fresh cells close the stay
+		cids = append(cids, c)
+	}
+	obs := mkTrace(cids...)
+
+	checkCap := func(t *testing.T, pl *Pipeline) {
+		t.Helper()
+		inWindow := pl.n - pl.j
+		if c := cap(pl.buf); c > 2*(inWindow+2) {
+			t.Fatalf("after %d observations: cap(buf) = %d, want <= 2*(%d in window + 2)", pl.n, c, inWindow)
+		}
+	}
+	checkResult := func(t *testing.T, pl *Pipeline) {
+		t.Helper()
+		want := Discover(obs[:pl.n], p)
+		got := pl.Result()
+		if string(canonicalPlaces(t, got.Places)) != string(canonicalPlaces(t, want.Places)) {
+			t.Fatalf("after %d observations: places diverge from batch", pl.n)
+		}
+		if len(got.Segments) != len(want.Segments) {
+			t.Fatalf("after %d observations: %d segments, want %d", pl.n, len(got.Segments), len(want.Segments))
+		}
+		for i := range got.Segments {
+			if !got.Segments[i].Start.Equal(want.Segments[i].Start) ||
+				!got.Segments[i].End.Equal(want.Segments[i].End) ||
+				!reflect.DeepEqual(got.Segments[i].dwellBy, want.Segments[i].dwellBy) {
+				t.Fatalf("after %d observations: segment %d diverges", pl.n, i)
+			}
+		}
+	}
+
+	t.Run("batch", func(t *testing.T) {
+		pl := NewPipeline(p)
+		pl.Extend(obs[:parked])
+		checkCap(t, pl)
+		checkResult(t, pl)
+		pl.Extend(obs[parked:])
+		checkCap(t, pl)
+		checkResult(t, pl)
+		if segs := pl.FinalSegments(); len(segs) != 1 || segs[0].dwellBy[cell(1)] != parked {
+			t.Fatalf("the parked stay did not finalize with its full dwell: %+v", segs)
+		}
+	})
+
+	t.Run("one-by-one", func(t *testing.T) {
+		pl := NewPipeline(p)
+		for i := 0; i < len(obs); i++ {
+			if i == parked/2 {
+				// Steady state: the next observations extend the same open
+				// stay, so nothing should be allocated.
+				k := i
+				allocs := testing.AllocsPerRun(100, func() {
+					pl.Extend(obs[k : k+1])
+					k++
+				})
+				if allocs != 0 {
+					t.Fatalf("warm one-observation Extend allocates %.2f times", allocs)
+				}
+				checkCap(t, pl)
+				i = k
+			}
+			pl.Extend(obs[i : i+1])
+			checkCap(t, pl)
+			if i%2000 == 0 || i >= parked {
+				checkResult(t, pl)
+			}
+		}
+		checkResult(t, pl)
+	})
+}
+
 func TestPipelineEmpty(t *testing.T) {
 	pl := NewPipeline(DefaultParams())
 	res := pl.Result()
@@ -283,6 +367,29 @@ func BenchmarkDiscoveryIncremental(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPipelineSteady is the cached pipeline's per-observation cost: a
+// one-observation Extend on a warm pipeline whose user oscillates among a
+// place's cells. A warm Extend should report 0 allocs/op.
+func BenchmarkPipelineSteady(b *testing.B) {
+	home := []world.CellID{cell(10), cell(11), cell(12)}
+	pl := NewPipeline(DefaultParams())
+	batch := make([]trace.GSMObservation, 1)
+	at := simclock.Epoch
+	next := func(i int) {
+		batch[0] = trace.GSMObservation{At: at, Cell: home[i%len(home)]}
+		at = at.Add(time.Minute)
+		pl.Extend(batch)
+	}
+	for i := 0; i < 1000; i++ {
+		next(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next(i)
 	}
 }
 

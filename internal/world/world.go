@@ -9,8 +9,10 @@
 package world
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/geo"
 )
@@ -96,6 +98,27 @@ type CellID struct {
 // String renders the cell id in mcc-mnc-lac-cid form.
 func (c CellID) String() string {
 	return fmt.Sprintf("%d-%d-%d-%d", c.MCC, c.MNC, c.LAC, c.CID)
+}
+
+// CompareCellStrings orders cells exactly as strings.Compare(a.String(),
+// b.String()) does — the deterministic order of discovery output and tower
+// ranking — but renders both into stack arrays instead of formatting two
+// strings per comparison, so it never allocates.
+func CompareCellStrings(a, b CellID) int {
+	// Four int fields of at most 20 bytes each, plus three separators.
+	var ab, bb [83]byte
+	return bytes.Compare(a.appendText(ab[:0]), b.appendText(bb[:0]))
+}
+
+// appendText appends String's rendering of c to dst.
+func (c CellID) appendText(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(c.MCC), 10)
+	dst = append(dst, '-')
+	dst = strconv.AppendInt(dst, int64(c.MNC), 10)
+	dst = append(dst, '-')
+	dst = strconv.AppendInt(dst, int64(c.LAC), 10)
+	dst = append(dst, '-')
+	return strconv.AppendInt(dst, int64(c.CID), 10)
 }
 
 // CellTower is a base station. Towers belong to an operator (MNC) and a radio
@@ -193,7 +216,7 @@ func (w *World) TowersInRange(p geo.LatLng) []*CellTower {
 		if cands[i].d != cands[j].d {
 			return cands[i].d < cands[j].d
 		}
-		return cands[i].t.ID.String() < cands[j].t.ID.String()
+		return CompareCellStrings(cands[i].t.ID, cands[j].t.ID) < 0
 	})
 	out := make([]*CellTower, len(cands))
 	for i, c := range cands {

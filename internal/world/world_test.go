@@ -1,7 +1,9 @@
 package world
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -344,5 +346,49 @@ func TestFinalizeIndexesManualWorld(t *testing.T) {
 	p := w.Path(geo.LatLng{Lat: 28.6, Lng: 77.2}, geo.LatLng{Lat: 28.61, Lng: 77.21})
 	if len(p) < 2 {
 		t.Error("Path on manual world failed")
+	}
+}
+
+// TestCompareCellStringsMatchesString pins the allocation-free comparator to
+// the order of the rendered strings, over random cells whose fields mix
+// signs and digit counts (so "10-…" against "9-…" and "-1-…" against "1-…"
+// all occur).
+func TestCompareCellStringsMatchesString(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	field := func() int {
+		switch r.Intn(4) {
+		case 0:
+			return r.Intn(10)
+		case 1:
+			return r.Intn(100000)
+		case 2:
+			return -r.Intn(1000)
+		default:
+			return int(r.Int63()) - int(r.Int63())
+		}
+	}
+	cell := func() CellID { return CellID{MCC: field(), MNC: field(), LAC: field(), CID: field()} }
+	sign := func(x int) int { return min(max(x, -1), 1) }
+	for i := 0; i < 20000; i++ {
+		a, b := cell(), cell()
+		if i%5 == 0 {
+			b = a
+			b.CID = field()
+		}
+		want := strings.Compare(a.String(), b.String())
+		if got := sign(CompareCellStrings(a, b)); got != want {
+			t.Fatalf("CompareCellStrings(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
+	// The widest rendering fills the comparator's stack arrays exactly.
+	extreme := CellID{MCC: math.MinInt, MNC: math.MinInt, LAC: math.MinInt, CID: math.MinInt}
+	for _, b := range []CellID{extreme, {MCC: math.MinInt, MNC: math.MinInt, LAC: math.MinInt, CID: math.MaxInt}} {
+		if got, want := sign(CompareCellStrings(extreme, b)), strings.Compare(extreme.String(), b.String()); got != want {
+			t.Fatalf("CompareCellStrings(%v, %v) = %d, want %d", extreme, b, got, want)
+		}
+	}
+	a, b := cell(), cell()
+	if n := testing.AllocsPerRun(100, func() { CompareCellStrings(a, b) }); n != 0 {
+		t.Fatalf("CompareCellStrings allocates %.1f times per call", n)
 	}
 }
