@@ -351,8 +351,9 @@ func (s *Server) decodeBinaryBody(w http.ResponseWriter, r *http.Request, into a
 
 // decodeDiscoverJSON parses a JSON discover upload through the observation
 // codec under decode's size cap and status contract: 413 over the cap, 400
-// for a body encoding/json would refuse. Like decode it stops at the end of
-// the request object; bytes after it are never read.
+// for a body encoding/json would refuse. Like decode it ignores what follows
+// the request object: the reader may have read some of it into its window,
+// but never waits for it.
 func (s *Server) decodeDiscoverJSON(w http.ResponseWriter, r *http.Request, req *DiscoverPlacesRequest) bool {
 	jr := trace.NewJSONReader(http.MaxBytesReader(w, r.Body, s.maxBody), 0)
 	defer jr.Release()

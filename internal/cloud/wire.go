@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"mime"
@@ -569,10 +570,14 @@ func decodeEncounters(d *trace.BinaryDecoder, tc *wireTimeChain) (out []profile.
 // --- JSON upload envelopes ------------------------------------------------
 
 // The two JSON bodies that carry observations — the discover upload and the
-// stream batch — go through internal/trace's hand-written observation codec,
-// not encoding/json's reflection: the same bytes out, the same inputs
-// accepted and the same values decoded (FuzzObservationsJSON holds them to
-// encoding/json). Every other JSON body stays on encoding/json.
+// stream batch — are written by internal/trace's hand-written observation
+// encoder, byte for byte what encoding/json writes. On the way in,
+// trace.JSONReader frames one document at a time; it may read ahead into its
+// window but never waits for a byte past the document it returns. The
+// document is parsed straight-line when it is in the encoder's own form and
+// handed to json.Unmarshal otherwise, so encoding/json decides every input
+// the client here never sends (FuzzObservationsJSON holds the pair to it).
+// Every other JSON body stays on encoding/json.
 
 // appendDiscoverRequestJSON appends m exactly as json.Marshal encodes it.
 func appendDiscoverRequestJSON(dst []byte, m *DiscoverPlacesRequest) ([]byte, error) {
@@ -605,32 +610,53 @@ func appendStreamBatchJSON(dst []byte, m *StreamBatch) ([]byte, error) {
 }
 
 // readDiscoverRequestJSON decodes the next document of jr into m as
-// json.Decoder.Decode would.
+// json.Decoder.Decode would into a zero request: straight-line when the
+// document is in appendDiscoverRequestJSON's form, else through
+// json.Unmarshal.
 func readDiscoverRequestJSON(jr *trace.JSONReader, m *DiscoverPlacesRequest) error {
-	return jr.Document(func(key []byte) error {
-		switch {
-		case trace.JSONKeyIs(key, "observations"):
-			return jr.Observations(&m.Observations)
-		case trace.JSONKeyIs(key, "delta"):
-			return jr.Bool(&m.Delta)
-		case trace.JSONKeyIs(key, "cursor"):
-			return jr.Int64(&m.Cursor)
-		case trace.JSONKeyIs(key, "prefix_hash"):
-			return jr.Uint64(&m.PrefixHash)
-		}
-		return jr.Skip()
-	})
+	doc, err := jr.Document()
+	if err != nil {
+		return err
+	}
+	c := trace.NewCanonJSON(doc)
+	c.Lit(`{"observations":`)
+	var req DiscoverPlacesRequest
+	req.Observations = c.Observations()
+	req.Delta = c.Opt(`,"delta":true`)
+	if c.Opt(`,"cursor":`) {
+		req.Cursor = int64(c.Int())
+	}
+	if c.Opt(`,"prefix_hash":`) {
+		req.PrefixHash = c.Uint64()
+	}
+	c.Lit("}")
+	if c.Done() {
+		*m = req
+		return nil
+	}
+	*m = DiscoverPlacesRequest{}
+	return json.Unmarshal(doc, m)
 }
 
 // readStreamBatchJSON decodes the next document of jr into m as
-// json.Decoder.Decode would; io.EOF means the stream ended cleanly.
+// json.Decoder.Decode would into a zero batch, straight-line when the
+// document is in appendStreamBatchJSON's form; io.EOF means the stream
+// ended cleanly.
 func readStreamBatchJSON(jr *trace.JSONReader, m *StreamBatch) error {
-	return jr.Document(func(key []byte) error {
-		if trace.JSONKeyIs(key, "observations") {
-			return jr.Observations(&m.Observations)
-		}
-		return jr.Skip()
-	})
+	doc, err := jr.Document()
+	if err != nil {
+		return err
+	}
+	c := trace.NewCanonJSON(doc)
+	c.Lit(`{"observations":`)
+	obs := c.Observations()
+	c.Lit("}")
+	if c.Done() {
+		*m = StreamBatch{Observations: obs}
+		return nil
+	}
+	*m = StreamBatch{}
+	return json.Unmarshal(doc, m)
 }
 
 // --- framing for streamed bodies ------------------------------------------

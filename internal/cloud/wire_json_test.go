@@ -235,15 +235,27 @@ func checkStreamJSON(t *testing.T, data []byte) {
 // refused by the codec exactly when encoding/json accepts or refuses it, and
 // accepted inputs must decode to identical values.
 func FuzzObservationsJSON(f *testing.F) {
+	for _, seed := range observationsJSONSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDiscoverJSON(t, data)
+		checkStreamJSON(t, data)
+	})
+}
+
+// observationsJSONSeeds is FuzzObservationsJSON's seed corpus: the client's
+// own bodies, then the corners of what encoding/json accepts and refuses.
+func observationsJSONSeeds() (seeds [][]byte) {
 	r := rand.New(rand.NewSource(2502))
 	real, _ := appendDiscoverRequestJSON(nil, &DiscoverPlacesRequest{
 		Observations: randomJSONObservations(r, 3), Delta: true, Cursor: 720, PrefixHash: 1 << 63})
-	f.Add(real)
+	seeds = append(seeds, real)
 	var stream []byte
 	for _, n := range []int{2, 0, 1} {
 		stream, _ = appendStreamBatchJSON(stream, &StreamBatch{Observations: randomJSONObservations(r, n)})
 	}
-	f.Add(stream)
+	seeds = append(seeds, stream)
 	for _, s := range []string{
 		// case-folded keys, Unicode simple folding included (ſ folds to S, K to K)
 		`{"OBSERVATIONS":[{"at":"2014-09-01T00:00:00Z","cELL":{"MCC":1,"Mnc":2},"ſignalDBM":-1.5}],"DELTA":true,"Cursor":3,"PREFIX_HASH":4}`,
@@ -310,13 +322,104 @@ func FuzzObservationsJSON(f *testing.F) {
 		// truncations and empty input
 		``, ` `, `{`, `{"observations":[`, `{"observations":[{"At":"2014`, `nul`, `tru`,
 	} {
-		f.Add([]byte(s))
+		seeds = append(seeds, []byte(s))
 	}
 	// encoding/json's nesting limit, either side of it
-	f.Add([]byte(`{"x":` + strings.Repeat("[", 9998) + strings.Repeat("]", 9998) + `}`))
-	f.Add([]byte(`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDiscoverJSON(t, data)
-		checkStreamJSON(t, data)
-	})
+	return append(seeds,
+		[]byte(`{"x":`+strings.Repeat("[", 9998)+strings.Repeat("]", 9998)+`}`),
+		[]byte(`{"x":`+strings.Repeat("[", 9999)+strings.Repeat("]", 9999)+`}`))
+}
+
+// TestJSONReaderFramesLikeDecoder pins where the reader says a document
+// ends, which the differential fuzz target only sees through verdicts and
+// values: over every fuzz seed and randomized multi-batch streams, each
+// document encoding/json accepts must come back from the reader as exactly
+// the bytes json.Decoder consumed for it, leading whitespace aside, and must
+// come back even when reading past its last byte fails.
+func TestJSONReaderFramesLikeDecoder(t *testing.T) {
+	inputs := observationsJSONSeeds()
+	r := rand.New(rand.NewSource(2503))
+	for i := 0; i < 300; i++ {
+		inputs = append(inputs, randomJSONStream(t, r))
+	}
+	for _, data := range inputs {
+		var want [][]byte
+		dec := json.NewDecoder(bytes.NewReader(data))
+		end := 0
+		for {
+			var b StreamBatch
+			if dec.Decode(&b) != nil {
+				break
+			}
+			want = append(want, bytes.TrimLeft(data[end:dec.InputOffset()], " \t\r\n"))
+			end = int(dec.InputOffset())
+		}
+		for _, rd := range []io.Reader{
+			bytes.NewReader(data),
+			iotest.OneByteReader(bytes.NewReader(data)),
+			&failPastReader{rest: data[:end]},
+			iotest.OneByteReader(&failPastReader{rest: data[:end]}),
+		} {
+			jr := trace.NewJSONReader(rd, 0)
+			for i, w := range want {
+				if doc, err := jr.Document(); err != nil || !bytes.Equal(doc, w) {
+					t.Fatalf("%q: document %d framed as %q (%v), json.Decoder consumed %q", data, i, doc, err, w)
+				}
+			}
+			jr.Release()
+		}
+	}
+}
+
+// failPastReader serves rest, then fails every later Read.
+type failPastReader struct{ rest []byte }
+
+func (f *failPastReader) Read(p []byte) (int, error) {
+	if len(f.rest) == 0 {
+		return 0, errors.New("read past the last document")
+	}
+	n := copy(p, f.rest)
+	f.rest = f.rest[n:]
+	return n, nil
+}
+
+// randomJSONStream writes up to six documents in the forms a stream may
+// carry: the client's own batches with and without their newline, indented
+// batches, batches whose unknown fields hold escapes, quotes and brackets
+// inside strings and nested containers, and nulls, with whitespace of every
+// kind between them, and sometimes a truncated last document.
+func randomJSONStream(t *testing.T, r *rand.Rand) []byte {
+	t.Helper()
+	var out []byte
+	for n := r.Intn(6); n >= 0; n-- {
+		out = append(out, []string{"", " ", "\n", "\t\r\n "}[r.Intn(4)]...)
+		b := StreamBatch{Observations: randomJSONObservations(r, r.Intn(4))}
+		obs, err := trace.AppendObservationsJSON(nil, b.Observations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch r.Intn(5) {
+		case 0:
+			out, err = appendStreamBatchJSON(out, &b)
+		case 1:
+			out, err = appendStreamBatchJSON(out, &b)
+			out = out[:len(out)-1]
+		case 2:
+			var doc []byte
+			doc, err = json.MarshalIndent(b, "", "\t")
+			out = append(out, doc...)
+		case 3:
+			out = append(out, `{"x":"\"}]\\{[","observations":`...)
+			out = append(append(out, obs...), `,"y":[{"z":["}"]},[]],"w":"\\"}`...)
+		default:
+			out = append(out, "null"...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Intn(4) == 0 {
+		out = out[:r.Intn(len(out)+1)]
+	}
+	return out
 }

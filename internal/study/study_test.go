@@ -3,6 +3,7 @@ package study
 import (
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -212,5 +213,48 @@ func TestRunWithHTTPCloud(t *testing.T) {
 	}
 	if located == 0 {
 		t.Error("no place geolocated through HTTP cloud")
+	}
+}
+
+// TestHTTPCloudMatchesInProcess runs one small study twice, against the
+// in-process cloud adapter and over the JSON wire to a real cloud.Server,
+// and requires each participant's places and scores to come out the same:
+// the wire carries the traces and decides nothing.
+func TestHTTPCloudMatchesInProcess(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Participants = 2
+	cfg.Days = 3
+	local, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := world.Generate(cfg.World, rand.New(rand.NewSource(cfg.Seed)))
+	server := cloud.NewServer(cloud.NewStore(nil), cloud.WithCellDatabase(cloud.NewCellDatabase(w, 150)))
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
+	cfg.CloudBaseURL = ts.URL
+	remote, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(remote.Participants) != len(local.Participants) {
+		t.Fatalf("%d participants over HTTP, %d in process", len(remote.Participants), len(local.Participants))
+	}
+	for i, want := range local.Participants {
+		got := remote.Participants[i]
+		if got.DiscoveredPlaces != want.DiscoveredPlaces {
+			t.Errorf("%s: %d places over HTTP, %d in process", want.ID, got.DiscoveredPlaces, want.DiscoveredPlaces)
+		}
+		if !reflect.DeepEqual(got.Report, want.Report) {
+			t.Errorf("%s: fused report over HTTP %+v, in process %+v", want.ID, got.Report, want.Report)
+		}
+		if !reflect.DeepEqual(got.ReportGSM, want.ReportGSM) {
+			t.Errorf("%s: GSM report over HTTP %+v, in process %+v", want.ID, got.ReportGSM, want.ReportGSM)
+		}
+		if !reflect.DeepEqual(got.PlaceCenters, want.PlaceCenters) {
+			t.Errorf("%s: place centers over HTTP %v, in process %v", want.ID, got.PlaceCenters, want.PlaceCenters)
+		}
 	}
 }

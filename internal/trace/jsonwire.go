@@ -1,36 +1,26 @@
 package trace
 
-// JSON observation codec: the hand-written twin of encoding/json for
-// []GSMObservation, which the cloud's JSON upload bodies (discover request,
-// stream batch) carry (DESIGN.md §14). It changes no byte of the JSON wire:
-// AppendObservationsJSON produces exactly what json.Marshal produces, and
-// JSONReader accepts exactly the inputs encoding/json accepts and decodes the
-// same values — case-folded and escaped keys, duplicate keys (last wins,
-// in place), null as "leave the field alone", encoding/json's nesting limit.
-// encoding/json stays the oracle: the cloud package's FuzzObservationsJSON
-// holds the two to identical verdicts and values.
-//
-// JSONReader parses straight from a pooled window refilled from its
-// io.Reader, the way the binary wire reads frames: no intermediate token
-// tree, no reflection, and a document is returned the moment its closing
-// brace arrives, without reading ahead.
+// JSON observation codec for the cloud's JSON upload bodies, which carry
+// []GSMObservation (DESIGN.md §14). AppendObservationsJSON writes exactly
+// what json.Marshal writes. JSONReader frames one document at a time from a
+// pooled window; a CanonJSON cursor parses a document in the encoder's own
+// form — what every client in this repository sends — and the caller hands
+// any other document to encoding/json, which the cloud package's
+// FuzzObservationsJSON holds the pair to.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
 	"sync"
 	"time"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
-
-	"repro/internal/world"
 )
 
 // AppendObservationsJSON appends obs exactly as json.Marshal encodes them —
@@ -110,31 +100,19 @@ func appendFloatJSON(dst []byte, f float64) ([]byte, error) {
 var ErrJSONTooLarge = errors.New("trace: JSON document over the size limit")
 
 const (
-	// jsonWindow is a pooled reader's initial window; it grows only for a
-	// single token longer than itself.
-	jsonWindow = 32 << 10
-	// maxPooledJSONWindow keeps a reader whose window grew past it out of
-	// the pool.
-	maxPooledJSONWindow = 1 << 20
-	// maxJSONDepth is encoding/json's nesting limit.
-	maxJSONDepth = 10000
+	jsonWindow          = 32 << 10 // a pooled reader's initial window
+	maxPooledJSONWindow = 1 << 20  // a reader whose window grew past it leaves the pool
 )
 
-// JSONReader decodes a sequence of JSON documents — the upload envelopes
-// around []GSMObservation — from an io.Reader. Document walks one top-level
-// object, handing each member's key to a callback that decodes the value
-// with Observations, Int64, Uint64, Bool or Skip. Not safe for concurrent
+// JSONReader frames a sequence of JSON documents — the upload envelopes
+// around []GSMObservation — read from an io.Reader. Not safe for concurrent
 // use; Release returns it to the pool.
 type JSONReader struct {
 	r     io.Reader
-	buf   []byte // buf[pos:] is read but not yet parsed
+	buf   []byte // buf[pos:] is read but not yet returned
 	pos   int
-	off   int64 // stream offset of buf[0]
-	doc   int64 // stream offset of the current document's first byte; -1 between documents
 	limit int64 // longest document accepted; 0 means unbounded
-	depth int
-	rerr  error  // the underlying reader's error, surfaced once buf is drained
-	key   []byte // scratch for keys that must outlive a refill
+	rerr  error // the underlying reader's error, surfaced once buf is drained
 }
 
 var jsonReaders = sync.Pool{New: func() any { return &JSONReader{buf: make([]byte, 0, jsonWindow)} }}
@@ -144,7 +122,7 @@ var jsonReaders = sync.Pool{New: func() any { return &JSONReader{buf: make([]byt
 // documents does not count.
 func NewJSONReader(r io.Reader, limit int64) *JSONReader {
 	jr := jsonReaders.Get().(*JSONReader)
-	*jr = JSONReader{r: r, buf: jr.buf[:0], doc: -1, limit: limit, key: jr.key[:0]}
+	*jr = JSONReader{r: r, buf: jr.buf[:0], limit: limit}
 	return jr
 }
 
@@ -157,12 +135,13 @@ func (jr *JSONReader) Release() {
 	jsonReaders.Put(jr)
 }
 
-// Document decodes the next top-level value, which must be an object or
-// null, calling field once per member in input order (see object). It
-// returns io.EOF when the input ends cleanly before another document starts,
-// and ErrJSONTooLarge for a document longer than the limit. Like
-// json.Decoder it reads nothing past the document's last byte.
-func (jr *JSONReader) Document(field func(key []byte) error) error {
+// Document returns the next top-level value's bytes, valid until the next
+// call. It finds where the value ends without checking it: the caller's
+// parser refuses a malformed one. It returns io.EOF when the input ends
+// before another value starts, io.ErrUnexpectedEOF when it ends inside one,
+// and ErrJSONTooLarge for a value over the limit, before a byte past the
+// limit is read. It never reads once the value's last byte is in the window.
+func (jr *JSONReader) Document() ([]byte, error) {
 	for {
 		for jr.pos < len(jr.buf) && isSpace(jr.buf[jr.pos]) {
 			jr.pos++
@@ -171,671 +150,72 @@ func (jr *JSONReader) Document(field func(key []byte) error) error {
 			break
 		}
 		if err := jr.more(); err != nil {
-			return err
-		}
-	}
-	jr.doc, jr.depth = jr.off+int64(jr.pos), 0
-	err := jr.object(field)
-	if err == nil && jr.limit > 0 && jr.off+int64(jr.pos)-jr.doc > jr.limit {
-		err = ErrJSONTooLarge
-	}
-	jr.doc = -1
-	return err
-}
-
-// Observations decodes a []GSMObservation value into *dst as encoding/json
-// would: null sets nil, [] an empty slice, and elements decode in place over
-// what *dst already holds (a repeated key merges into the earlier value).
-func (jr *JSONReader) Observations(dst *[]GSMObservation) error {
-	c, err := jr.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case 'n':
-		if err := jr.literal("null"); err != nil {
-			return err
-		}
-		*dst = nil
-		return nil
-	case '[':
-	default:
-		return jr.mismatch(c, "[]trace.GSMObservation")
-	}
-	s, n := *dst, 0
-	err = jr.array(func() error {
-		// encoding/json's growth: within capacity, the element keeps
-		// whatever an earlier value left there.
-		if n == len(s) {
-			if n < cap(s) {
-				s = s[:n+1]
-			} else {
-				s = append(s, GSMObservation{})
-			}
-		}
-		n++
-		if jr.canonicalObservation(&s[n-1]) {
-			return nil
-		}
-		return jr.observation(&s[n-1])
-	})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		s = []GSMObservation{}
-	}
-	*dst = s[:n]
-	return nil
-}
-
-// canonicalObservation decodes o straight from the window when the window
-// holds it in exactly the form AppendObservationsJSON writes — what every
-// client in this repository sends — and reports whether it did. On false it
-// has consumed and written nothing, and the general parser takes the element
-// from the same position, whatever its form. The canonical form sets every
-// field of o, so decoding over what o held before is the same as the general
-// parser's in-place decode.
-func (jr *JSONReader) canonicalObservation(o *GSMObservation) bool {
-	s := canon{b: jr.buf[jr.pos:], ok: true}
-	s.lit(`{"At":`)
-	at := s.str()
-	s.lit(`,"Cell":{"mcc":`)
-	mcc := s.int()
-	s.lit(`,"mnc":`)
-	mnc := s.int()
-	s.lit(`,"lac":`)
-	lac := s.int()
-	s.lit(`,"cid":`)
-	cid := s.int()
-	s.lit(`},"SignalDBM":`)
-	sig := s.float()
-	s.lit(`}`)
-	var t time.Time
-	if !s.ok || t.UnmarshalJSON(at) != nil {
-		return false
-	}
-	*o = GSMObservation{At: t, Cell: world.CellID{MCC: mcc, MNC: mnc, LAC: lac, CID: cid}, SignalDBM: sig}
-	jr.pos += s.i
-	return true
-}
-
-// canon is a cursor over the window for canonicalObservation: the first
-// step that does not find what the canonical form has there clears ok, and
-// every later step is then a no-op.
-type canon struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-func (s *canon) lit(l string) {
-	if s.ok = s.ok && len(s.b)-s.i >= len(l) && string(s.b[s.i:s.i+len(l)]) == l; s.ok {
-		s.i += len(l)
-	}
-}
-
-// str takes a string token holding no escape or control character, quotes
-// included.
-func (s *canon) str() []byte {
-	if s.ok = s.ok && s.i < len(s.b) && s.b[s.i] == '"'; !s.ok {
-		return nil
-	}
-	for j := s.i + 1; j < len(s.b); j++ {
-		switch c := s.b[j]; {
-		case c == '"':
-			raw := s.b[s.i : j+1]
-			s.i = j + 1
-			return raw
-		case c == '\\' || c < ' ':
-			s.ok = false
-			return nil
-		}
-	}
-	s.ok = false
-	return nil
-}
-
-// int takes -?(0|[1-9][0-9]*) of at most 18 digits, which cannot overflow
-// int64, and that fits int. A longer integer, a fraction or an exponent
-// leaves a byte the next literal does not expect.
-func (s *canon) int() int {
-	j := s.i
-	neg := j < len(s.b) && s.b[j] == '-'
-	if neg {
-		j++
-	}
-	start, v := j, int64(0)
-	for j < len(s.b) && j-start < 18 && isDigit(s.b[j]) {
-		v = v*10 + int64(s.b[j]-'0')
-		j++
-	}
-	if neg {
-		v = -v
-	}
-	if s.ok = s.ok && j > start && (s.b[start] != '0' || j == start+1) && int64(int(v)) == v; !s.ok {
-		return 0
-	}
-	s.i = j
-	return int(v)
-}
-
-func (s *canon) float() float64 {
-	j := s.i
-	for j < len(s.b) && isNumberByte(s.b[j]) {
-		j++
-	}
-	raw := s.b[s.i:j]
-	if s.ok = s.ok && validNumber(raw); !s.ok {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(raw), 64)
-	if s.ok = err == nil; s.ok {
-		s.i = j
-	}
-	return f
-}
-
-func (jr *JSONReader) observation(o *GSMObservation) error {
-	return jr.object(func(key []byte) error {
-		switch {
-		case JSONKeyIs(key, "At"):
-			return jr.readTime(&o.At)
-		case JSONKeyIs(key, "Cell"):
-			return jr.cell(&o.Cell)
-		case JSONKeyIs(key, "SignalDBM"):
-			return jr.readFloat(&o.SignalDBM)
-		}
-		return jr.Skip()
-	})
-}
-
-func (jr *JSONReader) cell(c *world.CellID) error {
-	return jr.object(func(key []byte) error {
-		switch {
-		case JSONKeyIs(key, "mcc"):
-			return jr.readInt(&c.MCC)
-		case JSONKeyIs(key, "mnc"):
-			return jr.readInt(&c.MNC)
-		case JSONKeyIs(key, "lac"):
-			return jr.readInt(&c.LAC)
-		case JSONKeyIs(key, "cid"):
-			return jr.readInt(&c.CID)
-		}
-		return jr.Skip()
-	})
-}
-
-// readTime decodes a time.Time the way encoding/json does: the raw string token,
-// escapes and all, goes to time.Time.UnmarshalJSON; null leaves *t alone.
-func (jr *JSONReader) readTime(t *time.Time) error {
-	c, err := jr.peek()
-	switch {
-	case err != nil:
-		return err
-	case c == 'n':
-		return jr.literal("null")
-	case c != '"':
-		return jr.mismatch(c, "time.Time")
-	}
-	raw, _, err := jr.str()
-	if err != nil {
-		return err
-	}
-	return t.UnmarshalJSON(raw)
-}
-
-func (jr *JSONReader) readInt(dst *int) error {
-	v := int64(*dst) // null must leave *dst alone
-	if err := jr.Int64(&v); err != nil {
-		return err
-	}
-	if int64(int(v)) != v {
-		return jr.errorf("number %d does not fit int", v)
-	}
-	*dst = int(v)
-	return nil
-}
-
-// Int64 decodes an integer value; null leaves *dst alone, and a fraction,
-// exponent or out-of-range number is refused, as encoding/json refuses them.
-func (jr *JSONReader) Int64(dst *int64) error {
-	raw, null, err := jr.numberOrNull("int64")
-	if err != nil || null {
-		return err
-	}
-	v, err := strconv.ParseInt(string(raw), 10, 64)
-	if err != nil {
-		return jr.errorf("number %s is not an int64", raw)
-	}
-	*dst = v
-	return nil
-}
-
-// Uint64 decodes an unsigned integer value; null leaves *dst alone.
-func (jr *JSONReader) Uint64(dst *uint64) error {
-	raw, null, err := jr.numberOrNull("uint64")
-	if err != nil || null {
-		return err
-	}
-	v, err := strconv.ParseUint(string(raw), 10, 64)
-	if err != nil {
-		return jr.errorf("number %s does not fit uint64", raw)
-	}
-	*dst = v
-	return nil
-}
-
-func (jr *JSONReader) readFloat(dst *float64) error {
-	raw, null, err := jr.numberOrNull("float64")
-	if err != nil || null {
-		return err
-	}
-	v, err := strconv.ParseFloat(string(raw), 64)
-	if err != nil {
-		return jr.errorf("number %s does not fit float64", raw)
-	}
-	*dst = v
-	return nil
-}
-
-// Bool decodes true or false; null leaves *dst alone.
-func (jr *JSONReader) Bool(dst *bool) error {
-	c, err := jr.peek()
-	switch {
-	case err != nil:
-		return err
-	case c == 'n':
-		return jr.literal("null")
-	case c == 't':
-		err = jr.literal("true")
-	case c == 'f':
-		err = jr.literal("false")
-	default:
-		return jr.mismatch(c, "bool")
-	}
-	if err == nil {
-		*dst = c == 't'
-	}
-	return err
-}
-
-// Skip consumes one value of any type, checking its syntax as encoding/json
-// checks a field it ignores.
-func (jr *JSONReader) Skip() error {
-	c, err := jr.peek()
-	switch {
-	case err != nil:
-		return err
-	case c == '{':
-		return jr.object(func([]byte) error { return jr.Skip() })
-	case c == '[':
-		return jr.array(jr.Skip)
-	case c == '"':
-		_, _, err = jr.str()
-		return err
-	case c == '-' || isDigit(c):
-		_, err = jr.number()
-		return err
-	case c == 't':
-		return jr.literal("true")
-	case c == 'f':
-		return jr.literal("false")
-	case c == 'n':
-		return jr.literal("null")
-	}
-	return jr.syntax(c, "looking for beginning of value")
-}
-
-// JSONKeyIs reports whether an unescaped object key selects the struct field
-// whose JSON name is name (ASCII), by encoding/json's rule: an exact match,
-// else equality under Unicode simple case folding ("ſignalDBM" selects
-// SignalDBM). Bytes that are not UTF-8 fold to U+FFFD and match nothing.
-func JSONKeyIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	j := 0
-	for i := 0; i < len(key); j++ {
-		r := rune(key[i])
-		if r < utf8.RuneSelf {
-			i++
-		} else {
-			var n int
-			r, n = utf8.DecodeRune(key[i:])
-			i += n
-			r = foldRune(r)
-		}
-		if j == len(name) || upperASCII(r) != upperASCII(rune(name[j])) {
-			return false
-		}
-	}
-	return j == len(name)
-}
-
-// foldRune is encoding/json's: the smallest rune of r's simple fold orbit.
-func foldRune(r rune) rune {
-	for {
-		r2 := unicode.SimpleFold(r)
-		if r2 <= r {
-			return r2
-		}
-		r = r2
-	}
-}
-
-func upperASCII(r rune) rune {
-	if 'a' <= r && r <= 'z' {
-		return r - ('a' - 'A')
-	}
-	return r
-}
-
-// --- tokens -------------------------------------------------------------
-
-// object consumes an object, or null (a no-op), calling field with each
-// member's unescaped key once the colon is consumed. field must consume the
-// value, and must be done with key before it does: reading may slide the
-// window key points into.
-func (jr *JSONReader) object(field func(key []byte) error) error {
-	c, err := jr.peek()
-	switch {
-	case err != nil:
-		return err
-	case c == 'n':
-		return jr.literal("null")
-	case c != '{':
-		return jr.mismatch(c, "object")
-	}
-	jr.pos++
-	if err := jr.push(); err != nil {
-		return err
-	}
-	if c, err = jr.peek(); err != nil {
-		return err
-	}
-	if c == '}' {
-		jr.pos++
-		jr.depth--
-		return nil
-	}
-	for {
-		if c != '"' {
-			return jr.syntax(c, "looking for beginning of object key string")
-		}
-		key, err := jr.readKey()
-		if err != nil {
-			return err
-		}
-		if err := field(key); err != nil {
-			return err
-		}
-		if c, err = jr.peek(); err != nil {
-			return err
-		}
-		jr.pos++
-		switch c {
-		case ',':
-			if c, err = jr.peek(); err != nil {
-				return err
-			}
-		case '}':
-			jr.depth--
-			return nil
-		default:
-			return jr.syntax(c, "after object key:value pair")
-		}
-	}
-}
-
-// array consumes an array (buf[pos] is '['), calling elem to consume each
-// element.
-func (jr *JSONReader) array(elem func() error) error {
-	jr.pos++
-	if err := jr.push(); err != nil {
-		return err
-	}
-	c, err := jr.peek()
-	if err != nil {
-		return err
-	}
-	if c == ']' {
-		jr.pos++
-		jr.depth--
-		return nil
-	}
-	for {
-		if err := elem(); err != nil {
-			return err
-		}
-		if c, err = jr.peek(); err != nil {
-			return err
-		}
-		jr.pos++
-		switch c {
-		case ',':
-		case ']':
-			jr.depth--
-			return nil
-		default:
-			return jr.syntax(c, "after array element")
-		}
-	}
-}
-
-func (jr *JSONReader) push() error {
-	if jr.depth++; jr.depth > maxJSONDepth {
-		return jr.errorf("exceeded max depth")
-	}
-	return nil
-}
-
-// readKey consumes an object key (buf[pos] is '"') and its colon, returning
-// the key unescaped.
-func (jr *JSONReader) readKey() ([]byte, error) {
-	raw, esc, err := jr.str()
-	if err != nil {
-		return nil, err
-	}
-	key := raw[1 : len(raw)-1]
-	if esc {
-		jr.key = unquoteKey(jr.key[:0], key)
-		key = jr.key
-	}
-	if jr.pos < len(jr.buf) && jr.buf[jr.pos] == ':' {
-		jr.pos++
-		return key, nil
-	}
-	if !esc {
-		// Finding the colon may slide the window out from under key.
-		jr.key = append(jr.key[:0], key...)
-		key = jr.key
-	}
-	c, err := jr.peek()
-	if err != nil {
-		return nil, err
-	}
-	if c != ':' {
-		return nil, jr.syntax(c, "after object key")
-	}
-	jr.pos++
-	return key, nil
-}
-
-// unquoteKey appends the unescaped body of a key as encoding/json unquotes
-// it: a \u surrogate that does not pair becomes U+FFFD. The escapes are
-// known valid (str checked them).
-func unquoteKey(dst, s []byte) []byte {
-	for i := 0; i < len(s); {
-		if s[i] != '\\' {
-			dst = append(dst, s[i])
-			i++
-			continue
-		}
-		switch c := s[i+1]; c {
-		case 'u':
-		case 'b':
-			dst = append(dst, '\b')
-		case 'f':
-			dst = append(dst, '\f')
-		case 'n':
-			dst = append(dst, '\n')
-		case 'r':
-			dst = append(dst, '\r')
-		case 't':
-			dst = append(dst, '\t')
-		default: // '"', '\\', '/'
-			dst = append(dst, c)
-		}
-		if s[i+1] != 'u' {
-			i += 2
-			continue
-		}
-		r := hex4(s[i+2:])
-		i += 6
-		if utf16.IsSurrogate(r) {
-			r2 := rune(-1)
-			if i+6 <= len(s) && s[i] == '\\' && s[i+1] == 'u' {
-				r2 = hex4(s[i+2:])
-			}
-			if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
-				i += 6
-			}
-		}
-		dst = utf8.AppendRune(dst, r)
-	}
-	return dst
-}
-
-// hex4 decodes four hex digits, or returns -1.
-func hex4(s []byte) rune {
-	var r rune
-	for _, c := range s[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// str consumes a string token (buf[pos] is '"'), checking it as
-// encoding/json's scanner does — no control characters, only the eight
-// escapes — and returns its raw bytes, quotes included, valid until the
-// next read; esc reports whether it holds escapes.
-func (jr *JSONReader) str() (raw []byte, esc bool, err error) {
-	i := jr.pos + 1
-	for {
-	scan:
-		for i < len(jr.buf) {
-			switch c := jr.buf[i]; {
-			case c == '"':
-				raw = jr.buf[jr.pos : i+1]
-				jr.pos = i + 1
-				return raw, esc, nil
-			case c == '\\':
-				esc = true
-				if i+1 >= len(jr.buf) {
-					break scan
-				}
-				switch jr.buf[i+1] {
-				case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-					i += 2
-				case 'u':
-					if i+6 > len(jr.buf) {
-						break scan
-					}
-					if hex4(jr.buf[i+2:]) < 0 {
-						return nil, false, jr.errorf("invalid \\u escape in string literal")
-					}
-					i += 6
-				default:
-					return nil, false, jr.syntax(jr.buf[i+1], "in string escape code")
-				}
-			case c < ' ':
-				return nil, false, jr.syntax(c, "in string literal")
-			default:
-				i++
-			}
-		}
-		rel := i - jr.pos
-		if err := jr.fill(); err != nil {
-			return nil, false, err
-		}
-		i = jr.pos + rel
-	}
-}
-
-// number consumes a number token and returns its bytes, valid until the
-// next read, refusing anything outside the JSON number grammar. Inside a
-// document a number is always followed by another byte, so the token ends
-// at the first byte no number can contain.
-func (jr *JSONReader) number() ([]byte, error) {
-	i := jr.pos
-	for {
-		for i < len(jr.buf) && isNumberByte(jr.buf[i]) {
-			i++
-		}
-		if i < len(jr.buf) {
-			break
-		}
-		rel := i - jr.pos
-		if err := jr.fill(); err != nil {
 			return nil, err
 		}
-		i = jr.pos + rel
 	}
-	raw := jr.buf[jr.pos:i]
-	if !validNumber(raw) {
-		return nil, jr.errorf("invalid number literal %q", raw)
+	n, err := jr.extent()
+	if err == nil && jr.limit > 0 && int64(n) > jr.limit {
+		err = ErrJSONTooLarge
 	}
-	jr.pos = i
-	return raw, nil
+	if err != nil {
+		return nil, err
+	}
+	doc := jr.buf[jr.pos : jr.pos+n : jr.pos+n]
+	jr.pos += n
+	return doc, nil
 }
 
-// numberOrNull consumes a number (raw) or null (null true) where a value of
-// type what is expected.
-func (jr *JSONReader) numberOrNull(what string) (raw []byte, null bool, err error) {
-	c, err := jr.peek()
-	switch {
-	case err != nil:
-		return nil, false, err
-	case c == 'n':
-		return nil, true, jr.literal("null")
-	case c == '-' || isDigit(c):
-		raw, err = jr.number()
-		return raw, false, err
-	}
-	return nil, false, jr.mismatch(c, what)
-}
-
-// literal consumes true, false or null.
-func (jr *JSONReader) literal(lit string) error {
-	if err := jr.ensure(len(lit)); err != nil {
-		return err
-	}
-	if string(jr.buf[jr.pos:jr.pos+len(lit)]) != lit {
-		return jr.errorf("invalid literal, want %s", lit)
-	}
-	jr.pos += len(lit)
-	return nil
-}
-
-// peek skips whitespace and returns the next byte without consuming it.
-func (jr *JSONReader) peek() (byte, error) {
-	for {
-		for jr.pos < len(jr.buf) {
-			if c := jr.buf[jr.pos]; !isSpace(c) {
-				return c, nil
+// extent returns the length of the value at buf[pos], reading until the
+// window holds it. Objects, arrays and strings end at their closing byte
+// (strings, escapes and depth tracked; brackets are not matched), literals
+// after their fixed length, numbers at the first byte no number contains or
+// at the end of input. A byte that starts no value is a document of its own.
+func (jr *JSONReader) extent() (int, error) {
+	switch c := jr.buf[jr.pos]; {
+	case c == 't' || c == 'n' || c == 'f':
+		n := len("null")
+		if c == 'f' {
+			n = len("false")
+		}
+		for len(jr.buf)-jr.pos < n {
+			if err := jr.fill(); err != nil {
+				return 0, err
 			}
-			jr.pos++
+		}
+		return n, nil
+	case c == '-' || isDigit(c):
+		return jr.number()
+	case c != '{' && c != '[' && c != '"':
+		return 1, nil
+	}
+	// str is 1 inside a string. Only a quote, a backslash or a bracket can
+	// move the state; jsonSpecial finds them eight bytes at a time, and the
+	// counters move by table lookup rather than by branch.
+	depth, str := 0, 0
+	for i := 0; ; {
+		b := jr.buf[jr.pos:]
+	scan:
+		for i < len(b) {
+			base, m := i, uint64(0x80) // byte by byte in the window's last seven
+			if i+8 <= len(b) {
+				m = jsonSpecial(binary.LittleEndian.Uint64(b[i:]))
+				i += 8
+			} else {
+				i++
+			}
+			for ; m != 0; m &= m - 1 {
+				j := base + bits.TrailingZeros64(m)>>3
+				c := b[j]
+				if c == '\\' && str == 1 {
+					i = j + 2 // past the escaped byte, which may be in the next refill
+					continue scan
+				}
+				str ^= int(jsonQuote[c])
+				depth += int(jsonDepth[c]) * (1 - str)
+				if depth|str == 0 {
+					return j + 1, nil
+				}
+			}
 		}
 		if err := jr.fill(); err != nil {
 			return 0, err
@@ -843,14 +223,35 @@ func (jr *JSONReader) peek() (byte, error) {
 	}
 }
 
-// ensure buffers at least n unparsed bytes.
-func (jr *JSONReader) ensure(n int) error {
-	for len(jr.buf)-jr.pos < n {
-		if err := jr.fill(); err != nil {
-			return err
+var jsonQuote = [256]uint8{'"': 1}
+var jsonDepth = [256]int8{'{': 1, '[': 1, '}': -1, ']': -1}
+
+// jsonSpecial sets the high bit of every byte of w that is a quote, a
+// backslash or a bracket. It may also set it on a byte after the first of
+// those (the zero-byte test's borrow), which the state machine then reads
+// as the no-op it is.
+func jsonSpecial(w uint64) uint64 {
+	const lsb, msb = 0x0101010101010101, 0x8080808080808080
+	q, e := w^lsb*'"', w^lsb*'\\'
+	f := w | 0x2020202020202020 // folds [ and ] onto { and }
+	o, c := f^lsb*'{', f^lsb*'}'
+	return ((q-lsb)&^q | (e-lsb)&^e | (o-lsb)&^o | (c-lsb)&^c) & msb
+}
+
+// number returns the length of the number token starting at buf[pos].
+func (jr *JSONReader) number() (int, error) {
+	for i := 0; ; i++ {
+		for jr.pos+i == len(jr.buf) {
+			if err := jr.more(); err == io.EOF {
+				return i, nil
+			} else if err != nil {
+				return 0, err
+			}
+		}
+		if !isNumberByte(jr.buf[jr.pos+i]) {
+			return i, nil
 		}
 	}
-	return nil
 }
 
 // fill is more inside a document, where the input ending is a truncation.
@@ -861,17 +262,16 @@ func (jr *JSONReader) fill() error {
 	return io.ErrUnexpectedEOF
 }
 
-// more slides the unparsed tail to the front of the window and reads at
-// least one more byte, growing the window only when the tail fills it.
-// Inside a document every buffered byte belongs to it, so a document that
-// needs a byte past the limit is refused before it is read.
+// more slides the current document (buf[pos:], empty between documents) to
+// the front of the window and reads into the rest, growing the window only
+// when the document fills it, and refusing a document that needs a byte
+// past the limit before that byte is read.
 func (jr *JSONReader) more() error {
 	if jr.pos > 0 {
 		n := copy(jr.buf, jr.buf[jr.pos:])
-		jr.off += int64(jr.pos)
 		jr.buf, jr.pos = jr.buf[:n], 0
 	}
-	if jr.limit > 0 && jr.doc >= 0 && jr.off+int64(len(jr.buf))-jr.doc >= jr.limit {
+	if jr.limit > 0 && int64(len(jr.buf)) >= jr.limit {
 		return ErrJSONTooLarge
 	}
 	if jr.rerr != nil {
@@ -882,10 +282,7 @@ func (jr *JSONReader) more() error {
 	}
 	for range 100 {
 		n, err := jr.r.Read(jr.buf[len(jr.buf):cap(jr.buf)])
-		jr.buf = jr.buf[:len(jr.buf)+n]
-		if err != nil {
-			jr.rerr = err
-		}
+		jr.buf, jr.rerr = jr.buf[:len(jr.buf)+n], err
 		if n > 0 {
 			return nil
 		}
@@ -896,30 +293,150 @@ func (jr *JSONReader) more() error {
 	return io.ErrNoProgress
 }
 
-// --- errors -------------------------------------------------------------
-
-// jsonError is a syntax or type error at a stream offset.
-type jsonError struct {
-	off int64
-	msg string
+// CanonJSON is a cursor over one document that accepts only the exact form
+// this package's encoder and the envelopes around it write. The first step
+// that finds anything else clears ok and makes every later step a no-op; a
+// document that is not Done goes to encoding/json.
+type CanonJSON struct {
+	b  []byte
+	i  int
+	ok bool
 }
 
-func (e *jsonError) Error() string { return fmt.Sprintf("json: %s (offset %d)", e.msg, e.off) }
+// NewCanonJSON returns a cursor at the start of doc.
+func NewCanonJSON(doc []byte) CanonJSON { return CanonJSON{b: doc, ok: true} }
 
-func (jr *JSONReader) errorf(format string, args ...any) error {
-	return &jsonError{off: jr.off + int64(jr.pos), msg: fmt.Sprintf(format, args...)}
+// Done reports whether every step succeeded and the document is used up.
+func (s *CanonJSON) Done() bool { return s.ok && s.i == len(s.b) }
+
+// Opt takes l if the document has it next, and reports whether it did.
+func (s *CanonJSON) Opt(l string) bool {
+	if s.ok && len(s.b)-s.i >= len(l) && string(s.b[s.i:s.i+len(l)]) == l {
+		s.i += len(l)
+		return true
+	}
+	return false
 }
 
-func (jr *JSONReader) syntax(c byte, context string) error {
-	return jr.errorf("invalid character %q %s", c, context)
+// Lit takes l, which the document must have next.
+func (s *CanonJSON) Lit(l string) { s.ok = s.Opt(l) }
+
+// Observations takes null (nil) or an array in AppendObservationsJSON's
+// form ([] is an empty slice, as encoding/json decodes it).
+func (s *CanonJSON) Observations() []GSMObservation {
+	if s.Opt("null") {
+		return nil
+	}
+	if s.Lit("["); !s.ok {
+		return nil
+	}
+	// No element is shorter than minObservationJSON, so this capacity is
+	// never outgrown.
+	obs := make([]GSMObservation, 0, (len(s.b)-s.i)/len(minObservationJSON))
+	if s.Opt("]") {
+		return obs
+	}
+	for {
+		obs = append(obs, s.observation())
+		if !s.Opt(",") {
+			break
+		}
+	}
+	s.Lit("]")
+	return obs
 }
 
-// mismatch refuses a value (starting with c) where want was expected.
-func (jr *JSONReader) mismatch(c byte, want string) error {
-	return jr.errorf("cannot decode a value starting %q into %s", c, want)
+// minObservationJSON is the shortest observation the encoder writes.
+const minObservationJSON = `{"At":"0000-01-01T00:00:00Z","Cell":{"mcc":0,"mnc":0,"lac":0,"cid":0},"SignalDBM":0}`
+
+func (s *CanonJSON) observation() (o GSMObservation) {
+	s.Lit(`{"At":`)
+	o.At = s.time()
+	s.Lit(`,"Cell":{"mcc":`)
+	o.Cell.MCC = s.Int()
+	s.Lit(`,"mnc":`)
+	o.Cell.MNC = s.Int()
+	s.Lit(`,"lac":`)
+	o.Cell.LAC = s.Int()
+	s.Lit(`,"cid":`)
+	o.Cell.CID = s.Int()
+	s.Lit(`},"SignalDBM":`)
+	o.SignalDBM = s.float()
+	s.Lit(`}`)
+	return o
 }
 
-// --- byte classes -------------------------------------------------------
+// time takes a string token up to the next quote and decodes it as
+// encoding/json does, through time.Time.UnmarshalJSON on the raw token,
+// whose strict RFC 3339 parse refuses any escape or control character.
+func (s *CanonJSON) time() (t time.Time) {
+	start := s.i
+	s.Lit(`"`)
+	n := bytes.IndexByte(s.b[s.i:], '"')
+	if s.ok = s.ok && n >= 0; s.ok {
+		s.i += n + 1
+		s.ok = t.UnmarshalJSON(s.b[start:s.i]) == nil
+	}
+	return t
+}
+
+// digits takes one or more digits.
+func (s *CanonJSON) digits() {
+	j := s.i
+	for j < len(s.b) && isDigit(s.b[j]) {
+		j++
+	}
+	s.ok = s.ok && j > s.i
+	s.i = j
+}
+
+// integer takes an integer token, -?(0|[1-9][0-9]*).
+func (s *CanonJSON) integer() []byte {
+	start := s.i
+	s.Opt("-")
+	d := s.i
+	s.digits()
+	s.ok = s.ok && (s.b[d] != '0' || s.i == d+1)
+	return s.b[start:s.i]
+}
+
+// Int takes an integer of at most 18 bytes, which cannot overflow int64,
+// and that fits int; encoding/json decides a longer one.
+func (s *CanonJSON) Int() int {
+	raw, v := s.integer(), int64(0)
+	for _, c := range raw {
+		if c != '-' {
+			v = v*10 + int64(c-'0')
+		}
+	}
+	if len(raw) > 0 && raw[0] == '-' {
+		v = -v
+	}
+	s.ok = s.ok && len(raw) <= 18 && int64(int(v)) == v
+	return int(v)
+}
+
+// Uint64 takes a non-negative integer that fits uint64.
+func (s *CanonJSON) Uint64() uint64 {
+	v, err := strconv.ParseUint(string(s.integer()), 10, 64)
+	s.ok = s.ok && err == nil
+	return v
+}
+
+// float takes a number in strconv.AppendFloat's 'f' or 'e' form.
+func (s *CanonJSON) float() float64 {
+	start := s.i
+	s.integer()
+	if s.Opt(".") {
+		s.digits()
+	}
+	if s.Opt("e+") || s.Opt("e-") {
+		s.digits()
+	}
+	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
+	s.ok = s.ok && err == nil
+	return f
+}
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
@@ -927,42 +444,4 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isNumberByte(c byte) bool {
 	return isDigit(c) || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
-}
-
-// validNumber reports whether s is exactly one JSON number:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func validNumber(s []byte) bool {
-	i := 0
-	digits := func() bool {
-		start := i
-		for i < len(s) && isDigit(s[i]) {
-			i++
-		}
-		return i > start
-	}
-	if i < len(s) && s[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(s) && s[i] == '0':
-		i++
-	case !digits():
-		return false
-	}
-	if i < len(s) && s[i] == '.' {
-		i++
-		if !digits() {
-			return false
-		}
-	}
-	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		i++
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return false
-		}
-	}
-	return i == len(s)
 }
