@@ -97,18 +97,6 @@ func (wc WireCodec) String() string {
 	return "json"
 }
 
-// ParseWireCodec maps CLI/spec names onto a codec: "json" (or empty) and
-// "bin"/"binary".
-func ParseWireCodec(s string) (WireCodec, error) {
-	switch s {
-	case "", "json":
-		return WireJSON, nil
-	case "bin", "binary":
-		return WireBinary, nil
-	}
-	return WireJSON, fmt.Errorf("cloud: unknown wire codec %q", s)
-}
-
 // WithWireCodec sets the wire encoding.
 func WithWireCodec(wc WireCodec) ClientOption {
 	return func(c *Client) { c.wire = wc }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/gsm"
 	"repro/internal/obs"
 )
@@ -18,9 +19,9 @@ const (
 	DefaultDiscoverQueue   = 64
 )
 
-// pipeCacheCap bounds how many per-user incremental pipelines the pool keeps
-// warm; least-recently-used entries are evicted and rebuilt from the
-// persisted trace on the user's next discovery.
+// pipeCacheCap bounds how many users' GCA pipelines stay warm (one cache
+// shared by discovery and the streaming ingest); least-recently-used entries
+// are evicted and rebuilt from the persisted trace on the user's next use.
 const pipeCacheCap = 512
 
 // errDiscoverBusy maps to 429 + Retry-After: the queue is full and the
@@ -100,19 +101,24 @@ type discoverMemo struct {
 	len int64
 }
 
-// pipeEntry is one user's cached incremental pipeline, valid for a single
-// trace replace generation.
-type pipeEntry struct {
+// userPipe is one user's cached GCA state, valid for a single trace replace
+// generation: an online event detector, which wraps the incremental
+// pipeline discovery extends. mu serializes the user's discovery runs and
+// stream batches.
+type userPipe struct {
+	mu   sync.Mutex
 	gen  uint64
-	pipe *gsm.Pipeline
-	seq  uint64 // last-use ordinal for LRU eviction
+	det  *events.Detector
+	used uint64 // last-use ordinal for LRU eviction, under discoverPool.mu
 }
 
 // discoverPool runs offloaded GCA on a bounded worker pool instead of the
 // HTTP handler goroutine: a full queue turns into 429 backpressure rather
 // than unbounded goroutines, per-user single-flight dedups concurrent
 // requests, a (user, trace position) memo makes client retries free, and a
-// per-user cached gsm.Pipeline makes nightly re-discovery cost O(new data).
+// per-user cached pipeline makes nightly re-discovery cost O(new data). The
+// stream ingest reaches the same cache (lockPipe), so a trace is folded into
+// one pipeline however it arrived.
 type discoverPool struct {
 	store  *Store
 	params gsm.Params
@@ -125,7 +131,7 @@ type discoverPool struct {
 	mu      sync.Mutex
 	flights map[string]*discoverFlight
 	memo    map[string]discoverMemo
-	pipes   map[string]*pipeEntry
+	pipes   map[string]*userPipe
 	seq     uint64
 
 	// testHook, when set, runs in the worker before each job — the seam the
@@ -148,7 +154,7 @@ func newDiscoverPool(store *Store, params gsm.Params, workers, queueLen int, m *
 		stopped: make(chan struct{}),
 		flights: map[string]*discoverFlight{},
 		memo:    map[string]discoverMemo{},
-		pipes:   map[string]*pipeEntry{},
+		pipes:   map[string]*userPipe{},
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -228,80 +234,91 @@ func (p *discoverPool) worker() {
 
 // runJob executes one discovery: extend (or rebuild) the user's pipeline
 // from the persisted trace, store the places, publish the memo, release the
-// flight. Single-flight guarantees one runJob per user at a time, so the
-// pipeline checkout needs no further locking.
+// flight.
 func (p *discoverPool) runJob(job *discoverJob) {
 	if h := p.testHook; h != nil {
 		h(job.uid)
 	}
 	start := time.Now()
-	entry := p.takePipe(job.uid)
-	var res *gsm.Result
+	var wire []PlaceWire
 	var gen uint64
-	var traceLen int
-	p.store.viewTrace(job.uid, func(v *traceView) {
-		gen, traceLen = v.Gen, int(v.Len)
-		if entry == nil || entry.gen != gen || entry.pipe.Len() > traceLen {
-			// No cached pipeline for this trace generation (cold user, LRU
-			// eviction, or a full replace invalidated it): rebuild.
-			entry = &pipeEntry{gen: gen, pipe: gsm.NewPipeline(p.params)}
-			p.m.full.Inc()
-		} else {
-			p.m.incremental.Inc()
+	var traceLen int64
+	e := p.lockPipe(job.uid)
+	rebuilt := p.withDetector(e, job.uid, 0, func(v *traceView, det *events.Detector) {
+		gen, traceLen = v.Gen, v.Len
+		// Only what the pipeline has not seen is decoded: the new tail, or
+		// nothing after a rebuild. The detector publishes the transitions
+		// this folds in on the user's next stream batch.
+		pipe := det.Pipeline()
+		pipe.Extend(v.From(pipe.Len()))
+		res := pipe.Result()
+		wire = make([]PlaceWire, 0, len(res.Places))
+		for _, pl := range res.Places {
+			wire = append(wire, PlaceToWire(pl))
 		}
-		// Only what the pipeline has not seen is decoded: everything on a
-		// rebuild, the new tail otherwise.
-		entry.pipe.Extend(v.From(entry.pipe.Len()))
-		res = entry.pipe.Result()
 	})
-	wire := make([]PlaceWire, 0, len(res.Places))
-	for _, pl := range res.Places {
-		wire = append(wire, PlaceToWire(pl))
+	e.mu.Unlock()
+	if rebuilt {
+		p.m.full.Inc()
+	} else {
+		p.m.incremental.Inc()
 	}
 	err := p.store.SetPlaces(job.uid, wire)
-	p.putPipe(job.uid, entry)
 	p.m.runUs.ObserveDuration(time.Since(start))
 
 	f := job.flight
 	f.err = err
 	f.gen = gen
-	f.len = int64(traceLen)
+	f.len = traceLen
 	p.mu.Lock()
 	if err == nil {
-		p.memo[job.uid] = discoverMemo{gen: gen, len: int64(traceLen)}
+		p.memo[job.uid] = discoverMemo{gen: gen, len: traceLen}
 	}
 	delete(p.flights, job.uid)
 	p.mu.Unlock()
 	close(f.done)
 }
 
-// takePipe checks the user's cached pipeline out of the cache (nil when
-// absent). Checked-out entries are invisible to eviction.
-func (p *discoverPool) takePipe(uid string) *pipeEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := p.pipes[uid]
-	delete(p.pipes, uid)
-	return e
+// withDetector runs fn with a view of uid's persisted trace and e's
+// detector; the caller holds e.mu. With no detector cached for the trace's
+// generation (a cold user, an LRU eviction, a full replace invalidated it)
+// it first rebuilds one, caught up silently over all but the trailing fresh
+// observations — the caller's own batch, which it folds in itself. It
+// reports whether it rebuilt.
+func (p *discoverPool) withDetector(e *userPipe, uid string, fresh int, fn func(v *traceView, det *events.Detector)) (rebuilt bool) {
+	p.store.viewTrace(uid, func(v *traceView) {
+		if e.det == nil || e.gen != v.Gen || int64(e.det.Len()) > v.Len {
+			e.det, e.gen, rebuilt = events.NewDetector(p.params), v.Gen, true
+			e.det.CatchUp(v.decode(0, max(int(v.Len)-fresh, 0)))
+		}
+		fn(v, e.det)
+	})
+	return rebuilt
 }
 
-// putPipe returns a pipeline to the cache, evicting the least recently used
-// entry beyond the cap.
-func (p *discoverPool) putPipe(uid string, e *pipeEntry) {
+// lockPipe returns the user's cache entry with its mutex held; the caller
+// unlocks it. A missing entry is created, evicting the least recently used
+// one beyond the cap. Eviction only drops derived state: the trace is
+// persisted, and the next use rebuilds from it.
+func (p *discoverPool) lockPipe(uid string) *userPipe {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.seq++
-	e.seq = p.seq
-	p.pipes[uid] = e
-	if len(p.pipes) <= pipeCacheCap {
-		return
-	}
-	victim := ""
-	min := uint64(math.MaxUint64)
-	for id, pe := range p.pipes {
-		if pe.seq < min {
-			min, victim = pe.seq, id
+	e := p.pipes[uid]
+	if e == nil {
+		if len(p.pipes) >= pipeCacheCap {
+			victim, oldest := "", uint64(math.MaxUint64)
+			for id, pe := range p.pipes {
+				if pe.used < oldest {
+					victim, oldest = id, pe.used
+				}
+			}
+			delete(p.pipes, victim)
 		}
+		e = &userPipe{}
+		p.pipes[uid] = e
 	}
-	delete(p.pipes, victim)
+	e.used = p.seq
+	p.mu.Unlock()
+	e.mu.Lock()
+	return e
 }

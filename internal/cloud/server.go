@@ -39,7 +39,6 @@ type Server struct {
 	discoverQueue   int
 
 	hub            *events.Hub
-	ingest         *ingestState
 	eventQueue     int
 	eventHistory   int
 	eventHeartbeat time.Duration
@@ -149,7 +148,6 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 		History:  s.eventHistory,
 		Registry: s.metrics.reg,
 	})
-	s.ingest = newIngestState()
 	s.mux = http.NewServeMux()
 	s.routesMux()
 	return s

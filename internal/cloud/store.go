@@ -261,18 +261,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Sync forces all WALs to stable storage — a checkpoint for interval/never
-// fsync policies.
-func (s *Store) Sync() error {
-	if err := s.eng.Sync(); err != nil {
-		return err
-	}
-	return s.traceEng.Sync()
-}
-
-// Durable reports whether the store journals to disk.
-func (s *Store) Durable() bool { return s.eng.Durable() }
-
 // ShardCount returns the number of data shards.
 func (s *Store) ShardCount() int { return len(s.data) }
 

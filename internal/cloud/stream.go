@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -19,86 +18,36 @@ import (
 // This file is the PCI side of the real-time event subsystem (DESIGN.md
 // §13): the streaming ingest endpoint that turns appended observations into
 // published transitions, and the SSE subscription endpoint that fans them
-// out. Both routes are mounted outside the request-timeout middleware
-// (http.TimeoutHandler buffers responses and hides http.Flusher) and skip
-// decode()'s MaxBytesReader — the connections are long-lived by design, and
-// a stream's cumulative bytes legitimately exceed any per-request cap.
+// out. The ingest keeps no pipelines of its own: it feeds the user's entry in
+// the discovery pool's cache (discoverPool.lockPipe), so a trace streamed by
+// day and discovered at night is segmented once. Both routes are mounted
+// outside the request-timeout middleware (http.TimeoutHandler buffers
+// responses and hides http.Flusher) and skip decode()'s MaxBytesReader — the
+// connections are long-lived by design, and a stream's cumulative bytes
+// legitimately exceed any per-request cap.
 
-// ingestCacheCap bounds resident per-user detectors, mirroring the discovery
-// pool's pipeline cache: LRU beyond the cap, rebuilt from the persisted
-// trace on the next stream.
-const ingestCacheCap = 512
-
-// ingestState owns the per-user online detectors behind the streaming
-// ingest path.
-type ingestState struct {
-	mu    sync.Mutex
-	users map[string]*userIngest
-	tick  uint64 // LRU clock
-}
-
-type userIngest struct {
-	mu       sync.Mutex
-	gen      uint64
-	det      *events.Detector
-	lastUsed uint64 // under ingestState.mu
-}
-
-func newIngestState() *ingestState {
-	return &ingestState{users: map[string]*userIngest{}}
-}
-
-// user returns (creating if needed) the per-user ingest slot, evicting the
-// least recently used detector when over cap. Eviction only drops cached
-// pipeline state — the trace is persisted, so the next stream rebuilds.
-func (st *ingestState) user(uid string) *userIngest {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.tick++
-	ui := st.users[uid]
-	if ui == nil {
-		if len(st.users) >= ingestCacheCap {
-			var oldest string
-			var oldestTick uint64 = ^uint64(0)
-			for id, u := range st.users {
-				if u.lastUsed < oldestTick {
-					oldest, oldestTick = id, u.lastUsed
-				}
-			}
-			delete(st.users, oldest)
-		}
-		ui = &userIngest{}
-		st.users[uid] = ui
+// appendAndDetect appends one stream batch to the user's trace, WAL-durably,
+// and feeds the user's detector — the discovery pool's cached pipeline —
+// everything of the trace it has not consumed. It returns the transitions
+// that became final, including those of observations a discovery run folded
+// in since the last batch. The entry lock spans both steps: a discovery
+// that rebuilt the detector between them would catch up silently over this
+// batch and its transitions would never be published. On a rebuild here,
+// everything before the batch is caught up silently — its transitions either
+// were already emitted by a previous incarnation or belong to a
+// wholesale-replaced history nobody streamed.
+func (s *Server) appendAndDetect(uid string, obs []trace.GSMObservation) (TraceStatus, []events.Transition, error) {
+	e := s.pool.lockPipe(uid)
+	defer e.mu.Unlock()
+	st, err := s.store.AppendTrace(uid, obs)
+	if err != nil {
+		return st, nil, err
 	}
-	ui.lastUsed = st.tick
-	return ui
-}
-
-// feed extends the user's detector to cover the full persisted trace and
-// returns the transitions that became final. appended is how many trailing
-// observations this request just persisted: on a detector rebuild (cold
-// cache or replace-generation bump) everything before them is caught up
-// silently — its transitions either were already emitted by a previous
-// incarnation or belong to a wholesale-replaced history nobody streamed.
-func (s *Server) feedDetector(uid string, appended int) []events.Transition {
-	ui := s.ingest.user(uid)
-	ui.mu.Lock()
-	defer ui.mu.Unlock()
-
 	var out []events.Transition
-	s.store.viewTrace(uid, func(v *traceView) {
-		if ui.det == nil || ui.gen != v.Gen || int64(ui.det.Len()) > v.Len {
-			ui.det = events.NewDetector(s.gsmParams)
-			ui.gen = v.Gen
-			obs := v.From(0)
-			catch := max(len(obs)-appended, 0)
-			ui.det.CatchUp(obs[:catch])
-			out = ui.det.Feed(obs[catch:])
-			return
-		}
-		out = ui.det.Feed(v.From(ui.det.Len()))
+	s.pool.withDetector(e, uid, len(obs), func(v *traceView, det *events.Detector) {
+		out = det.Feed(v.From(det.Len()))
 	})
-	return out
+	return st, out, nil
 }
 
 // handleObsStream is POST /api/v1/observations/stream: a sequence of
@@ -118,7 +67,7 @@ func (s *Server) handleObsStream(w http.ResponseWriter, r *http.Request, uid str
 	// ingest persists and publishes one batch; it answers the error response
 	// itself and returns false to stop the stream.
 	ingest := func(obs []trace.GSMObservation) bool {
-		st, err := s.store.AppendTrace(uid, obs)
+		st, transitions, err := s.appendAndDetect(uid, obs)
 		switch {
 		case err == nil:
 			status = st
@@ -144,7 +93,7 @@ func (s *Server) handleObsStream(w http.ResponseWriter, r *http.Request, uid str
 			appended += n
 			s.pool.m.appended.Add(uint64(n))
 		}
-		for _, t := range s.feedDetector(uid, len(obs)) {
+		for _, t := range transitions {
 			published += s.publishTransition(uid, t)
 		}
 		return true

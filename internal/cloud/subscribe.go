@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 
 	"repro/internal/core"
@@ -17,16 +16,8 @@ import (
 type SubscribeOption func(*subscribeConfig)
 
 type subscribeConfig struct {
-	granularity string
-	bus         *core.Bus
-	buffer      int
-}
-
-// WithSubscribeGranularity asks the server to clamp every delivered event's
-// positional payload to the given privacy tier ("area", "building", or
-// "room"; empty leaves the server default).
-func WithSubscribeGranularity(tier string) SubscribeOption {
-	return func(c *subscribeConfig) { c.granularity = tier }
+	bus    *core.Bus
+	buffer int
 }
 
 // WithEventBus bridges the subscription onto an in-process Connected
@@ -119,9 +110,6 @@ func (s *Subscription) run(ctx context.Context, c *Client, cfg subscribeConfig) 
 	policy := c.retry.withSleepObserver(c.m.observeBackoff)
 	rt := c.route()
 	rq := &request{method: http.MethodGet, path: PathEventsSubscribe, header: http.Header{"Accept": {"text/event-stream"}}, auth: true}
-	if cfg.granularity != "" {
-		rq.query = url.Values{"granularity": {cfg.granularity}}
-	}
 	var lastSeq uint64 // resume point: the last sequence number delivered
 	delivered := false
 	rq.consume = func(body io.Reader) error {

@@ -79,9 +79,6 @@ func hash64(s string) uint64 {
 	return mix64(h.Sum64())
 }
 
-// KeyHash is the position of a user key on the ring.
-func KeyHash(key string) uint64 { return hash64(key) }
-
 func (r *Ring) build() {
 	r.points = make([]point, 0, len(r.Nodes)*r.VNodes)
 	for ni, n := range r.Nodes {

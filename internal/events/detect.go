@@ -43,11 +43,18 @@ func (d *Detector) Len() int { return d.pipe.Len() }
 // Params returns the discovery parameters the detector was built with.
 func (d *Detector) Params() gsm.Params { return d.pipe.Params() }
 
+// Pipeline returns the incremental pipeline the detector wraps, so one
+// cached pipeline can serve both discovery and event detection.
+// Observations folded in through it directly emit nothing then; the next
+// Feed publishes the transitions they finalized before its own batch.
+func (d *Detector) Pipeline() *gsm.Pipeline { return d.pipe }
+
 // Feed consumes the next batch of the trace (which must continue the time
 // order of everything consumed before) and returns the transitions that
-// became final, in order.
+// became final, in order — first those finalized by observations folded in
+// through Pipeline since the last Feed, then the batch's own.
 func (d *Detector) Feed(obs []trace.GSMObservation) []Transition {
-	var out []Transition
+	out := d.step(nil)
 	for i := range obs {
 		d.pipe.Extend(obs[i : i+1])
 		out = d.step(out)
@@ -71,16 +78,16 @@ func (d *Detector) CatchUp(obs []trace.GSMObservation) {
 	d.haveLast = len(segs) > 0
 }
 
-// step collects transitions finalized by the last consumed observation.
+// step collects the transitions finalized since the last step: by the last
+// fed observation, or by everything folded in through Pipeline.
 func (d *Detector) step(out []Transition) []Transition {
 	segs := d.pipe.FinalSegments()
 	for d.emitted < len(segs) {
 		s := segs[d.emitted]
 		if !d.entryOpen {
-			// Defensive: a stay can in principle finalize without its
-			// entry having fired (it cannot, given per-observation
-			// feeding, but emission order must survive any future
-			// batching change).
+			// The stay opened and closed within observations folded in
+			// through Pipeline, which emitted nothing: its entry (and the
+			// route into it) come first, in trace order.
 			if d.haveLast {
 				out = append(out, Transition{Kind: KindRouteStart, At: segs[d.emitted-1].End})
 			}

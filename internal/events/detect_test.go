@@ -201,3 +201,37 @@ func TestDetectorCatchUp(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectorFoldThenFeed pins the shared-pipeline rule: batches folded in
+// through Pipeline().Extend (a discovery run on the cached pipeline) emit
+// nothing, and the next Feed — even an empty one — publishes what they
+// finalized, so the stream still matches batch derivation at every Feed.
+func TestDetectorFoldThenFeed(t *testing.T) {
+	p := gsm.DefaultParams()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		obs := genTrace(seed)
+		d := NewDetector(p)
+		var streamed []Transition
+		consumed := 0
+		for _, batch := range randomSplit(r, obs) {
+			consumed += len(batch)
+			if r.Intn(2) == 0 {
+				d.Pipeline().Extend(batch)
+				continue
+			}
+			streamed = append(streamed, d.Feed(batch)...)
+			want := FromSegments(gsm.Discover(obs[:consumed], p).Segments)
+			got := streamedPlusPending(streamed, d)
+			if canonicalTransitions(t, got) != canonicalTransitions(t, want) {
+				t.Logf("seed %d: transitions diverge at prefix %d:\n got %s\nwant %s",
+					seed, consumed, canonicalTransitions(t, got), canonicalTransitions(t, want))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}

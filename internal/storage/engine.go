@@ -78,7 +78,7 @@ type Options struct {
 	// serves); tests inject their own for exact delta assertions.
 	Metrics *obs.Registry
 	// RecoverWorkers bounds how many shards Open recovers — and Close /
-	// MaterializeAll / CompactAll process — concurrently. 0 means
+	// MaterializeAll process — concurrently. 0 means
 	// min(shards, max(2, GOMAXPROCS)); 1 forces the serial behavior
 	// (benchmark baseline). Boot therefore costs roughly the largest shard,
 	// not the sum of all shards.
@@ -803,12 +803,6 @@ func (e *Engine) Compact(i int) error {
 	s.persist.Lock()
 	defer s.persist.Unlock()
 	return e.compactShard(s, 0)
-}
-
-// CompactAll snapshots every shard concurrently (bounded pool); the first
-// error is returned but all shards are attempted.
-func (e *Engine) CompactAll() error {
-	return e.forEachShard(e.Compact)
 }
 
 // Sync drains every shard's commit queue and forces its WAL to stable

@@ -239,6 +239,13 @@ func TestHTTPCloudMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	sameParticipants(t, local, remote)
+}
+
+// sameParticipants requires each participant's places and scores to be the
+// same in both study results.
+func sameParticipants(t *testing.T, local, remote *Result) {
+	t.Helper()
 	if len(remote.Participants) != len(local.Participants) {
 		t.Fatalf("%d participants over HTTP, %d in process", len(remote.Participants), len(local.Participants))
 	}
@@ -255,6 +262,68 @@ func TestHTTPCloudMatchesInProcess(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.PlaceCenters, want.PlaceCenters) {
 			t.Errorf("%s: place centers over HTTP %v, in process %v", want.ID, got.PlaceCenters, want.PlaceCenters)
+		}
+	}
+}
+
+// TestHTTPCloudDurableMatchesInProcess is the same comparison with the
+// remote run served from a durable store, and then a restart: each
+// participant's places and trace position must survive closing the server
+// and the store and reopening the directory.
+func TestHTTPCloudDurableMatchesInProcess(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Participants = 2
+	cfg.Days = 3
+	local, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	store, err := cloud.OpenStore(dir, cloud.StoreConfig{StableIDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := world.Generate(cfg.World, rand.New(rand.NewSource(cfg.Seed)))
+	server := cloud.NewServer(store, cloud.WithCellDatabase(cloud.NewCellDatabase(w, 150)))
+	ts := httptest.NewServer(server.Handler())
+	cfg.CloudBaseURL = ts.URL
+	remote, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameParticipants(t, local, remote)
+
+	type userState struct {
+		places []cloud.PlaceWire
+		trace  cloud.TraceStatus
+	}
+	before := map[string]userState{}
+	for _, p := range remote.Participants {
+		id := cloud.StableUserID("imei-"+p.ID, p.ID+"@study.example")
+		st := userState{store.Places(id), store.TraceStatusFor(id)}
+		if len(st.places) == 0 || st.trace.Len == 0 {
+			t.Fatalf("%s (%s): %d places, trace length %d before the restart", p.ID, id, len(st.places), st.trace.Len)
+		}
+		before[id] = st
+	}
+	ts.Close()
+	server.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := cloud.OpenStore(dir, cloud.StoreConfig{StableIDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for id, want := range before {
+		if got := reopened.Places(id); !reflect.DeepEqual(got, want.places) {
+			t.Errorf("%s: places after reopen %+v, before %+v", id, got, want.places)
+		}
+		if got := reopened.TraceStatusFor(id); got != want.trace {
+			t.Errorf("%s: trace status after reopen %+v, before %+v", id, got, want.trace)
 		}
 	}
 }
