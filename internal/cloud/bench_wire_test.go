@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/gsm"
 	"repro/internal/profile"
 	"repro/internal/simclock"
@@ -167,6 +169,38 @@ func BenchmarkWireAnalyticsDecodeJSON(b *testing.B) {
 }
 func BenchmarkWireAnalyticsDecodeBinary(b *testing.B) {
 	benchDecodeBinary(b, wireDwellFixture, func() any { return &DwellStatsResponse{} })
+}
+
+// --- route 4: the k-anonymous popular-places aggregate --------------------
+
+// wirePopularFixture is a popular-places answer of 20 clusters around one
+// city, every third one without a consensus label.
+func wirePopularFixture() *PopularPlacesResponse {
+	r := rand.New(rand.NewSource(33))
+	labels := []string{"home", "work", "mall", "gym", "station", "campus"}
+	resp := &PopularPlacesResponse{K: 3}
+	for i := 0; i < 20; i++ {
+		p := PopularPlace{
+			Center: geo.LatLng{Lat: 28.6139 + r.NormFloat64()*0.05, Lng: 77.2090 + r.NormFloat64()*0.05},
+			Users:  3 + r.Intn(40),
+		}
+		if i%3 != 0 {
+			p.Label = labels[r.Intn(len(labels))]
+		}
+		resp.Places = append(resp.Places, p)
+	}
+	return resp
+}
+
+func BenchmarkWirePopularEncodeJSON(b *testing.B) { benchEncodeJSON(b, wirePopularFixture()) }
+func BenchmarkWirePopularEncodeBinary(b *testing.B) {
+	benchEncodeBinary(b, wirePopularFixture())
+}
+func BenchmarkWirePopularDecodeJSON(b *testing.B) {
+	benchDecodeJSON(b, wirePopularFixture(), func() any { return &PopularPlacesResponse{} })
+}
+func BenchmarkWirePopularDecodeBinary(b *testing.B) {
+	benchDecodeBinary(b, wirePopularFixture(), func() any { return &PopularPlacesResponse{} })
 }
 
 // --- request side: streamed observation upload ----------------------------

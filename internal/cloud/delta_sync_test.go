@@ -272,6 +272,74 @@ func TestDiscoverMemoMakesRetriesFree(t *testing.T) {
 	}
 }
 
+// TestDiscoverTraceReplacedMidRequest: a full upload that replaces the trace
+// while a discover is queued moves the generation past the request's; the
+// run over the newer trace answers it, with the newer trace's places,
+// instead of the request re-queueing GCA until its context ends.
+func TestDiscoverTraceReplacedMidRequest(t *testing.T) {
+	h := newDeltaHarness(t, nil, nil, WithDiscoverPool(1, 1))
+	uid := h.newClient(t, "imei-replaced").UserID()
+
+	hold := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	h.server.pool.testHook = func(string) {
+		select {
+		case entered <- struct{}{}:
+		default: // a later run: nobody is waiting for it
+		}
+		<-hold
+	}
+
+	original, replacement := synthDays(2), synthDays(3)
+	status, _, err := h.store.SyncTrace(uid, false, 0, 0, original)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Second)
+	defer cancel()
+	type result struct {
+		places []PlaceWire
+		err    error
+	}
+	done := make(chan result, 1)
+	go func() {
+		places, err := h.server.pool.discover(ctx, uid, status)
+		done <- result{places, err}
+	}()
+	<-entered // the request's run is held before it reads the trace
+
+	replaced, _, err := h.store.SyncTrace(uid, false, 0, 0, replacement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replaced.Gen <= status.Gen {
+		t.Fatalf("full upload left generation at %d (was %d)", replaced.Gen, status.Gen)
+	}
+	close(hold)
+
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("discover across a trace replace: %v", res.err)
+	}
+	pm := h.server.pool.m
+	if runs := pm.full.Value() + pm.incremental.Value(); runs > 2 {
+		t.Errorf("discover ran GCA %d times, want at most 2", runs)
+	}
+	// The superseded request answers with the replacing trace's places.
+	places := make([]*gsm.Place, 0, len(res.places))
+	for _, w := range res.places {
+		places = append(places, WireToPlace(w))
+	}
+	got := canonicalWire(t, places)
+	want := canonicalWire(t, gsm.Discover(replacement, gsm.DefaultParams()).Places)
+	if got != want {
+		t.Errorf("places diverge from batch GCA over the replacing trace:\n got %s\nwant %s", got, want)
+	}
+	if old := canonicalWire(t, gsm.Discover(original, gsm.DefaultParams()).Places); got == old {
+		t.Errorf("places are the replaced trace's: %s", got)
+	}
+}
+
 // TestDiscoverBackpressure429: with a one-worker one-slot pool, a third
 // concurrent user is refused with 429 + Retry-After instead of queueing
 // unboundedly, and succeeds once the pool drains.

@@ -170,12 +170,22 @@ func (p *discoverPool) close() {
 	p.wg.Wait()
 }
 
+// covers reports whether a discovery at trace position (gen, len) answers a
+// request for want: the same generation at least as long, or any later one —
+// a full upload that replaced the trace supersedes the request's. A
+// superseded request gets the replacing trace's places with its own cursor
+// (the handler echoes the request's TraceLen/TraceHash), so its client's next
+// delta conflicts and falls back to a full upload.
+func covers(gen uint64, n int64, want TraceStatus) bool {
+	return gen > want.Gen || gen == want.Gen && n >= want.Len
+}
+
 // discover returns the user's places for at least the given trace position,
 // running (or joining, or memo-skipping) a discovery as needed.
 func (p *discoverPool) discover(ctx context.Context, uid string, want TraceStatus) ([]PlaceWire, error) {
 	for {
 		p.mu.Lock()
-		if m, ok := p.memo[uid]; ok && m.gen == want.Gen && m.len >= want.Len {
+		if m, ok := p.memo[uid]; ok && covers(m.gen, m.len, want) {
 			p.mu.Unlock()
 			p.m.memoHits.Inc()
 			return p.store.Places(uid), nil
@@ -209,7 +219,7 @@ func (p *discoverPool) discover(ctx context.Context, uid string, want TraceStatu
 		if f.err != nil {
 			return nil, f.err
 		}
-		if f.gen == want.Gen && f.len >= want.Len {
+		if covers(f.gen, f.len, want) {
 			return p.store.Places(uid), nil
 		}
 		// The finished flight predates this request's trace sync (another

@@ -544,7 +544,7 @@ func (s *Server) handlePlacesPopular(w http.ResponseWriter, r *http.Request, _ s
 		}
 		radius = f
 	}
-	writeJSON(w, http.StatusOK, PopularPlacesResponse{
+	s.reply(w, r, http.StatusOK, &PopularPlacesResponse{
 		K:      k,
 		Places: s.popular.Places(k, radius),
 	})

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/frame"
+	"repro/internal/geo"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -64,6 +65,7 @@ const (
 	wireKindFrequency        byte = 8
 	wireKindDwell            byte = 9
 	wireKindObsStream        byte = 10
+	wireKindPopular          byte = 11
 )
 
 // maxWireFrame bounds one framed observation block on the streaming paths;
@@ -245,6 +247,17 @@ func appendWire(dst []byte, msg any) ([]byte, bool) {
 		e.Varint(int64(m.LongestStaySec))
 	case DwellStatsResponse:
 		return appendWire(dst, &m)
+	case *PopularPlacesResponse:
+		e.Byte(wireKindPopular)
+		e.Varint(int64(m.K))
+		e.Uvarint(uint64(len(m.Places)))
+		for i := range m.Places {
+			p := &m.Places[i]
+			e.Float64(p.Center.Lat)
+			e.Float64(p.Center.Lng)
+			e.Varint(int64(p.Users))
+			e.String(p.Label)
+		}
 	default:
 		return dst, false
 	}
@@ -256,7 +269,8 @@ func appendWire(dst []byte, msg any) ([]byte, bool) {
 func wireDecodable(into any) bool {
 	switch into.(type) {
 	case *DiscoverPlacesResponse, *StreamResult, *profile.DayProfile, *[]*profile.DayProfile,
-		*PredictArrivalResponse, *PredictNextVisitResponse, *FrequencyResponse, *DwellStatsResponse:
+		*PredictArrivalResponse, *PredictNextVisitResponse, *FrequencyResponse, *DwellStatsResponse,
+		*PopularPlacesResponse:
 		return true
 	}
 	return false
@@ -339,6 +353,12 @@ func decodeWire(data []byte, into any) error {
 			v.MedianStaySec = int(d.Varint())
 			v.LongestStaySec = int(d.Varint())
 		}
+	case *PopularPlacesResponse:
+		want = wireKindPopular
+		if kind == want {
+			v.K = int(d.Varint())
+			v.Places = decodePopular(d)
+		}
 	default:
 		return fmt.Errorf("cloud: no binary codec for %T", into)
 	}
@@ -387,6 +407,20 @@ func decodePlaces(d *trace.BinaryDecoder) (out []PlaceWire) {
 	for i, n := 0, d.Count(5); i < n; i++ { // id, two cell counts, visit count, label length
 		out = append(out, PlaceWire{ID: int(d.Varint()), Signature: decodeCells(d), Cells: decodeCells(d),
 			Visits: decodeVisits(d), Label: d.String()})
+	}
+	return out
+}
+
+// decodePopular decodes a popular-place list; an empty one is nil, as
+// clusterPopular returns it.
+func decodePopular(d *trace.BinaryDecoder) (out []PopularPlace) {
+	n := d.Count(18) // two float64s, a user count, a label length
+	if n > 0 {
+		out = make([]PopularPlace, 0, n)
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, PopularPlace{Center: geo.LatLng{Lat: d.Float64(), Lng: d.Float64()},
+			Users: int(d.Varint()), Label: d.String()})
 	}
 	return out
 }

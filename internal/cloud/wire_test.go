@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/frame"
+	"repro/internal/geo"
 	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -165,6 +166,21 @@ func randDiscoverResponse(r *rand.Rand) *DiscoverPlacesResponse {
 	return m
 }
 
+func randPopular(r *rand.Rand) *PopularPlacesResponse {
+	m := &PopularPlacesResponse{K: 2 + r.Intn(10)}
+	for i, n := 0, r.Intn(6); i < n; i++ { // none leaves Places nil, as clusterPopular does
+		p := PopularPlace{
+			Center: geo.LatLng{Lat: r.Float64()*180 - 90, Lng: r.Float64()*360 - 180},
+			Users:  m.K + r.Intn(50),
+		}
+		if r.Intn(2) == 0 {
+			p.Label = randString(r)
+		}
+		m.Places = append(m.Places, p)
+	}
+	return m
+}
+
 func randProfile(r *rand.Rand) *profile.DayProfile {
 	p := &profile.DayProfile{UserID: randString(r), Date: "2026-01-0" + string(rune('1'+r.Intn(9)))}
 	for i, n := 0, r.Intn(4); i < n; i++ {
@@ -227,6 +243,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 			PlaceID: randString(r), Visits: r.Intn(500), MeanStaySec: r.Intn(86400),
 			MedianStaySec: r.Intn(86400), LongestStaySec: r.Intn(7 * 86400),
 		}, &DwellStatsResponse{})
+		roundTripEq(t, randPopular(r), &PopularPlacesResponse{})
 	}
 }
 
@@ -250,6 +267,8 @@ func wireTarget(kind byte) any {
 		return &FrequencyResponse{}
 	case wireKindDwell:
 		return &DwellStatsResponse{}
+	case wireKindPopular:
+		return &PopularPlacesResponse{}
 	}
 	return nil
 }
@@ -266,6 +285,8 @@ func wireDecoded(into any) (msg any, elems int) {
 		}
 	case *profile.DayProfile:
 		elems = profileElems(v)
+	case *PopularPlacesResponse:
+		elems = len(v.Places)
 	case *[]*profile.DayProfile:
 		elems = len(*v)
 		for _, p := range *v {
@@ -290,6 +311,7 @@ func FuzzDecodeWire(f *testing.F) {
 		&PredictNextVisitResponse{PlaceID: "work"},
 		&FrequencyResponse{PlaceID: "mall", VisitsPerWeek: 1.5, TotalVisits: 9},
 		wireDwellFixture,
+		randPopular(r), wirePopularFixture(), &PopularPlacesResponse{K: 3},
 	} {
 		buf, ok := appendWire(nil, msg)
 		if !ok {
@@ -604,7 +626,7 @@ func stripUserIDs(ps []*profile.DayProfile) {
 // upload/range, and every analytics query — and requires identical results,
 // while the binary client moves a fraction of the bytes.
 func TestBinaryE2EMatchesJSON(t *testing.T) {
-	h := newDeltaHarness(t, nil, nil)
+	h := newDeltaHarness(t, nil, nil, WithCellDatabase(synthCellDB()))
 	cj := h.newClient(t, "imei-e2e-json")
 	cb := h.newClient(t, "imei-e2e-bin", WithWireCodec(WireBinary))
 	clients := []*Client{cj, cb}
@@ -741,6 +763,42 @@ func TestBinaryE2EMatchesJSON(t *testing.T) {
 		t.Errorf("analytics responses diverge:\n json   %s\n binary %s", rendered[0], rendered[1])
 	}
 
+	// The k-anonymous aggregate: both users discovered the same home and
+	// work, so k=2 keeps them.
+	for i, c := range clients {
+		pop, err := c.PopularPlaces(2, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pop.Places) == 0 {
+			t.Fatalf("client %d popular places empty", i)
+		}
+		rendered[i] = jsonRender(t, pop)
+	}
+	if rendered[0] != rendered[1] {
+		t.Errorf("popular places diverge:\n json   %s\n binary %s", rendered[0], rendered[1])
+	}
+	// The JSON wire is what encoding/json writes for the handler's answer.
+	want, err := json.Marshal(PopularPlacesResponse{K: 2, Places: h.server.popular.Places(2, 300)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, _ := cj.snapshotToken()
+	req, _ := http.NewRequest(http.MethodGet, h.ts.URL+PathPlacesPopular+"?k=2&radius=300", nil)
+	req.Header.Set("Authorization", "Bearer "+tok)
+	resp, err := h.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" || string(body) != string(want)+"\n" {
+		t.Errorf("JSON popular body = %s %q, want application/json %q", ct, body, string(want)+"\n")
+	}
+
 	// The whole point: the binary client moved far fewer bytes for the same
 	// workload, and the server served binary.
 	jsonBytes := cj.m.wireSentBytes.Value() + cj.m.wireRecvBytes.Value()
@@ -756,6 +814,66 @@ func TestBinaryE2EMatchesJSON(t *testing.T) {
 	}
 	if n := h.server.metrics.wireJSON.Value(); n == 0 {
 		t.Error("server pci_wire_encoding_total{codec=json} never incremented")
+	}
+}
+
+// synthCellDB geolocates synthDays' home cells (10, 11) and work cells
+// (20, 21), about 4 km apart; its commute cells stay unmapped.
+func synthCellDB() *CellDatabase {
+	db := &CellDatabase{entries: map[world.CellID]GeoCellResponse{}}
+	for cid, at := range map[int]geo.LatLng{
+		10: {Lat: 28.6139, Lng: 77.2090}, 11: {Lat: 28.6141, Lng: 77.2093},
+		20: {Lat: 28.6500, Lng: 77.2300}, 21: {Lat: 28.6502, Lng: 77.2297},
+	} {
+		db.entries[world.CellID{MCC: 404, MNC: 10, LAC: 1, CID: cid}] = GeoCellResponse{Lat: at.Lat, Lng: at.Lng, AccuracyMeters: 500}
+	}
+	return db
+}
+
+// TestBinaryClientReadsAreBinary: every read route a binary client calls
+// answers on the binary wire. Each read moves the server's bin encoding
+// counter by one and its json counter not at all; a handler that bypasses
+// negotiation (writeJSON) moves neither, so both are checked.
+func TestBinaryClientReadsAreBinary(t *testing.T) {
+	h := newDeltaHarness(t, nil, nil, WithCellDatabase(synthCellDB()))
+	cb := h.newClient(t, "imei-reads-bin", WithWireCodec(WireBinary))
+	other := h.newClient(t, "imei-reads-other", WithWireCodec(WireBinary))
+	for _, c := range []*Client{cb, other} {
+		if _, err := c.DiscoverPlaces(synthDays(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	days := synthProfiles(10)
+	for _, p := range days {
+		if err := cb.SyncProfile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	after := time.Date(2026, 3, 12, 12, 0, 0, 0, time.UTC)
+	reads := []struct {
+		name string
+		call func() error
+	}{
+		{"Places", func() error { _, err := cb.Places(); return err }},
+		{"Profile", func() error { _, err := cb.Profile(days[3].Date); return err }},
+		{"ProfileRange", func() error { _, err := cb.ProfileRange("", ""); return err }},
+		{"PredictArrival", func() error { _, err := cb.PredictArrival("work"); return err }},
+		{"PredictNextVisit", func() error { _, err := cb.PredictNextVisit("work", after); return err }},
+		{"VisitFrequency", func() error { _, err := cb.VisitFrequency("work"); return err }},
+		{"DwellStats", func() error { _, err := cb.DwellStats("home"); return err }},
+		{"PopularPlaces", func() error { _, err := cb.PopularPlaces(2, 300); return err }},
+	}
+	for _, rd := range reads {
+		jsonBefore, binBefore := h.server.metrics.wireJSON.Value(), h.server.metrics.wireBin.Value()
+		if err := rd.call(); err != nil {
+			t.Fatalf("%s: %v", rd.name, err)
+		}
+		jsonMoved := h.server.metrics.wireJSON.Value() - jsonBefore
+		binMoved := h.server.metrics.wireBin.Value() - binBefore
+		if jsonMoved != 0 || binMoved != 1 {
+			t.Errorf("%s: pci_wire_encoding_total moved json by %d and bin by %d, want 0 and 1", rd.name, jsonMoved, binMoved)
+		}
 	}
 }
 

@@ -320,9 +320,7 @@ func (s *Service) broadcastPlace(action string, info PlaceInfo) {
 		eff := s.Prefs.EffectiveGranularity(req.AppID, req.Granularity)
 		payload := DegradePlace(info, eff)
 		in := Intent{Action: action, At: now, Place: &payload}
-		if s.Bus.Deliver(req.AppID, in) {
-			s.eventsEmitted++
-		}
+		s.Bus.Deliver(req.AppID, in)
 	}
 }
 
@@ -330,16 +328,14 @@ func (s *Service) broadcastRoute(info *RouteInfo) {
 	if s.Prefs.Disabled() {
 		return
 	}
-	n := s.Bus.Broadcast(Intent{Action: ActionRouteComplete, At: s.clock.Now(), Route: info})
-	s.eventsEmitted += n
+	s.Bus.Broadcast(Intent{Action: ActionRouteComplete, At: s.clock.Now(), Route: info})
 }
 
 func (s *Service) broadcastEncounter(info *EncounterInfo) {
 	if s.Prefs.Disabled() {
 		return
 	}
-	n := s.Bus.Broadcast(Intent{Action: ActionEncounter, At: s.clock.Now(), Encounter: info})
-	s.eventsEmitted += n
+	s.Bus.Broadcast(Intent{Action: ActionEncounter, At: s.clock.Now(), Encounter: info})
 }
 
 func routeID(kind string, id int) string {

@@ -162,7 +162,6 @@ type Service struct {
 	tripFromPlace string
 
 	// counters
-	eventsEmitted   int
 	discoveriesRun  int
 	cloudSyncErrors int
 
@@ -198,9 +197,6 @@ func NewService(cfg Config, clock *simclock.Clock, sensors *trace.Sensors, meter
 	return s
 }
 
-// Meter returns the energy meter charged by the service's sensing.
-func (s *Service) Meter() *energy.Meter { return s.meter }
-
 // Places returns the unified places discovered so far.
 func (s *Service) Places() []*UnifiedPlace { return s.places }
 
@@ -221,15 +217,8 @@ func (s *Service) GPSRoutes() []*route.GPSRoute { return s.routesGPS }
 // Profiles returns the day profiles built so far, in date order.
 func (s *Service) Profiles() []*profile.DayProfile { return s.profiles.Days() }
 
-// EventsEmitted returns the number of intents delivered to connected apps.
-func (s *Service) EventsEmitted() int { return s.eventsEmitted }
-
 // DiscoveriesRun returns how many nightly discovery passes have executed.
 func (s *Service) DiscoveriesRun() int { return s.discoveriesRun }
-
-// CurrentPlaceID returns the unified place the user is believed to be at, or
-// "".
-func (s *Service) CurrentPlaceID() string { return s.currentPlace }
 
 // LabelPlace attaches a user-provided semantic label to a place (the
 // visualization module's tagging flow, Section 2.2.5) and broadcasts

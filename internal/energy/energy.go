@@ -82,10 +82,6 @@ func (m Model) BatteryJoules() float64 {
 	return m.BatteryMAh / 1000 * m.VoltageV * 3600
 }
 
-// SampleCost returns the per-sample energy for the interface in joules.
-// Unknown interfaces cost nothing.
-func (m Model) SampleCost(i Interface) float64 { return m.SampleCostJ[i] }
-
 // AveragePowerW returns the mean draw when the interface is sampled
 // continuously at the given interval, including the idle floor.
 func (m Model) AveragePowerW(i Interface, interval time.Duration) float64 {

@@ -94,13 +94,6 @@ func (m *Map) Draw(mk Marker) {
 	}
 }
 
-// DrawAll places many markers.
-func (m *Map) DrawAll(mks []Marker) {
-	for _, mk := range mks {
-		m.Draw(mk)
-	}
-}
-
 // Render writes the map and legend.
 func (m *Map) Render(w io.Writer) error {
 	var sb strings.Builder
