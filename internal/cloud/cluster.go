@@ -32,26 +32,16 @@ func StableUserID(imei, email string) string {
 	return fmt.Sprintf("u%016x", h.Sum64())
 }
 
-// engineFor resolves a ShipRecord's engine byte to the engine that journals
-// it, rejecting an engine or shard outside this store's layout.
-func (s *Store) engineFor(engine uint8, shard int) (*storage.Engine, error) {
-	var eng *storage.Engine
-	switch engine {
-	case cluster.EngineMain:
-		eng = s.eng
-	case cluster.EngineTrace:
-		eng = s.traceEng
-	default:
-		return nil, fmt.Errorf("cloud: record for unknown engine %d", engine)
+// checkShard rejects a shipped record's shard outside this store's layout.
+func (s *Store) checkShard(shard int) error {
+	if n := s.eng.NumShards(); shard < 0 || shard >= n {
+		return fmt.Errorf("cloud: record for shard %d of %d", shard, n)
 	}
-	if shard < 0 || shard >= eng.NumShards() {
-		return nil, fmt.Errorf("cloud: record for engine %d shard %d of %d", engine, shard, eng.NumShards())
-	}
-	return eng, nil
+	return nil
 }
 
 // ApplyShippedBatch journals a contiguous run of replicated records verbatim
-// (cluster.Applier), grouped per engine shard so each shard pays one
+// (cluster.Applier), grouped per shard so each shard pays one
 // group-commit wait for the whole run instead of one per record: a shard's
 // group is enqueued under one lock hold and acknowledged by one commit of
 // its last LSN (storage.AppendShippedBatch), where a per-record apply would
@@ -61,42 +51,26 @@ func (s *Store) engineFor(engine uint8, shard int) (*storage.Engine, error) {
 // never enqueue on this node's own stream, and they only touch users owned
 // by the sending primary — disjoint from any export this node cuts. The
 // replay into in-memory state is deferred (storage.AppendShippedBatch):
-// durability is what the ack promises, and materializeReplicas runs before
-// this node serves or exports the replicated users.
+// durability is what the ack promises, and AdoptRing materializes them
+// before this node serves or exports the replicated users.
 func (s *Store) ApplyShippedBatch(recs []cluster.ShipRecord) error {
-	type dest struct {
-		eng   *storage.Engine
-		shard int
-	}
-	groups := map[dest][][]byte{}
-	var order []dest
+	groups := map[int][][]byte{}
+	var order []int
 	for _, rec := range recs {
-		eng, err := s.engineFor(rec.Engine, rec.Shard)
-		if err != nil {
+		if err := s.checkShard(rec.Shard); err != nil {
 			return err
 		}
-		d := dest{eng: eng, shard: rec.Shard}
-		if _, ok := groups[d]; !ok {
-			order = append(order, d)
+		if _, ok := groups[rec.Shard]; !ok {
+			order = append(order, rec.Shard)
 		}
-		groups[d] = append(groups[d], rec.Rec)
+		groups[rec.Shard] = append(groups[rec.Shard], rec.Rec)
 	}
-	for _, d := range order {
-		if err := d.eng.AppendShippedBatch(d.shard, groups[d]); err != nil {
+	for _, shard := range order {
+		if err := s.eng.AppendShippedBatch(shard, groups[shard]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// materializeReplicas replays every deferred shipped record into in-memory
-// state. Promotion must call it before reading ownership or serving users
-// that arrived over replication.
-func (s *Store) materializeReplicas() error {
-	if err := s.eng.MaterializeAll(); err != nil {
-		return err
-	}
-	return s.traceEng.MaterializeAll()
 }
 
 // applyImported journals a handoff's records through the full primary
@@ -107,9 +81,9 @@ func (s *Store) applyImported(recs []cluster.ShipRecord) error {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	for i, rec := range recs {
-		eng, err := s.engineFor(rec.Engine, rec.Shard)
+		err := s.checkShard(rec.Shard)
 		if err == nil {
-			err = eng.ApplyRecord(rec.Shard, rec.Rec)
+			err = s.eng.ApplyRecord(rec.Shard, rec.Rec)
 		}
 		if err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
@@ -154,26 +128,26 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 	// that large fails here, by name, instead of as a resync that never lands.
 	var recs []cluster.ShipRecord
 	var err error
-	add := func(engine uint8, shard int, uid string, b []byte) {
+	add := func(shard int, uid string, b []byte) {
 		if len(b) > storage.MaxRecordSize && err == nil {
 			err = fmt.Errorf("cloud: user %s exports a %d-byte %v record, over storage.MaxRecordSize", uid, len(b), op(b[0]))
 		}
-		recs = append(recs, cluster.ShipRecord{Engine: engine, Shard: shard, Rec: b})
+		recs = append(recs, cluster.ShipRecord{Shard: shard, Rec: b})
 	}
 	for _, u := range users {
 		uid := u.ID
-		add(cluster.EngineMain, 0, uid, encodeRecord(&record{Op: opRegister, UserID: uid, IMEI: u.IMEI, Email: u.Email}))
+		add(0, uid, encodeRecord(&record{Op: opRegister, UserID: uid, IMEI: u.IMEI, Email: u.Email}))
 		idx, d := s.dataFor(uid)
 		s.eng.View(idx, func() {
-			add(cluster.EngineMain, idx, uid, encodeRecord(syncUserRecord(uid, d.places[uid], d.routes[uid], d.profiles[uid], d.contacts[uid])))
+			add(idx, uid, encodeRecord(syncUserRecord(uid, d.places[uid], d.routes[uid], d.profiles[uid], d.contacts[uid])))
 		})
-		tidx := s.traceShard(uid)
-		s.traceEng.View(tidx, func() {
-			if ut := s.traces[tidx].users[uid]; ut != nil {
+		tidx, t := s.traceFor(uid)
+		s.eng.View(tidx, func() {
+			if ut := t.users[uid]; ut != nil {
 				// The resident run is the record's body: copied, not re-encoded.
-				add(cluster.EngineTrace, tidx, uid, appendTraceReplace(make([]byte, 0, 16+len(uid)+len(ut.run)), uid, ut.n, ut.run))
+				add(tidx, uid, appendTraceReplace(make([]byte, 0, 16+len(uid)+len(ut.run)), uid, ut.n, ut.run))
 			} else {
-				add(cluster.EngineTrace, tidx, uid, encodeRecord(&record{Op: opTraceDrop, UserID: uid}))
+				add(tidx, uid, encodeRecord(&record{Op: opTraceDrop, UserID: uid}))
 			}
 		})
 	}
@@ -198,17 +172,16 @@ func (s *Store) dropUsersLocked(uids []string) error {
 	for _, uid := range uids {
 		// Eager (not the deferred AppendShippedBatch path): the dropped users
 		// must vanish from in-memory state before the handoff acks.
-		drop := func(eng *storage.Engine, shard int, o op) error {
-			return eng.ApplyShipped(shard, encodeRecord(&record{Op: o, UserID: uid}))
+		drop := func(shard int, o op) error {
+			return s.eng.ApplyShipped(shard, encodeRecord(&record{Op: o, UserID: uid}))
 		}
-		idx, _ := s.dataFor(uid)
-		if err := drop(s.eng, idx, opDropUser); err != nil {
+		if err := drop(s.dataShard(uid), opDropUser); err != nil {
 			return err
 		}
-		if err := drop(s.traceEng, s.traceShard(uid), opTraceDrop); err != nil {
+		if err := drop(s.traceShard(uid), opTraceDrop); err != nil {
 			return err
 		}
-		if err := drop(s.eng, 0, opDropMeta); err != nil {
+		if err := drop(0, opDropMeta); err != nil {
 			return err
 		}
 	}
@@ -284,7 +257,7 @@ func NewClusterNode(dir string, storeCfg StoreConfig, cfg ClusterNodeConfig) (*C
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	dataShards, traceShards, err := plannedShards(dir, storeCfg)
+	shards, err := plannedShards(dir, storeCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -322,16 +295,14 @@ func NewClusterNode(dir string, storeCfg StoreConfig, cfg ClusterNodeConfig) (*C
 		Self:        cfg.Self.ID,
 		Epoch:       epoch,
 		HTTP:        cfg.HTTP,
-		DataShards:  dataShards,
-		TraceShards: traceShards,
+		DataShards:  shards,
 		Export:      cn.exportForResync,
 		RingVersion: func() uint64 { return cn.Ring().Version },
 		Metrics:     reg,
 		Logf:        logf,
 	})
 	storeCfg.StableIDs = true
-	storeCfg.Repl = cluster.EngineSink{S: cn.ship, Engine: cluster.EngineMain}
-	storeCfg.TraceRepl = cluster.EngineSink{S: cn.ship, Engine: cluster.EngineTrace}
+	storeCfg.Repl = cn.ship
 	store, err := newStore(dir, storeCfg)
 	if err != nil {
 		cn.ship.Close()
@@ -348,8 +319,7 @@ func NewClusterNode(dir string, storeCfg StoreConfig, cfg ClusterNodeConfig) (*C
 		Applier:      store,
 		Import:       store.applyImported,
 		Dir:          cfg.ReplDir,
-		DataShards:   dataShards,
-		TraceShards:  traceShards,
+		DataShards:   shards,
 		VerifyStream: cn.verifyStream,
 		Metrics:      reg,
 		Logf:         logf,
@@ -477,7 +447,7 @@ func (cn *ClusterNode) AdoptRing(nr *cluster.Ring) error {
 
 	// Users this node may now own could still sit in the deferred-replay
 	// queue; the ownership scan and any export below need them in state.
-	if err := cn.store.materializeReplicas(); err != nil {
+	if err := cn.store.eng.MaterializeAll(); err != nil {
 		return fmt.Errorf("materialize replicas: %w", err)
 	}
 
@@ -583,7 +553,7 @@ func (cn *ClusterNode) postHandoff(dest cluster.Node, ringVersion uint64, recs [
 		From:        cn.cfg.Self.ID,
 		RingVersion: ringVersion,
 		DataShards:  len(cn.store.data),
-		TraceShards: len(cn.store.traces),
+		TraceShards: len(cn.store.data),
 		Records:     recs,
 	}))
 	if err == nil && resp.Error != "" {

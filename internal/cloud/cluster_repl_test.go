@@ -31,11 +31,9 @@ import (
 // receiver is down it answers 503 (exactly what a rebooting node looks like
 // to its primary).
 type replFollower struct {
-	t       *testing.T
-	dir     string
-	shards  int
-	dShards int
-	tShards int
+	t      *testing.T
+	dir    string
+	shards int
 
 	mu       sync.Mutex
 	store    *Store
@@ -81,18 +79,16 @@ func (f *replFollower) open() {
 	if err != nil {
 		f.t.Fatalf("open follower store: %v", err)
 	}
-	d, tr, err := plannedShards(f.storeDir(), StoreConfig{Shards: f.shards})
+	d, err := plannedShards(f.storeDir(), StoreConfig{Shards: f.shards})
 	if err != nil {
 		f.t.Fatalf("follower shards: %v", err)
 	}
-	f.dShards, f.tShards = d, tr
 	recv, err := cluster.OpenReceiver(cluster.ReceiverConfig{
-		Applier:     store,
-		Dir:         f.replDir(),
-		DataShards:  d,
-		TraceShards: tr,
-		Metrics:     obs.NewRegistry(),
-		Logf:        f.t.Logf,
+		Applier:    store,
+		Dir:        f.replDir(),
+		DataShards: d,
+		Metrics:    obs.NewRegistry(),
+		Logf:       f.t.Logf,
 	})
 	if err != nil {
 		store.Close()
@@ -142,15 +138,14 @@ func newReplPrimary(t *testing.T, shards int, follower *replFollower) (*Store, *
 		store *Store
 		ship  *cluster.Shipper
 	)
-	d, tr, err := plannedShards(dir, StoreConfig{Shards: shards})
+	d, err := plannedShards(dir, StoreConfig{Shards: shards})
 	if err != nil {
 		t.Fatalf("primary shards: %v", err)
 	}
 	ship = cluster.NewShipper(cluster.ShipperConfig{
-		Self:        "A",
-		Epoch:       1,
-		DataShards:  d,
-		TraceShards: tr,
+		Self:       "A",
+		Epoch:      1,
+		DataShards: d,
 		Export: func() ([]cluster.ShipRecord, uint64, error) {
 			store.gate.Lock()
 			defer store.gate.Unlock()
@@ -164,8 +159,7 @@ func newReplPrimary(t *testing.T, shards int, follower *replFollower) (*Store, *
 	store, err = newStore(dir, StoreConfig{
 		Shards:    shards,
 		StableIDs: true,
-		Repl:      cluster.EngineSink{S: ship, Engine: cluster.EngineMain},
-		TraceRepl: cluster.EngineSink{S: ship, Engine: cluster.EngineTrace},
+		Repl:      ship,
 	})
 	if err != nil {
 		ship.Close()
@@ -371,12 +365,11 @@ func TestReplEpochMismatchForcesResync(t *testing.T) {
 
 	// "Restart" the primary's stream at epoch 2 over the same store.
 	var ship2 *cluster.Shipper
-	d, tr, _ := plannedShards(primaryDir, StoreConfig{Shards: shards})
+	d, _ := plannedShards(primaryDir, StoreConfig{Shards: shards})
 	ship2 = cluster.NewShipper(cluster.ShipperConfig{
-		Self:        "A",
-		Epoch:       2,
-		DataShards:  d,
-		TraceShards: tr,
+		Self:       "A",
+		Epoch:      2,
+		DataShards: d,
 		Export: func() ([]cluster.ShipRecord, uint64, error) {
 			primary.gate.Lock()
 			defer primary.gate.Unlock()
@@ -406,7 +399,7 @@ func TestReplEpochMismatchForcesResync(t *testing.T) {
 	// are replayed lazily, so materialize before reading state — exactly
 	// what promotion does before serving.
 	fstore := follower.store
-	if err := fstore.materializeReplicas(); err != nil {
+	if err := fstore.eng.MaterializeAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fstore.UserCount(), primary.UserCount(); got != want {

@@ -27,10 +27,11 @@ import (
 // decoded as UTC) — which is why every record is built from canonicalised
 // timestamps (instant) before it is applied.
 
-// recordFormat is the storage.Options.Format of both engines: the number
-// MANIFEST.json carries for this record layout. Format 1 (no number) was the
-// reflection-JSON records; there is no reader for it.
-const recordFormat = 2
+// recordFormat is the storage.Options.Format of the store's engine: the
+// number MANIFEST.json carries for this record and shard layout. Format 1 (no
+// number) was the reflection-JSON records; format 2 was these records in two
+// engines, traces under <data-dir>/traces. There is no reader for either.
+const recordFormat = 3
 
 // op is a record's first byte. The values are a persistence and replication
 // format: renumbering one breaks replay of existing data directories.

@@ -729,7 +729,8 @@ func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request, uid string)
 		writeError(w, http.StatusBadRequest, "place parameter required")
 		return
 	}
-	s.reply(w, r, http.StatusOK, s.analytics.DwellStats(uid, placeID))
+	resp := s.analytics.DwellStats(uid, placeID)
+	s.reply(w, r, http.StatusOK, &resp)
 }
 
 func (s *Server) handleFrequency(w http.ResponseWriter, r *http.Request, uid string) {

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -40,22 +39,19 @@ type tokenInfo struct {
 // Store is a thin typed layer over the sharded storage engine
 // (internal/storage): every mutation is journaled as a WAL record on the
 // owning shard and replayed on startup, so an acknowledged write survives a
-// crash (under the engine's fsync policy). Shard 0 holds the registration
-// keyspace (users, device index); per-user data is hashed across the
-// remaining shards. Tokens are deliberately in-memory only — they never
-// survive a restart, devices re-register (matching the paper's token
-// refresh flow).
+// crash (under the engine's fsync policy). With D data shards the engine
+// has 1+2D: shard 0 holds the registration keyspace (users, device index),
+// shards 1…D the per-user data, and shards D+1…2D the per-user GSM traces
+// (the delta sync substrate), a user's trace shard being its data shard
+// plus D. Traces keep shards of their own because compaction snapshots one
+// shard at a time: a profile-driven compaction never rewrites a trace.
+// Tokens are deliberately in-memory only — they never survive a restart,
+// devices re-register (matching the paper's token refresh flow).
 type Store struct {
-	eng  *storage.Engine
-	meta *metaState
-	data []*dataState
-
-	// The per-user GSM trace keyspace (the delta sync substrate) lives in
-	// its own engine under <data-dir>/traces: existing data directories keep
-	// their manifest-pinned shard layout untouched, and trace churn never
-	// competes with place/profile writes for a WAL.
-	traceEng *storage.Engine
-	traces   []*traceState
+	eng    *storage.Engine
+	meta   *metaState
+	data   []*dataState
+	traces []*traceState
 
 	tokenMu sync.RWMutex
 	tokens  map[string]tokenInfo
@@ -126,38 +122,31 @@ type StoreConfig struct {
 	// StableIDs derives user IDs from the device key (cluster mode) instead
 	// of a registration counter, making placement computable client-side.
 	StableIDs bool
-	// Repl/TraceRepl receive every record journaled by the main and trace
-	// engines for shipment to this node's follower (nil = unreplicated).
-	Repl      storage.ReplSink
-	TraceRepl storage.ReplSink
+	// Repl receives every journaled record for shipment to this node's
+	// follower (nil = unreplicated).
+	Repl storage.ReplSink
 }
 
-// plannedShards resolves the shard counts a store over dir would open with:
-// the persisted manifests win over cfg.Shards, exactly as newStore decides.
-// Cluster wiring calls this before the store exists, because the shipper
-// must advertise the shard layout its stream was journaled under.
-func plannedShards(dir string, cfg StoreConfig) (data, trace int, err error) {
-	data = cfg.Shards
-	if data <= 0 {
-		data = DefaultShards
+// plannedShards resolves the data-shard count D a store over dir would open
+// with (its engine has 1+2D shards): the persisted manifest wins over
+// cfg.Shards, exactly as newStore decides. Cluster wiring calls this before
+// the store exists, because the shipper must advertise the shard layout its
+// stream was journaled under.
+func plannedShards(dir string, cfg StoreConfig) (int, error) {
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = DefaultShards
 	}
-	trace = -1
 	if dir != "" {
-		if n, ok, err := storage.ReadManifest(dir); err != nil {
-			return 0, 0, err
-		} else if ok {
-			data = n - 1 // shard 0 is the registration keyspace
+		n, ok, err := storage.ReadManifest(dir)
+		if err != nil {
+			return 0, err
 		}
-		if n, ok, err := storage.ReadManifest(filepath.Join(dir, "traces")); err != nil {
-			return 0, 0, err
-		} else if ok {
-			trace = n
+		if ok {
+			shards = (n - 1) / 2
 		}
 	}
-	if trace < 0 {
-		trace = data
-	}
-	return data, trace, nil
+	return shards, nil
 }
 
 // NewStore returns an empty memory-only store using the given time source
@@ -187,9 +176,9 @@ func newStore(dir string, cfg StoreConfig) (*Store, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	// A pre-existing layout pins the shard counts: rehashing users across a
+	// A pre-existing layout pins the shard count: rehashing users across a
 	// different count would strand their data on the wrong shards.
-	shards, tshards, err := plannedShards(dir, cfg)
+	shards, err := plannedShards(dir, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -201,6 +190,7 @@ func newStore(dir string, cfg StoreConfig) (*Store, error) {
 	s := &Store{
 		meta:         newMetaState(),
 		data:         make([]*dataState, shards),
+		traces:       make([]*traceState, shards),
 		tokens:       map[string]tokenInfo{},
 		stableIDs:    cfg.StableIDs,
 		now:          cfg.Now,
@@ -208,58 +198,36 @@ func newStore(dir string, cfg StoreConfig) (*Store, error) {
 		idxHits:      reg.Counter("analytics_index_hits_total"),
 		idxFallbacks: reg.Counter("analytics_index_fallbacks_total"),
 	}
-	states := make([]storage.ShardState, 0, shards+1)
+	states := make([]storage.ShardState, 0, 1+2*shards)
 	states = append(states, s.meta)
 	for i := range s.data {
 		s.data[i] = newDataState()
 		states = append(states, s.data[i])
 	}
-	open := func(dir string, repl storage.ReplSink, states []storage.ShardState) (*storage.Engine, error) {
-		return storage.Open(storage.Options{
-			Dir:            dir,
-			Sync:           cfg.Sync,
-			SyncEvery:      cfg.SyncEvery,
-			CompactEvery:   cfg.CompactEvery,
-			RecoverWorkers: cfg.RecoverWorkers,
-			Metrics:        reg,
-			Repl:           repl,
-			Format:         recordFormat,
-		}, states)
+	for i := range s.traces {
+		s.traces[i] = newTraceState()
+		states = append(states, s.traces[i])
 	}
-	eng, err := open(dir, cfg.Repl, states)
+	eng, err := storage.Open(storage.Options{
+		Dir:            dir,
+		Sync:           cfg.Sync,
+		SyncEvery:      cfg.SyncEvery,
+		CompactEvery:   cfg.CompactEvery,
+		RecoverWorkers: cfg.RecoverWorkers,
+		Metrics:        reg,
+		Repl:           cfg.Repl,
+		Format:         recordFormat,
+	}, states)
 	if err != nil {
 		return nil, err
 	}
 	s.eng = eng
-
-	traceDir := ""
-	if dir != "" {
-		traceDir = filepath.Join(dir, "traces")
-	}
-	s.traces = make([]*traceState, tshards)
-	tstates := make([]storage.ShardState, tshards)
-	for i := range s.traces {
-		s.traces[i] = newTraceState()
-		tstates[i] = s.traces[i]
-	}
-	teng, err := open(traceDir, cfg.TraceRepl, tstates)
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	s.traceEng = teng
 	return s, nil
 }
 
 // Close compacts every shard (so the next boot replays nothing), flushes the
 // logs, and releases the store's files. Memory-only stores need not call it.
-func (s *Store) Close() error {
-	err := s.eng.Close()
-	if terr := s.traceEng.Close(); err == nil {
-		err = terr
-	}
-	return err
-}
+func (s *Store) Close() error { return s.eng.Close() }
 
 // ShardCount returns the number of data shards.
 func (s *Store) ShardCount() int { return len(s.data) }
@@ -269,8 +237,8 @@ func (s *Store) dataShard(userID string) int {
 	return 1 + int(shardHash(userID)%uint32(len(s.data)))
 }
 
-// shardHash is the FNV-1a-32 hash of userID that places a user on a data and
-// a trace shard — hash/fnv's function, computed over the string in place so
+// shardHash is the FNV-1a-32 hash of userID that places a user on its data
+// and trace shards — hash/fnv's function, computed over the string in place so
 // placement costs no allocation. Changing it moves users between shards on
 // disk.
 func shardHash(userID string) uint32 {

@@ -11,9 +11,10 @@ import (
 )
 
 // This file is the journaling side of the per-user GSM trace keyspace: the
-// server-side half of the delta sync protocol. Traces live in their own
-// storage engine (under <data-dir>/traces) so trace churn never competes with
-// place/profile writes for a WAL. The record it applies is record.go's.
+// server-side half of the delta sync protocol. Traces live on shards of
+// their own in the store's engine (D+1 … 2D), so a compaction of a user's
+// places and profiles never rewrites the user's trace. The record it applies
+// is record.go's.
 
 // traceCheckpointEvery is K: a trace keeps its delta-chain position before
 // every K-th observation, so decoding a suffix parses at most K-1

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -148,10 +147,10 @@ func (m *modelTraces) step(uid string) string {
 		}
 		return "identical replace"
 	default: // drop
-		idx := m.s.traceShard(uid)
-		err := m.s.traceEng.Mutate(idx, func() ([]byte, error) {
+		idx, ts := m.s.traceFor(uid)
+		err := m.s.eng.Mutate(idx, func() ([]byte, error) {
 			rec := &record{Op: opTraceDrop, UserID: uid}
-			return encodeRecord(rec), m.s.traces[idx].apply(rec)
+			return encodeRecord(rec), ts.apply(rec)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +175,7 @@ func (m *modelTraces) restore() {
 		if err != nil {
 			m.t.Fatal(err)
 		}
-		err = m.s.traceEng.Mutate(i, func() ([]byte, error) { return nil, ts.Restore(b) })
+		err = m.s.eng.Mutate(1+len(m.s.data)+i, func() ([]byte, error) { return nil, ts.Restore(b) })
 		if err != nil {
 			m.t.Fatal(err)
 		}
@@ -212,7 +211,7 @@ func (m *modelTraces) check(uids []string, step string) {
 	for i, ts := range m.s.traces {
 		var ids []string
 		for uid, obs := range m.model {
-			if m.s.traceShard(uid) == i && len(obs) > 0 {
+			if m.s.traceShard(uid) == 1+len(m.s.data)+i && len(obs) > 0 {
 				ids = append(ids, uid)
 			}
 		}
@@ -240,7 +239,7 @@ func (m *modelTraces) check(uids []string, step string) {
 		fresh[i] = newTraceState()
 	}
 	for _, sr := range recs {
-		if sr.Engine != cluster.EngineTrace {
+		if sr.Shard <= len(m.s.data) {
 			continue
 		}
 		rec, err := decodeRecord(sr.Rec)
@@ -254,7 +253,7 @@ func (m *modelTraces) check(uids []string, step string) {
 		if !bytes.Equal(sr.Rec, want) {
 			t.Fatalf("after %s: %s exports a %v record unlike the model's", step, rec.UserID, rec.Op)
 		}
-		if err := fresh[sr.Shard].Apply(sr.Rec); err != nil {
+		if err := fresh[sr.Shard-1-len(m.s.data)].Apply(sr.Rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,9 +22,14 @@ type TraceStatus struct {
 	Gen  uint64
 }
 
-// traceShard maps a user to its trace-engine shard index.
+// traceShard maps a user to its trace shard's engine index (D+1 … 2D).
 func (s *Store) traceShard(userID string) int {
-	return int(shardHash(userID) % uint32(len(s.traces)))
+	return s.dataShard(userID) + len(s.data)
+}
+
+func (s *Store) traceFor(userID string) (int, *traceState) {
+	idx := s.traceShard(userID)
+	return idx, s.traces[idx-1-len(s.data)]
 }
 
 // SyncTrace is the server side of the delta sync protocol. A full upload
@@ -45,11 +50,10 @@ func (s *Store) SyncTrace(userID string, delta bool, cursor int64, prefixHash ui
 		return TraceStatus{}, 0, err
 	}
 	defer s.gate.RUnlock()
-	idx := s.traceShard(userID)
-	t := s.traces[idx]
+	idx, t := s.traceFor(userID)
 	var status TraceStatus
 	appended := 0
-	err := s.traceEng.Mutate(idx, func() ([]byte, error) {
+	err := s.eng.Mutate(idx, func() ([]byte, error) {
 		u := t.ensure(userID)
 		var rec *record
 		if delta {
@@ -99,10 +103,9 @@ func (s *Store) AppendTrace(userID string, obs []trace.GSMObservation) (TraceSta
 		return TraceStatus{}, err
 	}
 	defer s.gate.RUnlock()
-	idx := s.traceShard(userID)
-	t := s.traces[idx]
+	idx, t := s.traceFor(userID)
 	var status TraceStatus
-	err := s.traceEng.Mutate(idx, func() ([]byte, error) {
+	err := s.eng.Mutate(idx, func() ([]byte, error) {
 		u := t.ensure(userID)
 		if len(obs) == 0 {
 			status = u.status()
@@ -166,14 +169,13 @@ func deltaTail(u *userTrace, cursor int64, prefixHash uint64, obs []trace.GSMObs
 }
 
 // viewTrace runs fn with a view of the user's persisted trace under the
-// owning trace shard's read lock: its status without decoding anything, and
+// user's trace shard's read lock: its status without decoding anything, and
 // suffix decodes (traceView.From) — how the discovery workers and stream
 // detectors extend their cached pipelines by only what is new. fn must not
 // retain what the view decodes, and must not call back into the store.
 func (s *Store) viewTrace(userID string, fn func(v *traceView)) {
-	idx := s.traceShard(userID)
-	t := s.traces[idx]
-	s.traceEng.View(idx, func() {
+	idx, t := s.traceFor(userID)
+	s.eng.View(idx, func() {
 		v := openView(t.users[userID])
 		defer v.release()
 		fn(v)

@@ -186,7 +186,8 @@ func requestCodec(r *http.Request) reqCodec {
 // --- message codecs -------------------------------------------------------
 
 // appendWire encodes msg as a binary wire message appended to dst. ok is
-// false when the type has no binary codec (the caller falls back to JSON).
+// false when the type has no binary codec (the caller falls back to JSON);
+// response structs have one only by pointer.
 func appendWire(dst []byte, msg any) ([]byte, bool) {
 	var e trace.BinaryEncoder
 	e.Buf = append(dst, wireVersion)
@@ -194,15 +195,9 @@ func appendWire(dst []byte, msg any) ([]byte, bool) {
 	case *DiscoverPlacesResponse:
 		e.Byte(wireKindDiscoverResponse)
 		appendDiscoverResponse(&e, m)
-	case DiscoverPlacesResponse:
-		e.Byte(wireKindDiscoverResponse)
-		appendDiscoverResponse(&e, &m)
 	case *StreamResult:
 		e.Byte(wireKindStreamResult)
 		appendStreamResult(&e, m)
-	case StreamResult:
-		e.Byte(wireKindStreamResult)
-		appendStreamResult(&e, &m)
 	case *profile.DayProfile:
 		e.Byte(wireKindProfile)
 		appendProfileBody(&e, m)
@@ -217,8 +212,6 @@ func appendWire(dst []byte, msg any) ([]byte, bool) {
 		e.String(m.PlaceID)
 		e.Varint(int64(m.TypicalArrivalSec))
 		e.Varint(int64(m.SampleCount))
-	case PredictArrivalResponse:
-		return appendWire(dst, &m)
 	case *PredictNextVisitResponse:
 		e.Byte(wireKindPredictNext)
 		e.String(m.PlaceID)
@@ -229,15 +222,11 @@ func appendWire(dst []byte, msg any) ([]byte, bool) {
 		if !m.NextVisit.IsZero() {
 			e.Time(m.NextVisit)
 		}
-	case PredictNextVisitResponse:
-		return appendWire(dst, &m)
 	case *FrequencyResponse:
 		e.Byte(wireKindFrequency)
 		e.String(m.PlaceID)
 		e.Float64(m.VisitsPerWeek)
 		e.Varint(int64(m.TotalVisits))
-	case FrequencyResponse:
-		return appendWire(dst, &m)
 	case *DwellStatsResponse:
 		e.Byte(wireKindDwell)
 		e.String(m.PlaceID)
@@ -245,8 +234,6 @@ func appendWire(dst []byte, msg any) ([]byte, bool) {
 		e.Varint(int64(m.MeanStaySec))
 		e.Varint(int64(m.MedianStaySec))
 		e.Varint(int64(m.LongestStaySec))
-	case DwellStatsResponse:
-		return appendWire(dst, &m)
 	case *PopularPlacesResponse:
 		e.Byte(wireKindPopular)
 		e.Varint(int64(m.K))

@@ -21,9 +21,9 @@ import (
 //	uvarint Start
 //	uvarint RingVersion
 //	uvarint DataShards
-//	uvarint TraceShards
+//	uvarint TraceShards (equal to DataShards since v4)
 //	uvarint len(Records)
-//	per record: engine byte, uvarint Shard, uvarint len(Rec), Rec bytes
+//	per record: engine byte (0 since v4), uvarint Shard, uvarint len(Rec), Rec bytes
 
 // ContentTypeReplBinary is the replication batch media type.
 const ContentTypeReplBinary = "application/x-pmware-repl"
@@ -33,8 +33,10 @@ const ContentTypeReplBinary = "application/x-pmware-repl"
 // changed nothing in this framing but marks the records inside as the binary
 // record codec (DESIGN.md §8) — a follower parks shipped records and decodes
 // them only later, so a peer with the other record format must be refused
-// here, at admission. Any other version fails the decode.
-const replWireVersion = 3
+// here, at admission. v4 changed nothing in the framing either: shard indices
+// address the one-engine layout (0, data 1…D, traces D+1…2D), where a v3
+// peer's addressed two engines. Any other version fails the decode.
+const replWireVersion = 4
 
 // minRecordBytes is the least a record costs on the wire: its engine byte
 // and two one-byte uvarints.

@@ -103,23 +103,23 @@ func TestBatchBinaryTruncation(t *testing.T) {
 // records are opaque to this package; they have the shape of the record codec
 // (op byte 5, a 17-byte user id, a body).
 func pinnedBatch() *BatchRequest {
-	req := &BatchRequest{From: "n0", Epoch: 3, Start: 1 << 40, RingVersion: 7, DataShards: 8, TraceShards: 4}
+	req := &BatchRequest{From: "n0", Epoch: 3, Start: 1 << 40, RingVersion: 7, DataShards: 8, TraceShards: 8}
 	for i := 0; i < 5; i++ {
 		req.Records = append(req.Records, ShipRecord{
-			Engine: uint8(i % 2), Shard: i * 37 % 8,
-			Rec: append([]byte{5, 17}, fmt.Sprintf("u%016x\x00\x0a2014-03-%02d\x00\x00\x00\x00", i*7919, i+1)...),
+			Shard: i * 37 % 8,
+			Rec:   append([]byte{5, 17}, fmt.Sprintf("u%016x\x00\x0a2014-03-%02d\x00\x00\x00\x00", i*7919, i+1)...),
 		})
 	}
-	req.Records = append(req.Records, ShipRecord{Engine: EngineTrace, Shard: 3})
 	return req
 }
 
 // TestParentFormatPin is the cross-commit format pin: the same request
 // encodes to the fixture's bytes, and the fixture's bytes decode and
-// re-encode to themselves. The fixture was re-cut on purpose by the change
-// that took replWireVersion from 2 to 3 (the records inside a batch left
-// JSON for the record codec, DESIGN.md §8): batch.bin is v3, and the parent's
-// v2 body is kept as batch-v2.bin for TestReceiverRefusesOtherWireVersion.
+// re-encode to themselves. The fixture was re-cut on purpose by each change
+// of replWireVersion: 2 → 3 when the records inside a batch left JSON for
+// the record codec (DESIGN.md §8), and 3 → 4 when shard indices came to
+// address one engine. batch.bin is v4; the v2 and v3 bodies are kept as
+// batch-v2.bin and batch-v3.bin for TestReceiverRefusesOtherWireVersion.
 func TestParentFormatPin(t *testing.T) {
 	want, err := os.ReadFile("testdata/parent/batch.bin")
 	if err != nil {

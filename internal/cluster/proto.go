@@ -35,16 +35,16 @@ const (
 	HeaderOwner   = "X-PMWare-Owner"
 )
 
-// Engine identifiers for ShipRecord.Engine: a PCI node journals through two
-// storage engines (the meta+data engine and the trace engine); a shipped
-// record must land in the same engine and shard index on the follower.
-const (
-	EngineMain  = 0
-	EngineTrace = 1
-)
+// EngineMain is the only value of ShipRecord.Engine since wire v4: a PCI
+// node journals through one storage engine, so a shipped record lands at the
+// same shard index on the follower and the engine byte is always 0. The byte
+// stays on the wire until the benchmark harness, which builds batches with
+// it, stops naming it.
+const EngineMain = 0
 
-// ShipRecord is one replicated WAL record: which engine and shard it was
-// journaled on, and the verbatim record bytes.
+// ShipRecord is one replicated WAL record: the shard it was journaled on and
+// the verbatim record bytes. Engine is EngineMain (the zero value); a
+// receiver refuses any other.
 type ShipRecord struct {
 	Engine uint8
 	Shard  int
@@ -68,8 +68,10 @@ type ShipRecord struct {
 // sender holds: a receiver with a newer ring rejects the request (the
 // sender's view of who owns what — and of who its follower is — is stale),
 // which is what keeps a restarted pre-failover primary from overwriting its
-// promoted heir. DataShards/TraceShards are the sender's shard layout;
-// records land at the sender's shard indices, so a mismatch is refused.
+// promoted heir. DataShards is the sender's shard layout (its engine has
+// 1+2·DataShards shards); records land at the sender's shard indices, so a
+// mismatch is refused. TraceShards is a leftover of the two-engine layout: a
+// sender writes DataShards there and a receiver refuses any other value.
 type BatchRequest struct {
 	From        string
 	Epoch       uint64

@@ -15,13 +15,13 @@ import (
 )
 
 // Applier is what the receiver needs from the node's store: journal one
-// contiguous run of shipped records verbatim into their engines and shards,
-// grouped so each engine shard pays roughly one group-commit wait for the
-// whole run. An error reports the whole run as unapplied even though some
-// shards' groups may already be durable; that is safe because apply errors
-// are terminal — a poisoned shard or a corrupt record — and the stream
-// cannot continue past them anyway (the primary degrades and the follower
-// is healed by resync or replacement).
+// contiguous run of shipped records verbatim into their shards, grouped so
+// each shard pays roughly one group-commit wait for the whole run. An error
+// reports the whole run as unapplied even though some shards' groups may
+// already be durable; that is safe because apply errors are terminal — a
+// poisoned shard or a corrupt record — and the stream cannot continue past
+// them anyway (the primary degrades and the follower is healed by resync or
+// replacement).
 type Applier interface {
 	ApplyShippedBatch(recs []ShipRecord) error
 }
@@ -72,9 +72,9 @@ type ReceiverConfig struct {
 	// Dir persists cursors and the dirty marker ("" = memory-only: every
 	// restart resyncs).
 	Dir string
-	// DataShards/TraceShards validate stream compatibility.
-	DataShards  int
-	TraceShards int
+	// DataShards validates stream compatibility: a sender must have the same
+	// count, and every record must address one of the 1+2·DataShards shards.
+	DataShards int
 	// Import applies a handoff's records as this node's own primary writes
 	// (journaled and shipped onward). Required when HandleHandoff is mounted.
 	Import func(recs []ShipRecord) error
@@ -207,20 +207,27 @@ func (r *Receiver) Cursor(from string) (epoch, seq uint64) {
 }
 
 // admit runs the admission checks batches, resyncs and handoffs share — the
-// sender's shard layout must match (key placement would differ otherwise)
-// and VerifyStream must accept its ring version — counting and logging a
+// sender's shard layout must match (key placement would differ otherwise),
+// every record must address a shard of it through the one engine, and
+// VerifyStream must accept its ring version — counting and logging a
 // refusal. what names the request kind for the log line.
-func (r *Receiver) admit(what, from string, dataShards, traceShards int, ringVersion uint64) error {
+func (r *Receiver) admit(what string, b *BatchRequest) error {
+	d := r.cfg.DataShards
 	var err error
-	if dataShards != r.cfg.DataShards || traceShards != r.cfg.TraceShards {
-		err = fmt.Errorf("shard layout mismatch: stream %d/%d vs local %d/%d (key placement would differ)",
-			dataShards, traceShards, r.cfg.DataShards, r.cfg.TraceShards)
-	} else if r.cfg.VerifyStream != nil {
-		err = r.cfg.VerifyStream(from, ringVersion)
+	if b.DataShards != d || b.TraceShards != d {
+		err = fmt.Errorf("shard layout mismatch: stream %d/%d vs local %d (key placement would differ)", b.DataShards, b.TraceShards, d)
+	}
+	for i := 0; err == nil && i < len(b.Records); i++ {
+		if rec := &b.Records[i]; rec.Engine != EngineMain || rec.Shard < 0 || rec.Shard > 2*d {
+			err = fmt.Errorf("record %d on engine %d shard %d, outside the %d shards of one engine", i, rec.Engine, rec.Shard, 1+2*d)
+		}
+	}
+	if err == nil && r.cfg.VerifyStream != nil {
+		err = r.cfg.VerifyStream(b.From, b.RingVersion)
 	}
 	if err != nil {
 		r.rejected.Inc()
-		r.logf("cluster: refused %s from %s: %v", what, from, err)
+		r.logf("cluster: refused %s from %s: %v", what, b.From, err)
 	}
 	return err
 }
@@ -273,7 +280,7 @@ func (r *Receiver) receive(w http.ResponseWriter, req *http.Request, what string
 		apply = r.cfg.Import
 	}
 	resp := BatchResponse{Acked: c.Seq}
-	if err := r.admit(what, b.From, b.DataShards, b.TraceShards, b.RingVersion); err != nil {
+	if err := r.admit(what, b); err != nil {
 		resp.Error = err.Error()
 	} else if what == "batch" && (b.Epoch != c.Epoch || b.Start != c.Seq+1) {
 		// A stream this follower cannot prove contiguous: wrong epoch

@@ -38,7 +38,6 @@ func openTestReceiver(t *testing.T, applier Applier, verify func(string, uint64)
 	r, err := OpenReceiver(ReceiverConfig{
 		Applier:      applier,
 		DataShards:   2,
-		TraceShards:  1,
 		VerifyStream: verify,
 		Metrics:      reg,
 		Logf:         t.Logf,
@@ -99,7 +98,7 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 	// The zombie's resync: ring v1 from its boot flags.
 	sresp := postSync(t, r, BatchRequest{
 		From: "zombie", Epoch: 2, Start: 0, RingVersion: 1,
-		DataShards: 2, TraceShards: 1, Records: testRecords(4),
+		DataShards: 2, TraceShards: 2, Records: testRecords(4),
 	})
 	if sresp.Error == "" {
 		t.Fatalf("stale resync accepted: %+v", sresp)
@@ -114,7 +113,7 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 	// Same for a batch.
 	bresp := postBatch(t, r, BatchRequest{
 		From: "zombie", Epoch: 2, Start: 1, RingVersion: 1,
-		DataShards: 2, TraceShards: 1, Records: testRecords(2),
+		DataShards: 2, TraceShards: 2, Records: testRecords(2),
 	})
 	if bresp.Error == "" {
 		t.Fatalf("stale batch accepted: %+v", bresp)
@@ -129,14 +128,14 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 	// A current-ring sender is admitted: resync re-baselines, batch resumes.
 	sresp = postSync(t, r, BatchRequest{
 		From: "live", Epoch: 1, Start: 0, RingVersion: localRing,
-		DataShards: 2, TraceShards: 1, Records: testRecords(3),
+		DataShards: 2, TraceShards: 2, Records: testRecords(3),
 	})
 	if sresp.Error != "" {
 		t.Fatalf("live resync refused: %+v", sresp)
 	}
 	bresp = postBatch(t, r, BatchRequest{
 		From: "live", Epoch: 1, Start: 1, RingVersion: localRing,
-		DataShards: 2, TraceShards: 1, Records: testRecords(2),
+		DataShards: 2, TraceShards: 2, Records: testRecords(2),
 	})
 	if bresp.Error != "" || bresp.Acked != 2 {
 		t.Fatalf("live batch: %+v", bresp)
@@ -147,46 +146,93 @@ func TestReceiverAdmissionRejectsStaleRing(t *testing.T) {
 }
 
 // TestReceiverRefusesOtherWireVersion: a peer built before the record codec
-// speaks wire v2 with JSON records inside. A follower parks shipped records
-// and decodes them only at promotion, so the refusal has to happen here: the
-// parent commit's own v2 body is answered 400 naming the version it carries on
-// all three endpoints, nothing applied, no cursor moved — and PostBatch hands
-// that reason to the sender.
+// speaks wire v2 with JSON records inside, and one built before the single
+// storage engine speaks v3, whose shard indices address two engines. A
+// follower parks shipped records and decodes them only at promotion, so the
+// refusal has to happen here: each parent commit's own body is answered 400
+// naming the version it carries on all three endpoints, nothing applied, no
+// cursor moved — and PostBatch hands that reason to the sender.
 func TestReceiverRefusesOtherWireVersion(t *testing.T) {
-	v2, err := os.ReadFile("testdata/parent/batch-v2.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
 	applier := &recApplier{}
 	imported := 0
 	reg := obs.NewRegistry()
 	r, err := OpenReceiver(ReceiverConfig{
 		Applier: applier, Import: func([]ShipRecord) error { imported++; return nil },
-		DataShards: 8, TraceShards: 4, Metrics: reg, Logf: t.Logf,
+		DataShards: 8, Metrics: reg, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	for name, h := range map[string]http.HandlerFunc{"batch": r.HandleBatch, "resync": r.HandleSync, "handoff": r.HandleHandoff} {
-		req := httptest.NewRequest("POST", "/", bytes.NewReader(v2))
-		req.Header.Set("Content-Type", ContentTypeReplBinary)
-		w := httptest.NewRecorder()
-		h(w, req)
-		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "wire version 2, want 3") {
-			t.Fatalf("%s: v2 body answered %d %q, want 400 naming version 2", name, w.Code, w.Body.String())
-		}
-	}
-	// The sender's error — what its "degraded after N failures" line logs —
-	// carries the receiver's reason, not just the status.
 	srv := httptest.NewServer(http.HandlerFunc(r.HandleBatch))
 	defer srv.Close()
-	if _, err := PostBatch(srv.Client(), srv.URL, v2); err == nil ||
-		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "wire version 2, want 3") {
-		t.Fatalf("PostBatch of a v2 body: %v, want an error naming 400 and version 2", err)
+	for _, v := range []int{2, 3} {
+		body, err := os.ReadFile(fmt.Sprintf("testdata/parent/batch-v%d.bin", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reason := fmt.Sprintf("wire version %d, want 4", v)
+		for name, h := range map[string]http.HandlerFunc{"batch": r.HandleBatch, "resync": r.HandleSync, "handoff": r.HandleHandoff} {
+			req := httptest.NewRequest("POST", "/", bytes.NewReader(body))
+			req.Header.Set("Content-Type", ContentTypeReplBinary)
+			w := httptest.NewRecorder()
+			h(w, req)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), reason) {
+				t.Fatalf("%s: v%d body answered %d %q, want 400 naming version %d", name, v, w.Code, w.Body.String(), v)
+			}
+		}
+		// The sender's error — what its "degraded after N failures" line logs —
+		// carries the receiver's reason, not just the status.
+		if _, err := PostBatch(srv.Client(), srv.URL, body); err == nil ||
+			!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), reason) {
+			t.Fatalf("PostBatch of a v%d body: %v, want an error naming 400 and version %d", v, err, v)
+		}
 	}
 	if e, s := r.Cursor("n0"); len(applier.recs) != 0 || imported != 0 || e != 0 || s != 0 {
-		t.Fatalf("v2 body applied %d records, imported %d, cursor %d/%d", len(applier.recs), imported, e, s)
+		t.Fatalf("old bodies applied %d records, imported %d, cursor %d/%d", len(applier.recs), imported, e, s)
+	}
+}
+
+// TestReceiverRefusesOutsideOneEngine: a v4 record addresses one of the
+// 1+2D shards of one engine with engine byte 0. A record carrying the old
+// trace engine's byte, a shard index past 2D, or a header whose trace-shard
+// count differs from its data-shard count is refused at admission on every
+// endpoint — and no record of the request, the valid ones before it
+// included, reaches the store.
+func TestReceiverRefusesOutsideOneEngine(t *testing.T) {
+	applier := &recApplier{}
+	var imported []ShipRecord
+	r, err := OpenReceiver(ReceiverConfig{
+		Applier: applier, Import: func(recs []ShipRecord) error { imported = append(imported, recs...); return nil },
+		DataShards: 2, Metrics: obs.NewRegistry(), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	for name, b := range map[string]BatchRequest{
+		"engine byte 1": {Records: append(testRecords(3), ShipRecord{Engine: 1, Shard: 3, Rec: []byte("t")})},
+		"shard 1+2D":    {Records: append(testRecords(3), ShipRecord{Shard: 5, Rec: []byte("t")})},
+		"trace shards":  {TraceShards: 1, Records: testRecords(3)},
+	} {
+		b.From, b.Epoch, b.DataShards = "A", 1, 2
+		if b.TraceShards == 0 {
+			b.TraceShards = 2
+		}
+		for what, h := range map[string]http.HandlerFunc{"batch": r.HandleBatch, "resync": r.HandleSync, "handoff": r.HandleHandoff} {
+			b.Start = 1
+			if resp := post(t, h, b); resp.Error == "" {
+				t.Fatalf("%s on %s: admitted (%+v)", name, what, resp)
+			}
+		}
+	}
+	if len(applier.recs) != 0 || len(imported) != 0 {
+		t.Fatalf("refused requests journaled %d records and imported %d", len(applier.recs), len(imported))
+	}
+	// The last legal shard, 2D, is admitted.
+	ok := BatchRequest{From: "A", Epoch: 1, Start: 1, DataShards: 2, TraceShards: 2, Records: []ShipRecord{{Shard: 4, Rec: []byte("t")}}}
+	if resp := postSync(t, r, ok); resp.Error != "" || len(applier.recs) != 1 {
+		t.Fatalf("record on shard 2D: %+v, %d applied", resp, len(applier.recs))
 	}
 }
 
@@ -205,7 +251,7 @@ func TestReceiverAdmissionRejectsTakenOverSender(t *testing.T) {
 
 	sresp := postSync(t, r, BatchRequest{
 		From: "dead", Epoch: 3, Start: 0, RingVersion: 2,
-		DataShards: 2, TraceShards: 1, Records: testRecords(2),
+		DataShards: 2, TraceShards: 2, Records: testRecords(2),
 	})
 	if sresp.Error == "" {
 		t.Fatalf("taken-over resync accepted: %+v", sresp)
@@ -226,13 +272,13 @@ func TestReceiverAppliesRunsAsBatches(t *testing.T) {
 
 	if resp := postSync(t, r, BatchRequest{
 		From: "A", Epoch: 1, Start: 0,
-		DataShards: 2, TraceShards: 1, Records: testRecords(3),
+		DataShards: 2, TraceShards: 2, Records: testRecords(3),
 	}); resp.Error != "" {
 		t.Fatalf("resync: %+v", resp)
 	}
 	resp := postBatch(t, r, BatchRequest{
 		From: "A", Epoch: 1, Start: 1,
-		DataShards: 2, TraceShards: 1, Records: testRecords(5),
+		DataShards: 2, TraceShards: 2, Records: testRecords(5),
 	})
 	if resp.Error != "" || resp.Acked != 5 {
 		t.Fatalf("batch: %+v", resp)
@@ -246,7 +292,7 @@ func TestReceiverAppliesRunsAsBatches(t *testing.T) {
 
 	body, _ := json.Marshal(BatchRequest{
 		From: "A", Epoch: 1, Start: 6,
-		DataShards: 2, TraceShards: 1, Records: testRecords(2),
+		DataShards: 2, TraceShards: 2, Records: testRecords(2),
 	})
 	req := httptest.NewRequest("POST", PathReplBatch, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -272,22 +318,22 @@ func TestReceiverOneSequence(t *testing.T) {
 	reg := obs.NewRegistry()
 	r, err := OpenReceiver(ReceiverConfig{
 		Applier: applier, Import: imported.ApplyShippedBatch,
-		DataShards: 2, TraceShards: 1, Metrics: reg, Logf: t.Logf,
+		DataShards: 2, Metrics: reg, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if resp := postSync(t, r, BatchRequest{From: "A", Epoch: 4, Start: 9, DataShards: 2, TraceShards: 1, Records: testRecords(1)}); resp.Error != "" || resp.Acked != 9 {
+	if resp := postSync(t, r, BatchRequest{From: "A", Epoch: 4, Start: 9, DataShards: 2, TraceShards: 2, Records: testRecords(1)}); resp.Error != "" || resp.Acked != 9 {
 		t.Fatalf("resync: %+v", resp)
 	}
-	if resp := post(t, r.HandleHandoff, BatchRequest{From: "A", DataShards: 2, TraceShards: 1, Records: testRecords(3)}); resp.Error != "" {
+	if resp := post(t, r.HandleHandoff, BatchRequest{From: "A", DataShards: 2, TraceShards: 2, Records: testRecords(3)}); resp.Error != "" {
 		t.Fatalf("handoff: %+v", resp)
 	}
 	if len(imported.recs) != 3 || len(applier.recs) != 1 {
 		t.Fatalf("handoff imported %d records and shipped-applied %d, want 3 and the resync's 1", len(imported.recs), len(applier.recs))
 	}
-	if resp := post(t, r.HandleHandoff, BatchRequest{From: "A", DataShards: 3, TraceShards: 1, Records: testRecords(1)}); resp.Error == "" || len(imported.recs) != 3 {
+	if resp := post(t, r.HandleHandoff, BatchRequest{From: "A", DataShards: 3, TraceShards: 3, Records: testRecords(1)}); resp.Error == "" || len(imported.recs) != 3 {
 		t.Fatalf("handoff with a foreign shard layout: %+v, %d imported", resp, len(imported.recs))
 	}
 	if e, s := r.Cursor("A"); e != 4 || s != 9 {
@@ -295,7 +341,7 @@ func TestReceiverOneSequence(t *testing.T) {
 	}
 
 	rejected := reg.Counter("pci_repl_batches_rejected_total").Value()
-	body, _ := json.Marshal(BatchRequest{From: "A", Epoch: 4, Start: 10, DataShards: 2, TraceShards: 1, Records: testRecords(2)})
+	body, _ := json.Marshal(BatchRequest{From: "A", Epoch: 4, Start: 10, DataShards: 2, TraceShards: 2, Records: testRecords(2)})
 	for name, h := range map[string]http.HandlerFunc{"batch": r.HandleBatch, "sync": r.HandleSync, "handoff": r.HandleHandoff} {
 		req := httptest.NewRequest("POST", "/", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")

@@ -78,11 +78,10 @@ type ShipperConfig struct {
 	Epoch uint64
 	// HTTP issues the replication POSTs.
 	HTTP *http.Client
-	// DataShards/TraceShards are carried on every request so a misconfigured
-	// follower (different shard count = different key placement) rejects the
-	// stream instead of silently corrupting it.
-	DataShards  int
-	TraceShards int
+	// DataShards is carried on every request so a misconfigured follower
+	// (different shard count = different key placement) rejects the stream
+	// instead of silently corrupting it.
+	DataShards int
 	// Export cuts a consistent wholesale snapshot of every user this node
 	// owns, returning the stream baseline the snapshot corresponds to. It
 	// must block writes for the duration (the cloud store's write gate).
@@ -162,10 +161,9 @@ func (s *Shipper) Lag() uint64 {
 	return s.seq - s.acked
 }
 
-// Enqueue registers one record for shipment (storage.ReplSink, via an
-// engineSink adapter that fixes the engine index). Called under a shard
-// lock: constant-time append only.
-func (s *Shipper) enqueue(engine uint8, shard int, rec []byte) uint64 {
+// Enqueue registers one record for shipment (storage.ReplSink). Called under
+// a shard lock: constant-time append only.
+func (s *Shipper) Enqueue(shard int, rec []byte) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
@@ -177,7 +175,7 @@ func (s *Shipper) enqueue(engine uint8, shard int, rec []byte) uint64 {
 			s.resync = true
 			s.setDegraded(true)
 		} else {
-			s.buf = append(s.buf, bufRec{seq: s.seq, rec: ShipRecord{Engine: engine, Shard: shard, Rec: rec}})
+			s.buf = append(s.buf, bufRec{seq: s.seq, rec: ShipRecord{Shard: shard, Rec: rec}})
 		}
 	}
 	s.m.lag.Set(int64(s.seq - s.acked))
@@ -185,25 +183,14 @@ func (s *Shipper) enqueue(engine uint8, shard int, rec []byte) uint64 {
 	return s.seq
 }
 
-// wait blocks until the follower acked the token (storage.ReplSink).
-func (s *Shipper) wait(tok uint64) {
+// Wait blocks until the follower acked the token (storage.ReplSink).
+func (s *Shipper) Wait(tok uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.target != nil && !s.degrade && !s.closing && s.acked < tok {
 		s.ackCond.Wait()
 	}
 }
-
-// EngineSink adapts the shipper to one engine's storage.ReplSink.
-type EngineSink struct {
-	S      *Shipper
-	Engine uint8
-}
-
-func (es EngineSink) Enqueue(shard int, rec []byte) uint64 {
-	return es.S.enqueue(es.Engine, shard, rec)
-}
-func (es EngineSink) Wait(tok uint64) { es.S.wait(tok) }
 
 // SetTarget points the stream at a (possibly new) follower. A changed
 // target always re-baselines with a full resync: the new follower's state
@@ -345,7 +332,7 @@ func (s *Shipper) shipBatch(target Node, start uint64, recs []ShipRecord) error 
 		Start:       start,
 		RingVersion: s.ringVersion(),
 		DataShards:  s.cfg.DataShards,
-		TraceShards: s.cfg.TraceShards,
+		TraceShards: s.cfg.DataShards,
 		Records:     recs,
 	})
 	resp, err := PostBatch(s.cfg.HTTP, target.URL+PathReplBatch, s.encBuf)
@@ -397,7 +384,7 @@ func (s *Shipper) doResync(target Node) error {
 		Start:       baseline,
 		RingVersion: s.ringVersion(),
 		DataShards:  s.cfg.DataShards,
-		TraceShards: s.cfg.TraceShards,
+		TraceShards: s.cfg.DataShards,
 		Records:     recs,
 	}))
 	if err != nil {

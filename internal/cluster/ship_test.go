@@ -87,7 +87,7 @@ func newShipperPair(t *testing.T) (*testFollower, *Shipper) {
 	f.srv = httptest.NewServer(f)
 	var s *Shipper
 	s = NewShipper(ShipperConfig{
-		Self: "A", Epoch: 1, HTTP: f.srv.Client(), DataShards: testShards, TraceShards: 1,
+		Self: "A", Epoch: 1, HTTP: f.srv.Client(), DataShards: testShards,
 		Export: func() ([]ShipRecord, uint64, error) {
 			f.exports.Add(1)
 			return []ShipRecord{{Rec: []byte("snapshot")}}, s.Seq(), nil
@@ -109,7 +109,7 @@ func newShipperPair(t *testing.T) (*testFollower, *Shipper) {
 // an unclean follower restart does.
 func (f *testFollower) restart() {
 	recv, err := OpenReceiver(ReceiverConfig{
-		Applier: f, DataShards: testShards, TraceShards: 1, Metrics: obs.NewRegistry(), Logf: f.t.Logf,
+		Applier: f, DataShards: testShards, Metrics: obs.NewRegistry(), Logf: f.t.Logf,
 	})
 	if err != nil {
 		f.t.Fatal(err)
@@ -228,12 +228,12 @@ func awaitSemiSync(t *testing.T, s *Shipper) {
 	}
 }
 
-// waiting calls s.wait(tok) on its own goroutine; the channel closes when it
+// waiting calls s.Wait(tok) on its own goroutine; the channel closes when it
 // returns.
 func waiting(s *Shipper, tok uint64) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
-		s.wait(tok)
+		s.Wait(tok)
 		close(done)
 	}()
 	return done
@@ -268,7 +268,7 @@ func TestShipperBatchesByPostInFlight(t *testing.T) {
 	want := make([]string, 1+burst+1) // by sequence number; [0] is the baseline snapshot
 	want[0] = "snapshot"
 	enqueue := func(rec string) {
-		want[s.enqueue(EngineMain, 0, []byte(rec))] = rec
+		want[s.Enqueue(0, []byte(rec))] = rec
 	}
 	enqueue("first")
 	f.expectPost(PathReplBatch, 1, 1)
@@ -289,7 +289,7 @@ func TestShipperBatchesByPostInFlight(t *testing.T) {
 	f.releaseOne()
 	f.expectPost(PathReplBatch, 2+shipMaxBatch, burst-shipMaxBatch)
 	f.releaseOne()
-	s.wait(1 + burst)
+	s.Wait(1 + burst)
 	if got := f.appliedRecs(); !slices.Equal(got, want) {
 		t.Fatalf("follower applied %d records, want the %d enqueued in sequence order\n got %q\nwant %q", len(got), len(want), got, want)
 	}
@@ -298,11 +298,11 @@ func TestShipperBatchesByPostInFlight(t *testing.T) {
 	}
 }
 
-// TestShipperWait pins the semi-sync contract: wait(tok) blocks until the
+// TestShipperWait pins the semi-sync contract: Wait(tok) blocks until the
 // follower's ack covers tok, and stops blocking when the ack cannot be had —
 // shipDegradeAfter failed POSTs, no follower any more, or shutdown.
 func TestShipperWait(t *testing.T) {
-	// Each case starts with record 1 in a held POST and a blocked wait(1).
+	// Each case starts with record 1 in a held POST and a blocked Wait(1).
 	for name, unblock := range map[string]func(*testing.T, *testFollower, *Shipper, <-chan struct{}){
 		"follower acks": func(t *testing.T, f *testFollower, s *Shipper, done <-chan struct{}) {
 			f.releaseOne()
@@ -341,7 +341,7 @@ func TestShipperWait(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f, s := newShipperPair(t)
 			f.holdPosts()
-			tok := s.enqueue(EngineMain, 0, []byte("rec"))
+			tok := s.Enqueue(0, []byte("rec"))
 			f.expectPost(PathReplBatch, 1, 1)
 			done := waiting(s, tok)
 			expectBlocked(t, done, "while the POST carrying its record was still open")
@@ -356,17 +356,17 @@ func TestShipperWait(t *testing.T) {
 // baseline.
 func TestShipperResyncOnDemand(t *testing.T) {
 	f, s := newShipperPair(t)
-	s.wait(s.enqueue(EngineMain, 0, []byte("a")))
+	s.Wait(s.Enqueue(0, []byte("a")))
 	f.expectPost(PathReplBatch, 1, 1)
 
 	f.restart()
-	s.enqueue(EngineMain, 1, []byte("b"))
+	s.Enqueue(1, []byte("b"))
 	f.expectPost(PathReplBatch, 2, 1) // answered Resync
 	f.expectPost(PathReplSync, 2, 1)  // the baseline covers b
-	s.enqueue(EngineMain, 0, []byte("c"))
+	s.Enqueue(0, []byte("c"))
 	f.expectPost(PathReplBatch, 3, 1)
 	awaitSemiSync(t, s)
-	s.wait(3)
+	s.Wait(3)
 
 	if got := f.exports.Load(); got != 2 {
 		t.Fatalf("%d Exports, want 2 (the target's baseline and the demanded resync)", got)
@@ -388,15 +388,15 @@ func TestShipperQueueOverflowDropsToResync(t *testing.T) {
 	f, s := newShipperPair(t)
 	f.holdPosts()
 	rec := []byte("rec")
-	s.enqueue(EngineMain, 0, rec)
+	s.Enqueue(0, rec)
 	f.expectPost(PathReplBatch, 1, 1) // stalls; record 1 stays buffered
 	for i := 1; i < shipMaxQueue; i++ {
-		s.enqueue(EngineMain, 0, rec)
+		s.Enqueue(0, rec)
 	}
 	s.mu.Lock()
 	full := len(s.buf)
 	s.mu.Unlock()
-	tok := s.enqueue(EngineMain, 0, rec) // one past the cap
+	tok := s.Enqueue(0, rec) // one past the cap
 	s.mu.Lock()
 	buffered, resync := len(s.buf), s.resync
 	s.mu.Unlock()
@@ -407,7 +407,7 @@ func TestShipperQueueOverflowDropsToResync(t *testing.T) {
 
 	f.letPostsThrough()
 	f.expectPost(PathReplSync, tok, 1)
-	s.enqueue(EngineMain, 0, rec)
+	s.Enqueue(0, rec)
 	f.expectPost(PathReplBatch, tok+1, 1)
 	awaitSemiSync(t, s)
 	// degrade can clear before the shipper has taken in the follower's ack
