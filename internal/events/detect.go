@@ -40,9 +40,6 @@ func NewDetector(p gsm.Params) *Detector {
 // Len returns the number of observations consumed so far.
 func (d *Detector) Len() int { return d.pipe.Len() }
 
-// Params returns the discovery parameters the detector was built with.
-func (d *Detector) Params() gsm.Params { return d.pipe.Params() }
-
 // Pipeline returns the incremental pipeline the detector wraps, so one
 // cached pipeline can serve both discovery and event detection.
 // Observations folded in through it directly emit nothing then; the next

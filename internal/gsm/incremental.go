@@ -57,9 +57,6 @@ func NewPipeline(p Params) *Pipeline {
 	}
 }
 
-// Params returns the discovery parameters the pipeline was built with.
-func (pl *Pipeline) Params() Params { return pl.p }
-
 // Len returns the number of observations consumed so far.
 func (pl *Pipeline) Len() int { return pl.n }
 

@@ -1,7 +1,12 @@
 package load
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -117,5 +122,111 @@ func TestUserIdentityStable(t *testing.T) {
 	id, imei, email := UserIdentity(1234567)
 	if id != "lu1234567" || imei != "imei-lu1234567" || email != "lu1234567@load.invalid" {
 		t.Fatalf("unexpected identity: %s %s %s", id, imei, email)
+	}
+}
+
+// pmsDaySpec is the population shape of bench/'s pms-day workload: three
+// days of trace sampled every two minutes.
+func pmsDaySpec() *Spec {
+	spec := DefaultSpec()
+	spec.TraceDays = 3
+	spec.ObsIntervalSec = 120
+	return spec
+}
+
+// traceHash folds every observation of the users' traces — time, cell and
+// the exact bits of the signal — into one FNV-1a-64 sum.
+func traceHash(users []*SimUser) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, u := range users {
+		put(uint64(len(u.Trace)))
+		for _, o := range u.Trace {
+			put(uint64(o.At.UnixNano()))
+			put(uint64(o.Cell.MCC))
+			put(uint64(o.Cell.MNC))
+			put(uint64(o.Cell.LAC))
+			put(uint64(o.Cell.CID))
+			put(math.Float64bits(o.SignalDBM))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestPopulationTracePinned pins four users' traces at the pms-day shape to
+// the sum the sensor simulator produced before its tower lookup was indexed
+// and its dwell positions were computed once per five-minute bucket: both
+// are speed-ups only, so not one observation may move.
+func TestPopulationTracePinned(t *testing.T) {
+	const want = uint64(0x28c5929a62301636)
+	pop := NewPopulation(pmsDaySpec(), Key{Seed: 1})
+	var users []*SimUser
+	for i := 0; i < 4; i++ {
+		u, err := pop.User(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		users = append(users, u)
+	}
+	if got := traceHash(users); got != want {
+		t.Fatalf("trace hash of users 0-3 = %#x, want %#x", got, want)
+	}
+}
+
+// TestPopulationConcurrentMatchesSerial: bench/ synthesizes templates on
+// GOMAXPROCS goroutines that share one Population (and so one World). Every
+// user pulled that way must deep-equal the same user synthesized serially
+// from a fresh Population; run under -race this also checks that the shared
+// world's indexes are only read.
+func TestPopulationConcurrentMatchesSerial(t *testing.T) {
+	const users = 32
+	spec := DefaultSpec()
+	key := Key{Seed: 41}
+
+	shared := NewPopulation(spec, key)
+	workers := 2 * runtime.GOMAXPROCS(0)
+	got := make([][]*SimUser, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts at a different user, so most users are
+			// synthesized while others are being synthesized too.
+			got[w] = make([]*SimUser, users)
+			for k := 0; k < users; k++ {
+				i := (k + w*users/workers) % users
+				u, err := shared.User(i)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w][i] = u
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	serial := NewPopulation(spec, key)
+	for i := 0; i < users; i++ {
+		want, err := serial.User(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range got {
+			if !reflect.DeepEqual(got[w][i], want) {
+				t.Fatalf("user %d pulled by worker %d differs from its serial synthesis", i, w)
+			}
+		}
 	}
 }

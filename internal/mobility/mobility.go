@@ -59,6 +59,12 @@ type segment struct {
 	venue      *world.Venue // non-nil => dwelling
 	path       geo.Polyline // non-nil => moving
 	pathLen    float64
+
+	// jitter[k] is the dwell position in jitter bucket bucket0+k, for every
+	// bucket [start, end) touches; filled once by BuildItinerary and only
+	// read after, so PositionAt stays safe for concurrent callers.
+	bucket0 int64
+	jitter  []geo.LatLng
 }
 
 // Itinerary is an agent's complete ground-truth movement record over the
@@ -83,7 +89,11 @@ func (it *Itinerary) PositionAt(t time.Time) geo.LatLng {
 		return geo.LatLng{}
 	}
 	if seg.venue != nil {
-		return dwellJitter(seg.venue, it.AgentID, t)
+		b := jitterBucket(t)
+		if k := b - seg.bucket0; k >= 0 && k < int64(len(seg.jitter)) {
+			return seg.jitter[k]
+		}
+		return dwellJitter(seg.venue, it.AgentID, b)
 	}
 	total := seg.end.Sub(seg.start)
 	if total <= 0 {
@@ -160,11 +170,33 @@ func (it *Itinerary) VisitedVenueIDs(minStay time.Duration) []string {
 	return out
 }
 
+// fillJitter tabulates the dwell segments' positions, one dwellJitter per
+// bucket each segment touches, so sampling a dwell every minute seeds one
+// generator per five minutes instead of one per sample.
+func (it *Itinerary) fillJitter() {
+	for i := range it.segments {
+		seg := &it.segments[i]
+		if seg.venue == nil {
+			continue
+		}
+		seg.bucket0 = jitterBucket(seg.start)
+		last := jitterBucket(seg.end.Add(-time.Nanosecond))
+		seg.jitter = make([]geo.LatLng, 0, last-seg.bucket0+1)
+		for b := seg.bucket0; b <= last; b++ {
+			seg.jitter = append(seg.jitter, dwellJitter(seg.venue, it.AgentID, b))
+		}
+	}
+}
+
+// jitterBucket numbers the ~5-minute period of t in which a dwelling agent
+// holds one position.
+func jitterBucket(t time.Time) int64 { return t.Unix() / 300 }
+
 // dwellJitter returns a deterministic pseudo-random position inside the venue
-// footprint that changes slowly (~every 5 minutes) as the agent moves around
-// the building.
-func dwellJitter(v *world.Venue, agentID string, t time.Time) geo.LatLng {
-	bucket := t.Unix() / 300
+// footprint that changes once per jitter bucket as the agent moves around the
+// building. Each (venue, agent, bucket) seeds its own generator and draws
+// exactly twice from it.
+func dwellJitter(v *world.Venue, agentID string, bucket int64) geo.LatLng {
 	h := fnv.New64a()
 	_, _ = fmt.Fprintf(h, "%s|%s|%d", v.ID, agentID, bucket)
 	r := rand.New(rand.NewSource(int64(h.Sum64())))

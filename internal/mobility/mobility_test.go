@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,20 +241,49 @@ func TestDwellJitterIsDeterministicAndSlow(t *testing.T) {
 	w, _ := fixture(t, 13)
 	v := w.Venues[0]
 	t0 := simclock.Epoch.Add(10 * time.Hour)
-	p1 := dwellJitter(v, "x", t0)
-	p2 := dwellJitter(v, "x", t0)
+	p1 := dwellJitter(v, "x", jitterBucket(t0))
+	p2 := dwellJitter(v, "x", jitterBucket(t0))
 	if p1 != p2 {
 		t.Error("dwell jitter not deterministic")
 	}
 	// Within the same 5-minute bucket the position is stable.
-	p3 := dwellJitter(v, "x", t0.Add(time.Minute))
+	p3 := dwellJitter(v, "x", jitterBucket(t0.Add(time.Minute)))
 	if p1 != p3 {
 		t.Error("dwell position changed within a 5-minute bucket")
 	}
 	// Different agents occupy different spots.
-	if dwellJitter(v, "y", t0) == p1 {
+	if dwellJitter(v, "y", jitterBucket(t0)) == p1 {
 		t.Error("different agents share identical jitter")
 	}
+}
+
+// TestPositionAtMatchesUntabulatedJitter: the per-segment jitter tables are
+// a cache only. Every dwell position PositionAt returns, at each 37 s step
+// from an hour before the itinerary to an hour after it (so steps land at
+// every offset within a bucket, and on the clamped ends), equals a fresh
+// dwellJitter for that venue, agent and bucket. Four goroutines read the one
+// itinerary at once, as other participants' Bluetooth sensors do.
+func TestPositionAtMatchesUntabulatedJitter(t *testing.T) {
+	_, a, it := buildIt(t, 15, 5)
+	const readers = 4
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for at := it.Start.Add(-time.Hour + time.Duration(r)*37*time.Second); at.Before(it.End.Add(time.Hour)); at = at.Add(readers * 37 * time.Second) {
+				v := it.VenueAt(at)
+				if v == nil {
+					continue
+				}
+				if got, want := it.PositionAt(at), dwellJitter(v, a.ID, jitterBucket(at)); got != want {
+					t.Errorf("PositionAt(%v) at %s = %v, dwellJitter gives %v", at, v.ID, got, want)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 func TestNoWorkAgent(t *testing.T) {

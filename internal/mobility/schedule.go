@@ -74,6 +74,7 @@ func BuildItinerary(a *Agent, w *world.World, start time.Time, days int, cfg Sch
 		}
 	}
 	b.closeDwell(b.it.End)
+	b.it.fillJitter()
 	return b.it, nil
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"io"
 	"os"
@@ -141,6 +142,72 @@ func FuzzSnapshotReader(f *testing.F) {
 		}
 		if !bytes.Equal(rec.got, want) {
 			t.Fatalf("state received %d bytes, the chunks hold %d", len(rec.got), len(want))
+		}
+	})
+}
+
+// FuzzReadManifest: reading any MANIFEST.json never panics, and an engine of
+// record format 3 opens over it only when the file is a JSON object naming
+// format 3 and the engine's shard count — never over a format-1 manifest
+// (which names no format), a format-2 one, or any other number. Seeded from
+// every committed MANIFEST: this package's pin and the cloud store's
+// format-1, format-2 and format-3 directories.
+func FuzzReadManifest(f *testing.F) {
+	var seeds []string
+	for _, pattern := range []string{
+		"testdata/parent/*/MANIFEST.json",
+		"../cloud/testdata/parent/*/MANIFEST.json",
+		"../cloud/testdata/parent/*/*/MANIFEST.json",
+	} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, paths...)
+	}
+	if len(seeds) < 6 {
+		f.Fatalf("found %d committed MANIFESTs, want the 6 format pins", len(seeds))
+	}
+	for _, p := range seeds {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, ok, err := readManifest(dir); err == nil && (!ok || m.Shards <= 0 || m.Format <= 0) {
+			t.Fatalf("readManifest accepted %q as %+v (ok=%v)", data, m, ok)
+		}
+
+		// What the file names, decoded on its own: Open below is given the
+		// shard count it names (when small), so only the format decides.
+		var named struct {
+			Shards int  `json:"shards"`
+			Format *int `json:"format"`
+		}
+		decodeErr := json.Unmarshal(data, &named)
+		shards := 1
+		if decodeErr == nil && named.Shards >= 1 && named.Shards <= 8 {
+			shards = named.Shards
+		}
+		states := make([]ShardState, shards)
+		for i := range states {
+			states[i] = &restoreRecorder{}
+		}
+		e, err := Open(Options{Dir: dir, Format: 3}, states)
+		if err != nil {
+			return
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if decodeErr != nil || named.Format == nil || *named.Format != 3 || named.Shards != shards {
+			t.Fatalf("a format-3 engine with %d shards opened over MANIFEST %q", shards, data)
 		}
 	})
 }

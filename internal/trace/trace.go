@@ -131,6 +131,12 @@ type Sensors struct {
 	serving   *world.CellTower
 	layerPref world.RadioLayer
 	towerBias map[world.CellID]float64 // stable per-tower installation bias
+
+	// towersAt caches TowersInRange for the position sampled last: a
+	// dwelling agent holds one position for five minutes of samples.
+	towersAt   geo.LatLng
+	towers     []*world.CellTower
+	haveTowers bool
 }
 
 // NewSensors builds a sensor bundle for the given agent itinerary.
@@ -186,8 +192,11 @@ func (s *Sensors) SampleGSM(t time.Time) GSMObservation {
 		t    *world.CellTower
 		rssi float64
 	}
+	if !s.haveTowers || pos != s.towersAt {
+		s.towersAt, s.towers, s.haveTowers = pos, s.w.TowersInRange(pos), true
+	}
 	var best, bestAny *cand
-	for _, tw := range s.w.TowersInRange(pos) {
+	for _, tw := range s.towers {
 		if tw.ID.MNC != s.cfg.MNC {
 			continue
 		}

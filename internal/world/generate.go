@@ -159,8 +159,13 @@ func Generate(cfg Config, r *rand.Rand) *World {
 
 // AddVenue appends a venue generated at pos (used by the study harness to
 // place per-participant homes and workplaces), installing APs when withWiFi
-// is set, and reindexes the world.
+// is set, and adds both to the world's indexes. The tower index is left as
+// it is: a venue brings no towers. AddVenue writes the world, so no other
+// goroutine may use the world during the call.
 func (w *World) AddVenue(id, name string, kind VenueKind, pos geo.LatLng, withWiFi bool, cfg Config, r *rand.Rand) *Venue {
+	if w.venueByID == nil {
+		w.index() // assembled by hand and never finalized
+	}
 	v := &Venue{
 		ID:           id,
 		Name:         name,
@@ -170,11 +175,15 @@ func (w *World) AddVenue(id, name string, kind VenueKind, pos geo.LatLng, withWi
 		HasWiFi:      withWiFi,
 	}
 	w.Venues = append(w.Venues, v)
+	w.venueByID[v.ID] = v
 	if withWiFi {
 		apSeq := len(w.APs) + 1000
+		first := len(w.APs)
 		installVenueAPs(w, v, cfg, r, &apSeq)
+		for k := first; k < len(w.APs); k++ {
+			w.indexAP(k)
+		}
 	}
-	w.index()
 	return v
 }
 

@@ -172,6 +172,11 @@ type World struct {
 	towerByID map[CellID]*CellTower
 	apByBSSID map[string]*AccessPoint
 	paths     *pathCache
+
+	// towerCover and apCover narrow TowersInRange and APsInRange to the
+	// items that can reach a point's grid cell (cover.go).
+	towerCover *coverIndex
+	apCover    *coverIndex
 }
 
 // VenueByID returns the venue with the given id, or nil.
@@ -207,11 +212,12 @@ func (w *World) TowersInRange(p geo.LatLng) []*CellTower {
 		d float64
 	}
 	var cands []cand
-	for _, t := range w.Towers {
+	w.towerCover.each(p, len(w.Towers), func(k int) {
+		t := w.Towers[k]
 		if d := geo.Distance(t.Pos, p); d <= t.RangeMeters {
 			cands = append(cands, cand{t, d})
 		}
-	}
+	})
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].d != cands[j].d {
 			return cands[i].d < cands[j].d
@@ -233,11 +239,12 @@ func (w *World) APsInRange(p geo.LatLng) []*AccessPoint {
 		d  float64
 	}
 	var cands []cand
-	for _, ap := range w.APs {
+	w.apCover.each(p, len(w.APs), func(k int) {
+		ap := w.APs[k]
 		if d := geo.Distance(ap.Pos, p); d <= ap.RangeMeters {
 			cands = append(cands, cand{ap, d})
 		}
-	}
+	})
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].d != cands[j].d {
 			return cands[i].d < cands[j].d
@@ -251,24 +258,36 @@ func (w *World) APsInRange(p geo.LatLng) []*AccessPoint {
 	return out
 }
 
-// index (re)builds the lookup maps. Called by the generator and by tests that
-// assemble worlds by hand via Finalize.
+// index builds the lookup maps and the coverage indexes from scratch. Called
+// by the generator and by tests that assemble worlds by hand via Finalize;
+// AddVenue extends them in place instead.
 func (w *World) index() {
 	w.venueByID = make(map[string]*Venue, len(w.Venues))
 	for _, v := range w.Venues {
 		w.venueByID[v.ID] = v
 	}
 	w.towerByID = make(map[CellID]*CellTower, len(w.Towers))
-	for _, t := range w.Towers {
+	w.towerCover = newCoverIndex(w.Bounds)
+	for k, t := range w.Towers {
 		w.towerByID[t.ID] = t
+		w.towerCover.add(k, t.Pos, t.RangeMeters)
 	}
 	w.apByBSSID = make(map[string]*AccessPoint, len(w.APs))
-	for _, ap := range w.APs {
-		w.apByBSSID[ap.BSSID] = ap
+	w.apCover = newCoverIndex(w.Bounds)
+	for k := range w.APs {
+		w.indexAP(k)
 	}
 	w.paths = newPathCache()
 }
 
-// Finalize builds internal indexes after manual construction. Worlds from
-// Generate are already finalized.
+// indexAP adds w.APs[k] to the AP lookups.
+func (w *World) indexAP(k int) {
+	ap := w.APs[k]
+	w.apByBSSID[ap.BSSID] = ap
+	w.apCover.add(k, ap.Pos, ap.RangeMeters)
+}
+
+// Finalize builds internal indexes after manual construction, and again
+// after any edit to Towers, APs or Bounds. Worlds from Generate are already
+// finalized.
 func (w *World) Finalize() { w.index() }
