@@ -7,7 +7,7 @@
 //	fixed shape (disk: WAL records, PMSNAP02 chunks)
 //	  | u32 len | u32 CRC-32 IEEE(payload) | payload |        little-endian
 //	  end marker: | u32 0 | u32 EndSum(magic) |               streams with a magic only
-//	var shape (streams: trace container, wire observation blocks)
+//	var shape (wire observation blocks, snapshot records)
 //	  | uvarint len (>0) | u32 CRC-32 IEEE(payload) | payload |
 //	  end marker: | 0x00 |
 //

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // CollectGSM samples the serving cell every interval over [from, to) and
 // returns the observations in time order.
@@ -33,20 +30,5 @@ func (s *Sensors) CollectGPS(from, to time.Time, interval time.Duration) []GPSFi
 			out = append(out, fix)
 		}
 	}
-	return out
-}
-
-// DistinctCells returns the distinct cell IDs in the observations, sorted by
-// string form.
-func DistinctCells(obs []GSMObservation) []string {
-	seen := map[string]bool{}
-	for _, o := range obs {
-		seen[o.Cell.String()] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }

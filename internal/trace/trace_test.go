@@ -116,7 +116,10 @@ func TestGSMMovingChangesCells(t *testing.T) {
 	// Sample across the first full day: commuting must traverse cells that
 	// the home location never sees.
 	obs := s.CollectGSM(simclock.Epoch, simclock.Epoch.Add(24*time.Hour), time.Minute)
-	cells := DistinctCells(obs)
+	cells := map[world.CellID]bool{}
+	for _, o := range obs {
+		cells[o.Cell] = true
+	}
 	if len(cells) < 4 {
 		t.Errorf("a commuting day saw only %d distinct cells", len(cells))
 	}
