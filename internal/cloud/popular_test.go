@@ -24,7 +24,7 @@ func placeAtTower(w *world.World, i int, label string) PlaceWire {
 	cells := []world.CellID{t.ID}
 	// Add a couple of neighbours for realism.
 	for _, n := range w.TowersInRange(t.Pos)[:3] {
-		cells = append(cells, n.ID)
+		cells = append(cells, n.Tower.ID)
 	}
 	return PlaceWire{ID: 0, Cells: cells, Label: label}
 }

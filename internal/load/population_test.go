@@ -230,3 +230,22 @@ func TestPopulationConcurrentMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSynthesizeUser times one Population.User at the shape of bench/'s
+// closed-loop workloads (three days of trace sampled every five minutes):
+// plan, itinerary, GSM trace and day profiles, over users 0-63 in turn. The
+// cache keeps nothing, so every call synthesizes.
+func BenchmarkSynthesizeUser(b *testing.B) {
+	spec := DefaultSpec()
+	spec.TraceDays = 3
+	spec.ObsIntervalSec = 300
+	pop := NewPopulation(spec, Key{Seed: 1})
+	pop.maxKeep = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pop.User(i % 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

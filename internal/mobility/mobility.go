@@ -8,10 +8,10 @@
 package mobility
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/geo"
@@ -194,12 +194,19 @@ func jitterBucket(t time.Time) int64 { return t.Unix() / 300 }
 
 // dwellJitter returns a deterministic pseudo-random position inside the venue
 // footprint that changes once per jitter bucket as the agent moves around the
-// building. Each (venue, agent, bucket) seeds its own generator and draws
-// exactly twice from it.
+// building. Each (venue, agent, bucket) seeds its own generator, keyed by the
+// FNV-1a hash of "<venue>|<agent>|<bucket>", and draws exactly twice from it;
+// jumpSource makes those two draws without math/rand's seeding cost.
 func dwellJitter(v *world.Venue, agentID string, bucket int64) geo.LatLng {
+	var buf [96]byte
+	key := append(buf[:0], v.ID...)
+	key = append(key, '|')
+	key = append(key, agentID...)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, bucket, 10)
 	h := fnv.New64a()
-	_, _ = fmt.Fprintf(h, "%s|%s|%d", v.ID, agentID, bucket)
-	r := rand.New(rand.NewSource(int64(h.Sum64())))
+	_, _ = h.Write(key)
+	r := rand.New(newJumpSource(int64(h.Sum64())))
 	// Stay within 60% of the footprint radius so the agent is unambiguously
 	// "at" the venue.
 	dist := r.Float64() * v.RadiusMeters * 0.6

@@ -214,3 +214,44 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Errorf("directory has %d entries, want 1", len(ents))
 	}
 }
+
+// TestWriteFileAtomicFailures covers the failure branches reachable without
+// a filesystem seam: the temp file cannot be created in a missing directory,
+// and the rename cannot replace a non-empty directory. Neither leaves a temp
+// file behind, and the failed rename leaves its target as it was. The write,
+// sync and close failures need an injected filesystem (ROADMAP item 19).
+func TestWriteFileAtomicFailures(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "no-such-dir", "f")
+	if err := WriteFileAtomic(missing, []byte("v1"), 0o644); err == nil {
+		t.Fatal("WriteFileAtomic into a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Dir(missing)); !os.IsNotExist(err) {
+		t.Fatalf("the missing directory now exists (stat: %v)", err)
+	}
+
+	target := filepath.Join(dir, "target")
+	inner := filepath.Join(target, "keep")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(inner, []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("v2"), 0o644); err == nil {
+		t.Fatal("WriteFileAtomic renamed a file over a non-empty directory")
+	}
+	if _, err := os.Stat(target + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed rename left its temp file behind (stat: %v)", err)
+	}
+	ents, err := os.ReadDir(target)
+	if err != nil || len(ents) != 1 || ents[0].Name() != "keep" {
+		t.Fatalf("target directory holds %v (%v), want only keep", ents, err)
+	}
+	if data, err := os.ReadFile(inner); err != nil || string(data) != "kept" {
+		t.Fatalf("target's file reads %q, %v; want \"kept\"", data, err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("test directory has %d entries, want only target", len(ents))
+	}
+}

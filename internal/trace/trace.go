@@ -135,7 +135,7 @@ type Sensors struct {
 	// towersAt caches TowersInRange for the position sampled last: a
 	// dwelling agent holds one position for five minutes of samples.
 	towersAt   geo.LatLng
-	towers     []*world.CellTower
+	towers     []world.TowerHit
 	haveTowers bool
 }
 
@@ -188,6 +188,7 @@ func (s *Sensors) SampleGSM(t time.Time) GSMObservation {
 		}
 	}
 
+	// cand is a candidate serving cell; t == nil means none yet.
 	type cand struct {
 		t    *world.CellTower
 		rssi float64
@@ -195,26 +196,26 @@ func (s *Sensors) SampleGSM(t time.Time) GSMObservation {
 	if !s.haveTowers || pos != s.towersAt {
 		s.towersAt, s.towers, s.haveTowers = pos, s.w.TowersInRange(pos), true
 	}
-	var best, bestAny *cand
-	for _, tw := range s.towers {
+	var best, bestAny cand
+	for _, h := range s.towers {
+		tw := h.Tower
 		if tw.ID.MNC != s.cfg.MNC {
 			continue
 		}
-		rssi := pathLossDBM(geo.Distance(tw.Pos, pos)) +
+		rssi := pathLossDBM(h.Dist) +
 			s.bias(tw.ID) +
 			s.gsmRand.NormFloat64()*s.cfg.ShadowSigmaDB
-		c := &cand{tw, rssi}
-		if bestAny == nil || rssi > bestAny.rssi {
-			bestAny = c
+		if bestAny.t == nil || rssi > bestAny.rssi {
+			bestAny = cand{tw, rssi}
 		}
-		if tw.Layer == s.layerPref && (best == nil || rssi > best.rssi) {
-			best = c
+		if tw.Layer == s.layerPref && (best.t == nil || rssi > best.rssi) {
+			best = cand{tw, rssi}
 		}
 	}
-	if best == nil {
+	if best.t == nil {
 		best = bestAny
 	}
-	if best == nil {
+	if best.t == nil {
 		// No coverage (should not happen inside the world bounds); keep the
 		// previous serving cell as a stale reading.
 		if s.serving != nil {
@@ -224,15 +225,18 @@ func (s *Sensors) SampleGSM(t time.Time) GSMObservation {
 	}
 
 	// Hysteresis: stick to the serving cell unless the candidate is clearly
-	// stronger.
+	// stronger. The serving cell is in range exactly when it is a hit.
 	if s.serving != nil && s.serving != best.t {
-		servD := geo.Distance(s.serving.Pos, pos)
-		if servD <= s.serving.RangeMeters {
-			servRSSI := pathLossDBM(servD) + s.bias(s.serving.ID) +
+		for _, h := range s.towers {
+			if h.Tower != s.serving {
+				continue
+			}
+			servRSSI := pathLossDBM(h.Dist) + s.bias(s.serving.ID) +
 				s.gsmRand.NormFloat64()*s.cfg.ShadowSigmaDB
 			if servRSSI+s.cfg.HysteresisDB > best.rssi {
 				return GSMObservation{At: t, Cell: s.serving.ID, SignalDBM: servRSSI}
 			}
+			break
 		}
 	}
 	s.serving = best.t
@@ -245,8 +249,8 @@ func (s *Sensors) SampleGSM(t time.Time) GSMObservation {
 func (s *Sensors) SampleWiFi(t time.Time) WiFiScan {
 	pos := s.it.PositionAt(t)
 	scan := WiFiScan{At: t}
-	for _, ap := range s.w.APsInRange(pos) {
-		d := geo.Distance(ap.Pos, pos)
+	for _, h := range s.w.APsInRange(pos) {
+		ap, d := h.AP, h.Dist
 		frac := d / ap.RangeMeters // 0 near, 1 at edge
 		// Dropout grows quadratically toward the edge.
 		if s.wifiRand.Float64() < s.cfg.WiFiDropout*frac*frac*4 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,65 +13,37 @@ import (
 
 // scanTowers is TowersInRange without the coverage index: the exact test
 // against every tower, then the (distance, cell) order.
-func scanTowers(w *World, p geo.LatLng) []*CellTower {
-	type cand struct {
-		t *CellTower
-		d float64
-	}
-	var cands []cand
+func scanTowers(w *World, p geo.LatLng) []TowerHit {
+	var hits []TowerHit
 	for _, t := range w.Towers {
 		if d := geo.Distance(t.Pos, p); d <= t.RangeMeters {
-			cands = append(cands, cand{t, d})
+			hits = append(hits, TowerHit{t, d})
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	sort.SliceStable(hits, func(i, j int) bool {
+		if hits[i].Dist != hits[j].Dist {
+			return hits[i].Dist < hits[j].Dist
 		}
-		return CompareCellStrings(cands[i].t.ID, cands[j].t.ID) < 0
+		return CompareCellStrings(hits[i].Tower.ID, hits[j].Tower.ID) < 0
 	})
-	out := make([]*CellTower, len(cands))
-	for i, c := range cands {
-		out[i] = c.t
-	}
-	return out
+	return hits
 }
 
 // scanAPs is APsInRange without the coverage index.
-func scanAPs(w *World, p geo.LatLng) []*AccessPoint {
-	type cand struct {
-		ap *AccessPoint
-		d  float64
-	}
-	var cands []cand
+func scanAPs(w *World, p geo.LatLng) []APHit {
+	var hits []APHit
 	for _, ap := range w.APs {
 		if d := geo.Distance(ap.Pos, p); d <= ap.RangeMeters {
-			cands = append(cands, cand{ap, d})
+			hits = append(hits, APHit{ap, d})
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	sort.SliceStable(hits, func(i, j int) bool {
+		if hits[i].Dist != hits[j].Dist {
+			return hits[i].Dist < hits[j].Dist
 		}
-		return cands[i].ap.BSSID < cands[j].ap.BSSID
+		return hits[i].AP.BSSID < hits[j].AP.BSSID
 	})
-	out := make([]*AccessPoint, len(cands))
-	for i, c := range cands {
-		out[i] = c.ap
-	}
-	return out
-}
-
-func samePointers[T comparable](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return hits
 }
 
 // coverProbes returns the points the differential test checks on w: 5000
@@ -127,12 +100,12 @@ func checkCoverAgainstScan(t *testing.T, name string, w *World, r *rand.Rand) {
 	t.Helper()
 	var covered int
 	for _, p := range coverProbes(w, r) {
-		if got, want := w.TowersInRange(p), scanTowers(w, p); !samePointers(got, want) {
-			t.Fatalf("%s: TowersInRange(%v) returns %d towers, the scan %d (or another order)", name, p, len(got), len(want))
+		if got, want := w.TowersInRange(p), scanTowers(w, p); !slices.Equal(got, want) {
+			t.Fatalf("%s: TowersInRange(%v) returns %d towers, the scan %d (or another order or distance)", name, p, len(got), len(want))
 		}
 		got, want := w.APsInRange(p), scanAPs(w, p)
-		if !samePointers(got, want) {
-			t.Fatalf("%s: APsInRange(%v) returns %d APs, the scan %d (or another order)", name, p, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: APsInRange(%v) returns %d APs, the scan %d (or another order or distance)", name, p, len(got), len(want))
 		}
 		if len(want) > 0 {
 			covered++
@@ -146,7 +119,7 @@ func checkCoverAgainstScan(t *testing.T, name string, w *World, r *rand.Rand) {
 
 // TestCoverIndexMatchesScan: with the coverage index, TowersInRange and
 // APsInRange return exactly what the full scan returns — the same towers and
-// APs in the same order — on the default city, the load harness's city
+// APs in the same order, each with the bit-identical distance — on the default city, the load harness's city
 // (load.DefaultSpec: extent 2600 m, seed 2014) and the study's denser city
 // (study.DefaultConfig), before and after AddVenue installs venue APs the
 // way the study adds participants' homes and offices. Each city gets 10 000
@@ -196,7 +169,7 @@ func TestCoverIndexWithoutBounds(t *testing.T) {
 	tower := &CellTower{ID: CellID{MCC: 1, MNC: 2, LAC: 3, CID: 4}, Pos: geo.LatLng{Lat: 28.6, Lng: 77.2}, RangeMeters: 500}
 	w := &World{Towers: []*CellTower{tower}}
 	w.Finalize()
-	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 400)); len(got) != 1 || got[0] != tower {
+	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 400)); len(got) != 1 || got[0].Tower != tower {
 		t.Fatalf("TowersInRange on a world without bounds = %v", got)
 	}
 	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 600)); len(got) != 0 {

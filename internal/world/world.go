@@ -10,9 +10,11 @@ package world
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/geo"
 )
@@ -204,58 +206,58 @@ func (w *World) VenueAt(p geo.LatLng) *Venue {
 	return best
 }
 
-// TowersInRange returns towers whose coverage includes p, ordered by
-// ascending distance (strongest-signal first under the path-loss model).
-func (w *World) TowersInRange(p geo.LatLng) []*CellTower {
-	type cand struct {
-		t *CellTower
-		d float64
-	}
-	var cands []cand
+// TowerHit is a tower whose coverage includes a point, with its distance
+// from that point in meters.
+type TowerHit struct {
+	Tower *CellTower
+	Dist  float64
+}
+
+// APHit is an access point whose coverage includes a point, with its
+// distance from that point in meters.
+type APHit struct {
+	AP   *AccessPoint
+	Dist float64
+}
+
+// TowersInRange returns the towers whose coverage includes p, each with its
+// distance geo.Distance(tower.Pos, p), ordered by ascending distance
+// (strongest-signal first under the path-loss model) with cell-id tie-break.
+func (w *World) TowersInRange(p geo.LatLng) []TowerHit {
+	var hits []TowerHit
 	w.towerCover.each(p, len(w.Towers), func(k int) {
 		t := w.Towers[k]
 		if d := geo.Distance(t.Pos, p); d <= t.RangeMeters {
-			cands = append(cands, cand{t, d})
+			hits = append(hits, TowerHit{t, d})
 		}
 	})
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	slices.SortFunc(hits, func(a, b TowerHit) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return CompareCellStrings(cands[i].t.ID, cands[j].t.ID) < 0
+		return CompareCellStrings(a.Tower.ID, b.Tower.ID)
 	})
-	out := make([]*CellTower, len(cands))
-	for i, c := range cands {
-		out[i] = c.t
-	}
-	return out
+	return hits
 }
 
-// APsInRange returns access points whose coverage includes p, ordered by
-// ascending distance with BSSID tie-break.
-func (w *World) APsInRange(p geo.LatLng) []*AccessPoint {
-	type cand struct {
-		ap *AccessPoint
-		d  float64
-	}
-	var cands []cand
+// APsInRange returns the access points whose coverage includes p, each with
+// its distance geo.Distance(ap.Pos, p), ordered by ascending distance with
+// BSSID tie-break.
+func (w *World) APsInRange(p geo.LatLng) []APHit {
+	var hits []APHit
 	w.apCover.each(p, len(w.APs), func(k int) {
 		ap := w.APs[k]
 		if d := geo.Distance(ap.Pos, p); d <= ap.RangeMeters {
-			cands = append(cands, cand{ap, d})
+			hits = append(hits, APHit{ap, d})
 		}
 	})
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
+	slices.SortFunc(hits, func(a, b APHit) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return cands[i].ap.BSSID < cands[j].ap.BSSID
+		return strings.Compare(a.AP.BSSID, b.AP.BSSID)
 	})
-	out := make([]*AccessPoint, len(cands))
-	for i, c := range cands {
-		out[i] = c.ap
-	}
-	return out
+	return hits
 }
 
 // index builds the lookup maps and the coverage indexes from scratch. Called

@@ -129,9 +129,12 @@ func TestOverlappingCellsExist(t *testing.T) {
 func TestTowersInRangeSortedByDistance(t *testing.T) {
 	w, cfg := testWorld(t, 8)
 	p := cfg.Origin
-	towers := w.TowersInRange(p)
-	for i := 1; i < len(towers); i++ {
-		if geo.Distance(towers[i-1].Pos, p) > geo.Distance(towers[i].Pos, p)+1e-9 {
+	hits := w.TowersInRange(p)
+	for i, h := range hits {
+		if d := geo.Distance(h.Tower.Pos, p); h.Dist != d {
+			t.Fatalf("TowersInRange reports tower %v at %v m, geo.Distance gives %v", h.Tower.ID, h.Dist, d)
+		}
+		if i > 0 && hits[i-1].Dist > h.Dist {
 			t.Fatal("TowersInRange not sorted by distance")
 		}
 	}
