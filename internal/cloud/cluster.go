@@ -591,7 +591,7 @@ func (cn *ClusterNode) Mount(mux *http.ServeMux) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct{}{})
+		writeAck(w)
 	})
 	mux.HandleFunc("POST "+cluster.PathHandoff, cn.recv.HandleHandoff)
 }

@@ -21,7 +21,7 @@ import (
 type serverMetrics struct {
 	reg       *obs.Registry
 	requests  *obs.CounterVec
-	responses *obs.CounterVec
+	responses [len(statusClasses)]*obs.Counter // indexed by statusClass
 	inFlight  *obs.Gauge
 	slow      *obs.Counter
 	wireJSON  *obs.Counter
@@ -33,17 +33,21 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		reg = obs.Default()
 	}
 	encodings := reg.CounterVec("pci_wire_encoding_total", "codec")
-	return &serverMetrics{
-		reg:       reg,
-		requests:  reg.CounterVec("pci_http_requests_total", "route"),
-		responses: reg.CounterVec("pci_http_responses_total", "class"),
-		inFlight:  reg.Gauge("pci_http_in_flight"),
-		slow:      reg.Counter("pci_http_slow_requests_total"),
-		// Both labels resolved eagerly so a fresh boot exposes the family
+	m := &serverMetrics{
+		reg:      reg,
+		requests: reg.CounterVec("pci_http_requests_total", "route"),
+		inFlight: reg.Gauge("pci_http_in_flight"),
+		slow:     reg.Counter("pci_http_slow_requests_total"),
+		// Labels resolved eagerly so a fresh boot exposes the families
 		// (and the hot path pays one atomic add, not a map lookup).
 		wireJSON: encodings.With("json"),
 		wireBin:  encodings.With("bin"),
 	}
+	classes := reg.CounterVec("pci_http_responses_total", "class")
+	for i, class := range statusClasses {
+		m.responses[i] = classes.With(class)
+	}
+	return m
 }
 
 // WithMetrics registers the server's pci_http_* families in reg instead of
@@ -88,16 +92,19 @@ func (r *statusRecorder) Flush() {
 // Unwrap exposes the underlying writer to http.NewResponseController.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-func statusClass(code int) string {
+// statusClasses are the class label values, indexed by statusClass.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+func statusClass(code int) int {
 	switch {
 	case code >= 500:
-		return "5xx"
+		return 3
 	case code >= 400:
-		return "4xx"
+		return 2
 	case code >= 300:
-		return "3xx"
+		return 1
 	default:
-		return "2xx"
+		return 0
 	}
 }
 
@@ -119,7 +126,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		m.inFlight.Dec()
 		reqs.Inc()
 		dur.ObserveDuration(elapsed)
-		m.responses.With(statusClass(rec.status)).Inc()
+		m.responses[statusClass(rec.status)].Inc()
 		if s.slowThreshold > 0 && elapsed >= s.slowThreshold {
 			m.slow.Inc()
 			logger := s.slowLog

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -246,6 +247,100 @@ func TestZeroTimeoutDisablesMiddleware(t *testing.T) {
 	h := http.NewServeMux()
 	if got := TimeoutMiddleware(h, 0); got != http.Handler(h) {
 		t.Error("TimeoutMiddleware(h, 0) wrapped the handler")
+	}
+}
+
+// TestTimeoutMiddlewareDeadlineContract: a response begun before the
+// deadline reaches the client whole; one begun after it is dropped, and a
+// handler that sent nothing by the deadline is answered with a JSON 503 once
+// it returns, whether or not it tried to write.
+func TestTimeoutMiddlewareDeadlineContract(t *testing.T) {
+	const d = 20 * time.Millisecond
+	// sleepPastDeadline ignores the request context, like a handler stuck
+	// in work that does not take one.
+	sleepPastDeadline := func(r *http.Request) {
+		deadline, _ := r.Context().Deadline()
+		time.Sleep(time.Until(deadline) + time.Millisecond)
+	}
+	timedOut := `{"error":"request timed out"}` + "\n"
+	cases := []struct {
+		name string
+		// serve returns the error of the handler's last Write.
+		serve      func(w http.ResponseWriter, r *http.Request) error
+		wantStatus int
+		wantType   string
+		wantBody   string
+		wantErr    error
+	}{{
+		name: "begun before the deadline",
+		serve: func(w http.ResponseWriter, r *http.Request) error {
+			w.Header().Set("Content-Type", "text/plain")
+			w.WriteHeader(http.StatusOK)
+			if _, err := w.Write([]byte("head,")); err != nil {
+				return err
+			}
+			<-r.Context().Done()
+			_, err := w.Write([]byte("tail"))
+			return err
+		},
+		wantStatus: http.StatusOK, wantType: "text/plain", wantBody: "head,tail",
+	}, {
+		name: "begun after the deadline",
+		serve: func(w http.ResponseWriter, r *http.Request) error {
+			sleepPastDeadline(r)
+			w.Header().Set("Content-Type", "text/plain")
+			w.WriteHeader(http.StatusOK)
+			_, err := w.Write([]byte("late"))
+			return err
+		},
+		wantStatus: http.StatusServiceUnavailable, wantType: "application/json", wantBody: timedOut,
+		wantErr: http.ErrHandlerTimeout,
+	}, {
+		name: "nothing written by the deadline",
+		serve: func(w http.ResponseWriter, r *http.Request) error {
+			sleepPastDeadline(r)
+			return nil
+		},
+		wantStatus: http.StatusServiceUnavailable, wantType: "application/json", wantBody: timedOut,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			writeErr := make(chan error, 1)
+			srv := httptest.NewServer(TimeoutMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				writeErr <- tc.serve(w, r)
+			}), d))
+			defer srv.Close()
+			resp, err := srv.Client().Get(srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.wantStatus || resp.Header.Get("Content-Type") != tc.wantType || string(body) != tc.wantBody {
+				t.Errorf("got %d %q %q, want %d %q %q", resp.StatusCode, resp.Header.Get("Content-Type"), body,
+					tc.wantStatus, tc.wantType, tc.wantBody)
+			}
+			if err := <-writeErr; !errors.Is(err, tc.wantErr) {
+				t.Errorf("handler's Write returned %v, want %v", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// BenchmarkTimeoutMiddleware is the middleware's own per-request cost: a
+// trivial handler answered into a ResponseRecorder.
+func BenchmarkTimeoutMiddleware(b *testing.B) {
+	body := []byte("ok")
+	h := TimeoutMiddleware(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write(body)
+	}), DefaultRequestTimeout)
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), req)
 	}
 }
 

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -57,9 +58,9 @@ type Server struct {
 // ErrRequestTooLarge, not a transient fault).
 const DefaultMaxBodyBytes = 64 << 20
 
-// DefaultRequestTimeout bounds how long one request may occupy a handler
-// before the middleware replies 503; a wedged handler can then never pin a
-// mux worker indefinitely. The client treats the 503 as retryable.
+// DefaultRequestTimeout is the deadline on every regular request's context:
+// a handler that honours its context gives up by then and the middleware
+// replies 503, which the client treats as retryable.
 const DefaultRequestTimeout = 30 * time.Second
 
 // DefaultEventHeartbeat is the SSE comment-frame period on idle event
@@ -168,9 +169,9 @@ func (s *Server) Hub() *events.Hub { return s.hub }
 
 // Handler returns the HTTP handler for the full API surface. The regular
 // API is wrapped in the request-timeout middleware; the streaming routes
-// mount beside it, exempt from both the timeout (http.TimeoutHandler
-// buffers, which would strip http.Flusher and kill SSE) and the -max-body
-// cap (a long-lived stream legitimately outgrows any per-request limit).
+// mount beside it, exempt from both the timeout and the -max-body cap: a
+// stream is long-lived by design, so it outlives any per-request deadline
+// and legitimately outgrows any per-request limit.
 // When a cluster node is attached, the regular API additionally passes the
 // ownership gate (misrouted requests proxied or answered 421), streaming
 // routes get the redirect-only gate (proxying a long-lived stream would pin
@@ -197,16 +198,58 @@ func (s *Server) Handler() http.Handler {
 	return root
 }
 
-// TimeoutMiddleware bounds every request to d: a handler still running at
-// the deadline gets its request context cancelled and the client receives a
-// JSON 503 (which the retry layer classifies as transient). d <= 0 returns h
+// TimeoutMiddleware bounds every request to d. The handler runs on the
+// calling goroutine with a request context that expires after d; a response
+// begun before the deadline passes through whole, one begun after it is
+// dropped (Write returns http.ErrHandlerTimeout), and if nothing was sent
+// by the deadline the client receives a JSON 503 when the handler returns
+// (which the retry layer classifies as transient). d <= 0 returns h
 // unchanged.
 func TimeoutMiddleware(h http.Handler, d time.Duration) http.Handler {
 	if d <= 0 {
 		return h
 	}
-	body := `{"error":"request timed out"}`
-	return http.TimeoutHandler(h, d, body)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		defer cancel()
+		deadline, _ := ctx.Deadline()
+		tw := &timeoutWriter{ResponseWriter: w, deadline: deadline}
+		h.ServeHTTP(tw, r.WithContext(ctx))
+		if !tw.sent && !time.Now().Before(deadline) {
+			// Headers the handler set for its dropped response must not
+			// ride on the 503.
+			clear(w.Header())
+			writeError(w, http.StatusServiceUnavailable, "request timed out")
+		}
+	})
+}
+
+// timeoutWriter passes a response through if its header is written before
+// the deadline and drops it otherwise. Only the handler's goroutine uses it.
+type timeoutWriter struct {
+	http.ResponseWriter
+	deadline    time.Time
+	wroteHeader bool // the handler has written its header
+	sent        bool // it was written before the deadline and passed through
+}
+
+func (tw *timeoutWriter) WriteHeader(code int) {
+	if tw.wroteHeader {
+		return
+	}
+	tw.wroteHeader = true
+	if time.Now().Before(tw.deadline) {
+		tw.sent = true
+		tw.ResponseWriter.WriteHeader(code)
+	}
+}
+
+func (tw *timeoutWriter) Write(p []byte) (int, error) {
+	tw.WriteHeader(http.StatusOK)
+	if !tw.sent {
+		return 0, http.ErrHandlerTimeout
+	}
+	return tw.ResponseWriter.Write(p)
 }
 
 func (s *Server) routesMux() {
@@ -229,6 +272,16 @@ func (s *Server) routesMux() {
 	s.mux.HandleFunc("GET "+PathPredictNext, s.instrument("predict_next", s.auth(s.handlePredictNext)))
 	s.mux.HandleFunc("GET "+PathStatsFrequency, s.instrument("stats_frequency", s.auth(s.handleFrequency)))
 	s.mux.HandleFunc("GET "+PathStatsDwell, s.instrument("stats_dwell", s.auth(s.handleDwell)))
+}
+
+// emptyAck is what json.Encoder writes for struct{}{}.
+var emptyAck = []byte("{}\n")
+
+// writeAck answers a successful mutation with an empty JSON object.
+func writeAck(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(emptyAck)
 }
 
 // writeJSON emits a JSON body with status.
@@ -520,7 +573,7 @@ func (s *Server) handlePlacesLabel(w http.ResponseWriter, r *http.Request, uid s
 		s.storeError(w, uid, err, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	writeAck(w)
 }
 
 // handlePlacesPopular serves the k-anonymous cross-user place aggregate.
@@ -608,7 +661,7 @@ func (s *Server) handleProfilePut(w http.ResponseWriter, r *http.Request, uid st
 		s.storeError(w, uid, err, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	writeAck(w)
 }
 
 func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request, uid string) {
@@ -655,7 +708,7 @@ func (s *Server) handleContactsPost(w http.ResponseWriter, r *http.Request, uid 
 		s.storeError(w, uid, err, http.StatusInternalServerError, "storing contacts: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	writeAck(w)
 }
 
 func (s *Server) handleContactsGet(w http.ResponseWriter, r *http.Request, uid string) {

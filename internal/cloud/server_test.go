@@ -407,6 +407,21 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteAckMatchesEncoder pins the empty ack's bytes to what
+// json.Encoder writes for struct{}{}.
+func TestWriteAckMatchesEncoder(t *testing.T) {
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	writeAck(rec)
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" || rec.Body.String() != want.String() {
+		t.Errorf("writeAck wrote %d %q %q, want 200 %q %q",
+			rec.Code, rec.Header().Get("Content-Type"), rec.Body.String(), "application/json", want.String())
+	}
+}
+
 func TestCellDatabaseDeterminism(t *testing.T) {
 	w := world.Generate(world.DefaultConfig(), newRand(6))
 	db1 := NewCellDatabase(w, 150)

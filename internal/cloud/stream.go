@@ -21,10 +21,10 @@ import (
 // out. The ingest keeps no pipelines of its own: it feeds the user's entry in
 // the discovery pool's cache (discoverPool.lockPipe), so a trace streamed by
 // day and discovered at night is segmented once. Both routes are mounted
-// outside the request-timeout middleware (http.TimeoutHandler buffers
-// responses and hides http.Flusher) and skip decode()'s MaxBytesReader — the
-// connections are long-lived by design, and a stream's cumulative bytes
-// legitimately exceed any per-request cap.
+// outside the request-timeout middleware and skip decode()'s MaxBytesReader:
+// the connections are long-lived by design, so they outlive any per-request
+// deadline, and a stream's cumulative bytes legitimately exceed any
+// per-request cap.
 
 // appendAndDetect appends one stream batch to the user's trace, WAL-durably,
 // and feeds the user's detector — the discovery pool's cached pipeline —
