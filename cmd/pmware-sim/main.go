@@ -8,11 +8,13 @@
 //
 //	pmware-sim [-participants 16] [-days 14] [-seed 2014] [-http [-data-dir DIR]]
 //
-// With -http the entire study runs through a real loopback HTTP cloud
-// instance (registration, GCA offload, profile sync, geolocation) instead of
-// the in-process adapter. Adding -data-dir runs that instance on a durable
-// store rooted at DIR — the same directory layout pmware-cloud -data-dir
-// serves, so the study's output can be served directly afterwards.
+// Every participant's PMS reaches the cloud instance (registration, GCA
+// offload, profile sync, geolocation) through the real cloud.Client and the
+// PCI's own handlers; by default they run in-process, without a socket.
+// -http adds a loopback HTTP listener between them. Adding -data-dir runs
+// that instance on a durable store rooted at DIR — the same directory
+// layout pmware-cloud -data-dir serves, so the study's output can be served
+// directly afterwards.
 package main
 
 import (
@@ -53,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	fs.Parse(args) // ExitOnError: a bad flag never returns
 	if *dataDir != "" && !*useHTTP {
 		fs.Usage()
-		return fmt.Errorf("-data-dir needs -http: without it the study runs no cloud store")
+		return fmt.Errorf("-data-dir needs -http: without it the study's cloud store stays in memory")
 	}
 
 	cfg := study.DefaultConfig()

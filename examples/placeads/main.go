@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/apps/placeads"
@@ -17,9 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/geo"
-	"repro/internal/gsm"
 	"repro/internal/mobility"
-	"repro/internal/profile"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -48,11 +47,15 @@ func main() {
 	sensors := trace.NewSensors(w, it, trace.DefaultConfig(), rand.New(rand.NewSource(23)))
 	meter := energy.NewMeter(energy.DefaultModel())
 
-	// PlaceADs needs geolocated place coordinates: use the in-process cloud
-	// geo service (Cell-ID -> lat/lng).
-	api := exampleCloud{
-		store: cloud.NewStore(nil),
-		cells: cloud.NewCellDatabase(w, 150),
+	// PlaceADs needs geolocated place coordinates: the cloud instance's geo
+	// service (Cell-ID -> lat/lng), over loopback HTTP.
+	server := cloud.NewServer(cloud.NewStore(nil), cloud.WithCellDatabase(cloud.NewCellDatabase(w, 150)))
+	defer server.Close()
+	ts := httptest.NewServer(server.Handler())
+	defer ts.Close()
+	api := cloud.NewClient(ts.URL, "imei-carol", "carol@example.com", ts.Client())
+	if err := api.Register(); err != nil {
+		panic(err)
 	}
 	svc := core.NewService(core.DefaultConfig("carol"), clock, sensors, meter, api)
 
@@ -95,29 +98,4 @@ func main() {
 		fmt.Printf("\nlike:dislike = %d:%d  (%.1f : %.1f of 20; paper reports 17:3)\n",
 			likes, dislikes, 20*float64(likes)/float64(total), 20*float64(dislikes)/float64(total))
 	}
-}
-
-// exampleCloud is a minimal in-process core.CloudAPI for the demo: local
-// GCA, local profile storage, and the synthetic cell-geolocation database.
-type exampleCloud struct {
-	store *cloud.Store
-	cells *cloud.CellDatabase
-}
-
-var _ core.CloudAPI = exampleCloud{}
-
-func (c exampleCloud) DiscoverPlaces(obs []trace.GSMObservation) ([]*gsm.Place, error) {
-	return gsm.Discover(obs, gsm.DefaultParams()).Places, nil
-}
-
-func (c exampleCloud) SyncProfile(p *profile.DayProfile) error {
-	return c.store.PutProfile(p.UserID, p)
-}
-
-func (c exampleCloud) GeolocateCell(id world.CellID) (geo.LatLng, float64, error) {
-	e, ok := c.cells.Lookup(id)
-	if !ok {
-		return geo.LatLng{}, 0, fmt.Errorf("unknown cell %s", id)
-	}
-	return geo.LatLng{Lat: e.Lat, Lng: e.Lng}, e.AccuracyMeters, nil
 }

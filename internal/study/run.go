@@ -1,58 +1,40 @@
 package study
 
 import (
-	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/apps/lifelog"
 	"repro/internal/apps/meetup"
 	"repro/internal/apps/placeads"
-	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/eval"
 	"repro/internal/geo"
-	"repro/internal/gsm"
 	"repro/internal/mobility"
-	"repro/internal/profile"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/world"
 )
 
-// directCloud is an in-process core.CloudAPI over the shared store — the
-// study's default transport (the HTTP path is exercised by the cloud
-// package's integration tests and by cmd/pmware-sim -http).
-type directCloud struct {
-	store  *cloud.Store
-	cells  *cloud.CellDatabase
-	params gsm.Params
-	userID string
-}
+// handlerTransport serves each request with the PCI's own handler on the
+// calling goroutine: a cloud.Client's whole exchange — encoding, auth,
+// routing, timeout middleware, discovery pool, decoding — without a
+// listener. Responses are buffered, so a streamed response (SSE) reaches the
+// caller only once its handler returns.
+type handlerTransport struct{ h http.Handler }
 
-var _ core.CloudAPI = (*directCloud)(nil)
-
-func (d *directCloud) DiscoverPlaces(obs []trace.GSMObservation) ([]*gsm.Place, error) {
-	res := gsm.Discover(obs, d.params)
-	wire := make([]cloud.PlaceWire, 0, len(res.Places))
-	for _, p := range res.Places {
-		wire = append(wire, cloud.PlaceToWire(p))
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	r := req.Clone(req.Context())
+	r.RequestURI = req.URL.RequestURI()
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	if req.Body != nil {
+		req.Body.Close()
 	}
-	d.store.SetPlaces(d.userID, wire)
-	return res.Places, nil
-}
-
-func (d *directCloud) SyncProfile(p *profile.DayProfile) error {
-	return d.store.PutProfile(d.userID, p)
-}
-
-func (d *directCloud) GeolocateCell(id world.CellID) (geo.LatLng, float64, error) {
-	e, ok := d.cells.Lookup(id)
-	if !ok {
-		return geo.LatLng{}, 0, fmt.Errorf("study: unknown cell %s", id)
-	}
-	return geo.LatLng{Lat: e.Lat, Lng: e.Lng}, e.AccuracyMeters, nil
+	return rec.Result(), nil
 }
 
 // runParticipant simulates one participant end to end and scores the three
@@ -63,8 +45,7 @@ func runParticipant(
 	a *mobility.Agent,
 	it *mobility.Itinerary,
 	idx int,
-	store *cloud.Store,
-	cells *cloud.CellDatabase,
+	api core.CloudAPI,
 	directory *placeads.POIDirectory,
 	inventory *placeads.Inventory,
 	peers map[string]trace.PositionFunc,
@@ -78,16 +59,6 @@ func runParticipant(
 	svcCfg := cfg.ServiceTemplate(a.ID)
 	if cfg.Social {
 		svcCfg.Peers = peers
-	}
-	var api core.CloudAPI
-	if cfg.CloudBaseURL != "" {
-		client := cloud.NewClient(cfg.CloudBaseURL, "imei-"+a.ID, a.ID+"@study.example", nil)
-		if err := client.Register(); err != nil {
-			return nil, reports, fmt.Errorf("study: register %s with cloud: %w", a.ID, err)
-		}
-		api = client
-	} else {
-		api = &directCloud{store: store, cells: cells, params: svcCfg.GSMParams, userID: a.ID}
 	}
 	svc := core.NewService(svcCfg, clock, sensors, meter, api)
 

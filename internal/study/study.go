@@ -13,6 +13,7 @@ package study
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"time"
 
 	"repro/internal/apps/placeads"
@@ -63,10 +64,11 @@ type Config struct {
 	// the mobility profiles.
 	Social bool
 
-	// CloudBaseURL, when non-empty, routes every participant's cloud
-	// traffic over HTTP to this PMWare cloud instance instead of the
-	// in-process adapter. The endpoint must be a Server from
-	// internal/cloud, with a cell database built from the same world seed.
+	// CloudBaseURL, when non-empty, sends every participant's cloud.Client
+	// over HTTP to this PMWare cloud instance. When empty, the same client
+	// and the same cloud.Server handlers run in-process, without a socket.
+	// The endpoint must be a Server from internal/cloud, with a cell
+	// database built from the same world seed.
 	CloudBaseURL string
 }
 
@@ -162,9 +164,18 @@ func Run(cfg Config) (*Result, error) {
 	}
 	w := world.Generate(cfg.World, rand.New(rand.NewSource(cfg.Seed)))
 
-	// The shared cloud instance: direct in-process adapter over one store.
-	store := cloud.NewStore(nil)
-	cells := cloud.NewCellDatabase(w, 150)
+	// Every participant's PMS talks to the cloud instance through a
+	// cloud.Client. Without CloudBaseURL the instance is the PCI's own
+	// handler over a fresh in-memory store, reached without a socket and on
+	// the binary wire.
+	baseURL, wire := cfg.CloudBaseURL, cloud.WireJSON
+	var httpc *http.Client
+	if baseURL == "" {
+		server := cloud.NewServer(cloud.NewStore(nil), cloud.WithCellDatabase(cloud.NewCellDatabase(w, 150)))
+		defer server.Close()
+		baseURL, wire = "http://pci.invalid", cloud.WireBinary
+		httpc = &http.Client{Transport: handlerTransport{server.Handler()}}
+	}
 
 	// Build participants with homes, workplaces, and haunts. The cohort has
 	// its own RNG stream so it is identical across world variations (e.g.
@@ -191,7 +202,11 @@ func Run(cfg Config) (*Result, error) {
 	inventory := placeads.DefaultInventory()
 
 	for i, a := range agents {
-		pr, reports, err := runParticipant(cfg, w, a, itins[i], i, store, cells, directory, inventory, peersFor(agents, itins, i))
+		client := cloud.NewClient(baseURL, "imei-"+a.ID, a.ID+"@study.example", httpc, cloud.WithWireCodec(wire))
+		if err := client.Register(); err != nil {
+			return nil, fmt.Errorf("study: register %s with cloud: %w", a.ID, err)
+		}
+		pr, reports, err := runParticipant(cfg, w, a, itins[i], i, client, directory, inventory, peersFor(agents, itins, i))
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/obs"
 	"repro/internal/world"
 )
 
@@ -216,17 +217,27 @@ func TestRunWithHTTPCloud(t *testing.T) {
 	}
 }
 
-// TestHTTPCloudMatchesInProcess runs one small study twice, against the
-// in-process cloud adapter and over the JSON wire to a real cloud.Server,
-// and requires each participant's places and scores to come out the same:
-// the wire carries the traces and decides nothing.
+// TestHTTPCloudMatchesInProcess runs one small study twice, once on the
+// binary wire to the in-process cloud.Server and once on the JSON wire to a
+// real cloud.Server over loopback, and requires each participant's places
+// and scores to come out the same: neither the wire encoding nor the socket
+// decides anything. The in-process run must also need no retry, so the
+// retry policy's jitter never reaches the study's output.
 func TestHTTPCloudMatchesInProcess(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Participants = 2
 	cfg.Days = 3
+	before := obs.Default().Snapshot()
 	local, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	after := obs.Default().Snapshot()
+	if d := after.Counter("client_retries_total") - before.Counter("client_retries_total"); d != 0 {
+		t.Errorf("the in-process study retried %d times", d)
+	}
+	if d := after.Counter("client_attempts_total") - before.Counter("client_attempts_total"); d == 0 {
+		t.Error("the in-process study made no client attempts")
 	}
 
 	w := world.Generate(cfg.World, rand.New(rand.NewSource(cfg.Seed)))
