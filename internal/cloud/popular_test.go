@@ -22,8 +22,8 @@ func popularFixture(t *testing.T) (*Store, *CellDatabase, *world.World) {
 func placeAtTower(w *world.World, i int, label string) PlaceWire {
 	t := w.Towers[i]
 	cells := []world.CellID{t.ID}
-	// Add a couple of neighbours for realism.
-	for _, n := range w.TowersInRange(t.Pos)[:3] {
+	// Add a couple of neighbours of its operator for realism.
+	for _, n := range w.TowersInRange(t.Pos, t.ID.MNC)[:3] {
 		cells = append(cells, n.Tower.ID)
 	}
 	return PlaceWire{ID: 0, Cells: cells, Label: label}

@@ -155,7 +155,8 @@ func bestOverlappingPlace(np *UnifiedPlace, old []*UnifiedPlace) *UnifiedPlace {
 
 // geolocatePlaces estimates each place's coordinates by averaging the
 // geolocated positions of its GSM signature cells (the cloud's geo-location
-// API converts Cell IDs into approximate coordinates, Section 2.3.3).
+// API converts Cell IDs into approximate coordinates, Section 2.3.3). Each
+// cell is asked once, until an answer succeeds.
 func (s *Service) geolocatePlaces() {
 	if s.cloud == nil {
 		return
@@ -171,7 +172,15 @@ func (s *Service) geolocatePlaces() {
 		}
 		var pts []geo.LatLng
 		for _, c := range gp.Signature {
-			if pos, _, err := s.cloud.GeolocateCell(c); err == nil && !pos.IsZero() {
+			pos, ok := s.cellPos[c]
+			if !ok {
+				var err error
+				if pos, _, err = s.cloud.GeolocateCell(c); err != nil {
+					continue
+				}
+				s.cellPos[c] = pos
+			}
+			if !pos.IsZero() {
 				pts = append(pts, pos)
 			}
 		}

@@ -140,6 +140,10 @@ type Service struct {
 	profiles  *profile.Builder
 	synced    map[string]bool // day keys synced to cloud
 	outbox    *Outbox         // failed uploads awaiting redelivery
+	// cellPos memoises the cloud's successful GeolocateCell answers: its
+	// cell database never changes, so a cell is asked again only after an
+	// error.
+	cellPos map[world.CellID]geo.LatLng
 
 	// live tracking state
 	moving        bool
@@ -186,6 +190,7 @@ func NewService(cfg Config, clock *simclock.Clock, sensors *trace.Sensors, meter
 		profiles:       profile.NewBuilder(cfg.UserID),
 		synced:         map[string]bool{},
 		outbox:         NewOutbox(),
+		cellPos:        map[world.CellID]geo.LatLng{},
 		currentGSM:     -1,
 	}
 	if cfg.Metrics != nil {

@@ -41,13 +41,23 @@ func degrees(rad float64) float64 { return rad * 180 / math.Pi }
 // Distance returns the great-circle (haversine) distance in meters between
 // two points.
 func Distance(a, b LatLng) float64 {
-	latA, latB := radians(a.Lat), radians(b.Lat)
-	dLat := latB - latA
+	return DistanceCos(a, b, LatCos(a), LatCos(b))
+}
+
+// LatCos returns the cosine of p's latitude, the per-point factor of the
+// haversine that DistanceCos takes precomputed.
+func LatCos(p LatLng) float64 { return math.Cos(radians(p.Lat)) }
+
+// DistanceCos is Distance with cosA = LatCos(a) and cosB = LatCos(b) supplied
+// by the caller, so a point measured against many others pays for its cosine
+// once. Distance is this function, so the two agree bit for bit.
+func DistanceCos(a, b LatLng, cosA, cosB float64) float64 {
+	dLat := radians(b.Lat) - radians(a.Lat)
 	dLng := radians(b.Lng - a.Lng)
 
 	sinLat := math.Sin(dLat / 2)
 	sinLng := math.Sin(dLng / 2)
-	h := sinLat*sinLat + math.Cos(latA)*math.Cos(latB)*sinLng*sinLng
+	h := sinLat*sinLat + cosA*cosB*sinLng*sinLng
 	if h > 1 {
 		h = 1
 	}

@@ -232,3 +232,68 @@ func TestOffsetLongitudeNormalization(t *testing.T) {
 		t.Errorf("expected wrap to negative longitude, got %v", q)
 	}
 }
+
+// haversineRef is the haversine written out in one piece, with each cosine
+// computed in place: the reference DistanceCos must match bit for bit.
+func haversineRef(a, b LatLng) float64 {
+	latA, latB := radians(a.Lat), radians(b.Lat)
+	dLat := latB - latA
+	dLng := radians(b.Lng - a.Lng)
+
+	sinLat := math.Sin(dLat / 2)
+	sinLng := math.Sin(dLng / 2)
+	h := sinLat*sinLat + math.Cos(latA)*math.Cos(latB)*sinLng*sinLng
+	if h > 1 {
+		h = 1
+	}
+	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
+}
+
+// checkDistanceCos fails unless DistanceCos with LatCos's cosines and
+// Distance both give haversineRef's bits, NaNs included.
+func checkDistanceCos(t *testing.T, a, b LatLng) {
+	t.Helper()
+	want := math.Float64bits(haversineRef(a, b))
+	if got := math.Float64bits(DistanceCos(a, b, LatCos(a), LatCos(b))); got != want {
+		t.Fatalf("DistanceCos(%v, %v) = %v, the haversine gives %v", a, b, math.Float64frombits(got), math.Float64frombits(want))
+	}
+	if got := math.Float64bits(Distance(a, b)); got != want {
+		t.Fatalf("Distance(%v, %v) = %v, the haversine gives %v", a, b, math.Float64frombits(got), math.Float64frombits(want))
+	}
+}
+
+// TestDistanceCosMatchesHaversine: the cached-cosine distance is the
+// haversine's bits over city pairs, the whole globe, both poles, the
+// antimeridian and the equator.
+func TestDistanceCosMatchesHaversine(t *testing.T) {
+	edges := []LatLng{
+		{90, 0}, {-90, 0}, {90, 180}, {-90, -180}, {0, 180}, {0, -180},
+		{45, 179.999999}, {45, -179.999999}, {0, 0}, {28.6139, 77.2090},
+		{math.Nextafter(90, 0), 0}, {-89.9999, 180},
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			checkDistanceCos(t, a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		checkDistanceCos(t, randomCityPoint(r), randomCityPoint(r))
+		a := LatLng{Lat: r.Float64()*180 - 90, Lng: r.Float64()*360 - 180}
+		b := LatLng{Lat: r.Float64()*180 - 90, Lng: r.Float64()*360 - 180}
+		checkDistanceCos(t, a, b)
+	}
+}
+
+// FuzzDistanceCos checks DistanceCos and Distance against the haversine, bit
+// for bit, on arbitrary coordinates, out-of-domain and NaN ones included.
+func FuzzDistanceCos(f *testing.F) {
+	f.Add(28.6139, 77.2090, 28.62, 77.21)
+	f.Add(90.0, 0.0, -90.0, 0.0)
+	f.Add(0.0, 180.0, 0.0, -180.0)
+	f.Add(45.0, 179.9999, 45.0, -179.9999)
+	f.Add(-89.99, 12.0, 89.99, -168.0)
+	f.Fuzz(func(t *testing.T, latA, lngA, latB, lngB float64) {
+		checkDistanceCos(t, LatLng{latA, lngA}, LatLng{latB, lngB})
+	})
+}

@@ -48,9 +48,16 @@ func UserIdentity(i int) (id, imei, email string) {
 
 // Population synthesizes SimUsers lazily from a Key. A million-user
 // population costs nothing until users are requested; each user's synthesis
-// draws only from that user's derived streams, so the result is identical
-// whether the user is generated first, last, concurrently with others, or
-// re-generated after cache eviction (TestPopulationOrderIndependent).
+// draws only from that user's derived streams. It does not follow that a
+// user is independent of the others synthesized before it: the shared
+// world's path cache keeps whichever direction of a street path was built
+// first, and a path built from b to a is not the reverse of the one built
+// from a to b. A user who travels between two public venues that an earlier
+// user travelled the other way gets that user's geometry, so about one user
+// in ten differs between forward and reverse synthesis order (ROADMAP item
+// 24). Re-synthesis after cache eviction does reproduce a user, since the
+// path cache only grows. TestPopulationOrderIndependent checks that, and one
+// user generated alone and after the users below it.
 //
 // The shared world is generated once, is never mutated afterwards (per-user
 // home/work venues are standalone), and is safe for concurrent readers.

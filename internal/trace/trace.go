@@ -130,7 +130,9 @@ type Sensors struct {
 
 	serving   *world.CellTower
 	layerPref world.RadioLayer
-	towerBias map[world.CellID]float64 // stable per-tower installation bias
+	// towerBias is each tower's stable installation bias, by position in
+	// w.Towers, drawn on first encounter; NaN until then.
+	towerBias []float64
 
 	// towersAt caches TowersInRange for the position sampled last: a
 	// dwelling agent holds one position for five minutes of samples.
@@ -150,7 +152,6 @@ func NewSensors(w *world.World, it *mobility.Itinerary, cfg Config, r *rand.Rand
 		gpsRand:   rand.New(rand.NewSource(r.Int63())),
 		actRand:   rand.New(rand.NewSource(r.Int63())),
 		layerPref: world.Layer2G,
-		towerBias: make(map[world.CellID]float64),
 	}
 }
 
@@ -163,12 +164,16 @@ func pathLossDBM(d float64) float64 {
 	return -40 - 35*math.Log10(d/10)
 }
 
-func (s *Sensors) bias(id world.CellID) float64 {
-	if b, ok := s.towerBias[id]; ok {
+// bias returns the installation bias of w.Towers[k].
+func (s *Sensors) bias(k int) float64 {
+	for len(s.towerBias) <= k {
+		s.towerBias = append(s.towerBias, math.NaN())
+	}
+	if b := s.towerBias[k]; !math.IsNaN(b) {
 		return b
 	}
 	b := (s.gsmRand.Float64()*2 - 1) * 3 // ±3 dB installation variance
-	s.towerBias[id] = b
+	s.towerBias[k] = b
 	return b
 }
 
@@ -194,16 +199,13 @@ func (s *Sensors) SampleGSM(t time.Time) GSMObservation {
 		rssi float64
 	}
 	if !s.haveTowers || pos != s.towersAt {
-		s.towersAt, s.towers, s.haveTowers = pos, s.w.TowersInRange(pos), true
+		s.towersAt, s.towers, s.haveTowers = pos, s.w.TowersInRange(pos, s.cfg.MNC), true
 	}
 	var best, bestAny cand
 	for _, h := range s.towers {
 		tw := h.Tower
-		if tw.ID.MNC != s.cfg.MNC {
-			continue
-		}
 		rssi := pathLossDBM(h.Dist) +
-			s.bias(tw.ID) +
+			s.bias(h.Index) +
 			s.gsmRand.NormFloat64()*s.cfg.ShadowSigmaDB
 		if bestAny.t == nil || rssi > bestAny.rssi {
 			bestAny = cand{tw, rssi}
@@ -225,13 +227,14 @@ func (s *Sensors) SampleGSM(t time.Time) GSMObservation {
 	}
 
 	// Hysteresis: stick to the serving cell unless the candidate is clearly
-	// stronger. The serving cell is in range exactly when it is a hit.
+	// stronger. The serving cell is in range exactly when it is a hit: it
+	// has the SIM's operator, like every hit.
 	if s.serving != nil && s.serving != best.t {
 		for _, h := range s.towers {
 			if h.Tower != s.serving {
 				continue
 			}
-			servRSSI := pathLossDBM(h.Dist) + s.bias(s.serving.ID) +
+			servRSSI := pathLossDBM(h.Dist) + s.bias(h.Index) +
 				s.gsmRand.NormFloat64()*s.cfg.ShadowSigmaDB
 			if servRSSI+s.cfg.HysteresisDB > best.rssi {
 				return GSMObservation{At: t, Cell: s.serving.ID, SignalDBM: servRSSI}

@@ -11,13 +11,14 @@ import (
 	"repro/internal/geo"
 )
 
-// scanTowers is TowersInRange without the coverage index: the exact test
-// against every tower, then the (distance, cell) order.
+// scanTowers is TowersInRange for every operator at once, without the
+// coverage index or the cached cosines: the exact test against every tower,
+// then the (distance, cell) order.
 func scanTowers(w *World, p geo.LatLng) []TowerHit {
 	var hits []TowerHit
-	for _, t := range w.Towers {
+	for k, t := range w.Towers {
 		if d := geo.Distance(t.Pos, p); d <= t.RangeMeters {
-			hits = append(hits, TowerHit{t, d})
+			hits = append(hits, TowerHit{t, k, d})
 		}
 	}
 	sort.SliceStable(hits, func(i, j int) bool {
@@ -29,7 +30,7 @@ func scanTowers(w *World, p geo.LatLng) []TowerHit {
 	return hits
 }
 
-// scanAPs is APsInRange without the coverage index.
+// scanAPs is APsInRange without the coverage index or the cached cosines.
 func scanAPs(w *World, p geo.LatLng) []APHit {
 	var hits []APHit
 	for _, ap := range w.APs {
@@ -96,12 +97,29 @@ func coverProbes(w *World, r *rand.Rand) []geo.LatLng {
 	return ps
 }
 
+// operators returns the MNCs of w's towers in first-seen order, then one
+// that has no tower.
+func operators(w *World) []int {
+	var mncs []int
+	for _, t := range w.Towers {
+		if !slices.Contains(mncs, t.ID.MNC) {
+			mncs = append(mncs, t.ID.MNC)
+		}
+	}
+	return append(mncs, slices.Max(mncs)+1)
+}
+
 func checkCoverAgainstScan(t *testing.T, name string, w *World, r *rand.Rand) {
 	t.Helper()
 	var covered int
+	mncs := operators(w)
 	for _, p := range coverProbes(w, r) {
-		if got, want := w.TowersInRange(p), scanTowers(w, p); !slices.Equal(got, want) {
-			t.Fatalf("%s: TowersInRange(%v) returns %d towers, the scan %d (or another order or distance)", name, p, len(got), len(want))
+		all := scanTowers(w, p)
+		for _, mnc := range mncs {
+			want := slices.DeleteFunc(slices.Clone(all), func(h TowerHit) bool { return h.Tower.ID.MNC != mnc })
+			if got := w.TowersInRange(p, mnc); !slices.Equal(got, want) {
+				t.Fatalf("%s: TowersInRange(%v, %d) returns %d towers, the scan %d (or another order, index or distance)", name, p, mnc, len(got), len(want))
+			}
 		}
 		got, want := w.APsInRange(p), scanAPs(w, p)
 		if !slices.Equal(got, want) {
@@ -117,9 +135,11 @@ func checkCoverAgainstScan(t *testing.T, name string, w *World, r *rand.Rand) {
 	}
 }
 
-// TestCoverIndexMatchesScan: with the coverage index, TowersInRange and
-// APsInRange return exactly what the full scan returns — the same towers and
-// APs in the same order, each with the bit-identical distance — on the default city, the load harness's city
+// TestCoverIndexMatchesScan: with the coverage index and the cached
+// cosines, TowersInRange for each operator and APsInRange return exactly
+// what the full scan (filtered to that operator) returns — the same towers
+// and APs in the same order, each with the bit-identical distance — on the
+// default city, the load harness's city
 // (load.DefaultSpec: extent 2600 m, seed 2014) and the study's denser city
 // (study.DefaultConfig), before and after AddVenue installs venue APs the
 // way the study adds participants' homes and offices. Each city gets 10 000
@@ -169,10 +189,13 @@ func TestCoverIndexWithoutBounds(t *testing.T) {
 	tower := &CellTower{ID: CellID{MCC: 1, MNC: 2, LAC: 3, CID: 4}, Pos: geo.LatLng{Lat: 28.6, Lng: 77.2}, RangeMeters: 500}
 	w := &World{Towers: []*CellTower{tower}}
 	w.Finalize()
-	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 400)); len(got) != 1 || got[0].Tower != tower {
+	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 400), 2); len(got) != 1 || got[0].Tower != tower {
 		t.Fatalf("TowersInRange on a world without bounds = %v", got)
 	}
-	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 600)); len(got) != 0 {
+	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 400), 3); len(got) != 0 {
+		t.Fatalf("TowersInRange for another operator = %v", got)
+	}
+	if got := w.TowersInRange(geo.Offset(tower.Pos, 45, 600), 2); len(got) != 0 {
 		t.Fatalf("TowersInRange out of range = %v", got)
 	}
 }
@@ -188,6 +211,26 @@ func BenchmarkBuildIndexes(b *testing.B) {
 		w.index()
 	}
 }
+
+// BenchmarkTowersInRange times one GSM sample's query on the load harness's
+// city: operator 10's towers around 1024 random points, in turn.
+func BenchmarkTowersInRange(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.ExtentMeters = 2600
+	r := rand.New(rand.NewSource(2014))
+	w := Generate(cfg, r)
+	ps := make([]geo.LatLng, 1024)
+	for i := range ps {
+		ps[i] = randomPointIn(cfg, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		towerHitsSink = w.TowersInRange(ps[i%len(ps)], 10)
+	}
+}
+
+var towerHitsSink []TowerHit
 
 // TestCoverIndexListsReachingCells checks add's row-run arithmetic against a
 // per-cell test: a tower is listed in every cell whose centre lies within its

@@ -179,6 +179,10 @@ type World struct {
 	// items that can reach a point's grid cell (cover.go).
 	towerCover *coverIndex
 	apCover    *coverIndex
+	// towerCos and apCos hold geo.LatCos of each tower's and AP's position,
+	// by position in Towers and APs, so a range query computes one cosine.
+	towerCos []float64
+	apCos    []float64
 }
 
 // VenueByID returns the venue with the given id, or nil.
@@ -206,10 +210,11 @@ func (w *World) VenueAt(p geo.LatLng) *Venue {
 	return best
 }
 
-// TowerHit is a tower whose coverage includes a point, with its distance
-// from that point in meters.
+// TowerHit is a tower whose coverage includes a point, with its position in
+// World.Towers and its distance from that point in meters.
 type TowerHit struct {
 	Tower *CellTower
+	Index int
 	Dist  float64
 }
 
@@ -220,15 +225,27 @@ type APHit struct {
 	Dist float64
 }
 
-// TowersInRange returns the towers whose coverage includes p, each with its
-// distance geo.Distance(tower.Pos, p), ordered by ascending distance
-// (strongest-signal first under the path-loss model) with cell-id tie-break.
-func (w *World) TowersInRange(p geo.LatLng) []TowerHit {
-	var hits []TowerHit
+// towerHitsCap is TowersInRange's first allocation: an urban point hears
+// about ten to fifteen of its operator's cells, so one allocation holds the
+// hits of almost every query.
+const towerHitsCap = 16
+
+// TowersInRange returns operator mnc's towers whose coverage includes p,
+// each with its distance geo.Distance(tower.Pos, p), ordered by ascending
+// distance (strongest-signal first under the path-loss model) with cell-id
+// tie-break. A phone camps only on its own operator's cells, so no other
+// operator's tower is measured. Like APsInRange, it reads the indexes
+// Generate and Finalize build.
+func (w *World) TowersInRange(p geo.LatLng, mnc int) []TowerHit {
+	hits := make([]TowerHit, 0, towerHitsCap)
+	cosP := geo.LatCos(p)
 	w.towerCover.each(p, len(w.Towers), func(k int) {
 		t := w.Towers[k]
-		if d := geo.Distance(t.Pos, p); d <= t.RangeMeters {
-			hits = append(hits, TowerHit{t, d})
+		if t.ID.MNC != mnc {
+			return
+		}
+		if d := geo.DistanceCos(t.Pos, p, w.towerCos[k], cosP); d <= t.RangeMeters {
+			hits = append(hits, TowerHit{t, k, d})
 		}
 	})
 	slices.SortFunc(hits, func(a, b TowerHit) int {
@@ -245,9 +262,10 @@ func (w *World) TowersInRange(p geo.LatLng) []TowerHit {
 // BSSID tie-break.
 func (w *World) APsInRange(p geo.LatLng) []APHit {
 	var hits []APHit
+	cosP := geo.LatCos(p)
 	w.apCover.each(p, len(w.APs), func(k int) {
 		ap := w.APs[k]
-		if d := geo.Distance(ap.Pos, p); d <= ap.RangeMeters {
+		if d := geo.DistanceCos(ap.Pos, p, w.apCos[k], cosP); d <= ap.RangeMeters {
 			hits = append(hits, APHit{ap, d})
 		}
 	})
@@ -270,23 +288,28 @@ func (w *World) index() {
 	}
 	w.towerByID = make(map[CellID]*CellTower, len(w.Towers))
 	w.towerCover = newCoverIndex(w.Bounds)
+	w.towerCos = make([]float64, len(w.Towers))
 	for k, t := range w.Towers {
 		w.towerByID[t.ID] = t
 		w.towerCover.add(k, t.Pos, t.RangeMeters)
+		w.towerCos[k] = geo.LatCos(t.Pos)
 	}
 	w.apByBSSID = make(map[string]*AccessPoint, len(w.APs))
 	w.apCover = newCoverIndex(w.Bounds)
+	w.apCos = make([]float64, 0, len(w.APs))
 	for k := range w.APs {
 		w.indexAP(k)
 	}
 	w.paths = newPathCache()
 }
 
-// indexAP adds w.APs[k] to the AP lookups.
+// indexAP adds w.APs[k], the AP after every one already indexed, to the AP
+// lookups.
 func (w *World) indexAP(k int) {
 	ap := w.APs[k]
 	w.apByBSSID[ap.BSSID] = ap
 	w.apCover.add(k, ap.Pos, ap.RangeMeters)
+	w.apCos = append(w.apCos, geo.LatCos(ap.Pos))
 }
 
 // Finalize builds internal indexes after manual construction, and again

@@ -96,28 +96,31 @@ func TestAPBSSIDsUnique(t *testing.T) {
 }
 
 func TestFullCellCoverage(t *testing.T) {
-	// Every point in the extent must be covered by at least one tower —
-	// phones are "anyway connected to the cellular network" (Section 2.2.2).
+	// Every point in the extent must be covered by at least one tower of
+	// every operator — phones are "anyway connected to the cellular network"
+	// (Section 2.2.2).
 	w, cfg := testWorld(t, 6)
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 200; i++ {
 		p := randomPointIn(cfg, r)
-		if len(w.TowersInRange(p)) == 0 {
-			t.Fatalf("no cell coverage at %v", p)
+		for op := 1; op <= cfg.Operators; op++ {
+			if len(w.TowersInRange(p, op*10)) == 0 {
+				t.Fatalf("no cell coverage of operator %d at %v", op*10, p)
+			}
 		}
 	}
 }
 
 func TestOverlappingCellsExist(t *testing.T) {
-	// The oscillating effect requires multiple candidate cells at most
-	// locations.
+	// The oscillating effect requires multiple candidate cells of the SIM's
+	// operator at most locations.
 	w, cfg := testWorld(t, 7)
 	r := rand.New(rand.NewSource(100))
 	multi := 0
 	const samples = 200
 	for i := 0; i < samples; i++ {
 		p := randomPointIn(cfg, r)
-		if len(w.TowersInRange(p)) >= 3 {
+		if len(w.TowersInRange(p, 10)) >= 3 {
 			multi++
 		}
 	}
@@ -129,13 +132,21 @@ func TestOverlappingCellsExist(t *testing.T) {
 func TestTowersInRangeSortedByDistance(t *testing.T) {
 	w, cfg := testWorld(t, 8)
 	p := cfg.Origin
-	hits := w.TowersInRange(p)
-	for i, h := range hits {
-		if d := geo.Distance(h.Tower.Pos, p); h.Dist != d {
-			t.Fatalf("TowersInRange reports tower %v at %v m, geo.Distance gives %v", h.Tower.ID, h.Dist, d)
+	for op := 1; op <= cfg.Operators; op++ {
+		hits := w.TowersInRange(p, op*10)
+		if len(hits) == 0 {
+			t.Fatalf("operator %d has no tower in range of the origin", op*10)
 		}
-		if i > 0 && hits[i-1].Dist > h.Dist {
-			t.Fatal("TowersInRange not sorted by distance")
+		for i, h := range hits {
+			if d := geo.Distance(h.Tower.Pos, p); h.Dist != d {
+				t.Fatalf("TowersInRange reports tower %v at %v m, geo.Distance gives %v", h.Tower.ID, h.Dist, d)
+			}
+			if h.Tower.ID.MNC != op*10 || w.Towers[h.Index] != h.Tower {
+				t.Fatalf("TowersInRange(p, %d) reports tower %v at index %d", op*10, h.Tower.ID, h.Index)
+			}
+			if i > 0 && hits[i-1].Dist > h.Dist {
+				t.Fatal("TowersInRange not sorted by distance")
+			}
 		}
 	}
 }
