@@ -144,8 +144,8 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 		tidx, t := s.traceFor(uid)
 		s.eng.View(tidx, func() {
 			if ut := t.users[uid]; ut != nil {
-				// The resident run is the record's body: copied, not re-encoded.
-				add(tidx, uid, appendTraceReplace(make([]byte, 0, 16+len(uid)+len(ut.run)), uid, ut.n, ut.run))
+				// The resident blocks are the record's body: copied, not re-encoded.
+				add(tidx, uid, appendTraceReplace(nil, uid, ut.n, ut.blocks))
 			} else {
 				add(tidx, uid, encodeRecord(&record{Op: opTraceDrop, UserID: uid}))
 			}

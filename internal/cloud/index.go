@@ -51,12 +51,14 @@ type daySeg struct {
 }
 
 // dayIndex is the per-day bookkeeping: the day's final visit (what the NEXT
-// day's continuation checks consult) plus which segment keys the day
-// contributed, so an upsert can retract them.
+// day's continuation checks consult), which segment keys the day
+// contributed, so an upsert can retract them, and the day's prevDate, which
+// an upsert reuses.
 type dayIndex struct {
-	last   *visitRef
-	places []string
-	labels []string
+	last     *visitRef
+	places   []string
+	labels   []string
+	prevDate string
 }
 
 // userIndex is one user's materialized analytics state.
@@ -78,24 +80,20 @@ func newUserIndex() *userIndex {
 // putDay upserts one day — the incremental step for opPutProfile, and in date
 // order (each an append) how opSyncUser rebuilds a user from scratch. A day's
 // contributions depend only on that day's profile (cross-day state is read
-// at query time through prevDate), so an upsert retracts and re-adds one
-// day's segments and never touches a neighbor.
+// at query time through prevDate), so an upsert replaces one day's segments
+// in place, retracts those of keys the day no longer has, and never touches
+// a neighbor.
 func (ux *userIndex) putDay(p *profile.DayProfile) {
-	if old := ux.days[p.Date]; old != nil {
-		for _, pid := range old.places {
-			removeSeg(ux.byPlace, pid, p.Date)
-		}
-		for _, lb := range old.labels {
-			removeSeg(ux.byLabel, lb, p.Date)
-		}
+	old := ux.days[p.Date]
+	di := &dayIndex{}
+	if old != nil {
+		di.prevDate = old.prevDate
 	} else {
 		at, _ := slices.BinarySearch(ux.dates, p.Date)
 		ux.dates = slices.Insert(ux.dates, at, p.Date)
+		day, _ := time.Parse(profile.DateFormat, p.Date)
+		di.prevDate = day.AddDate(0, 0, -1).Format(profile.DateFormat)
 	}
-
-	day, _ := time.Parse(profile.DateFormat, p.Date)
-	prevDate := day.AddDate(0, 0, -1).Format(profile.DateFormat)
-	di := &dayIndex{}
 	byPlace := map[string][]visitRef{}
 	byLabel := map[string][]visitRef{}
 	for _, v := range p.Places {
@@ -118,13 +116,25 @@ func (ux *userIndex) putDay(p *profile.DayProfile) {
 		v := p.Places[n-1]
 		di.last = &visitRef{placeID: v.PlaceID, arrive: v.Arrive, depart: v.Depart}
 	}
+	if old != nil {
+		for _, pid := range old.places {
+			if _, ok := byPlace[pid]; !ok {
+				removeSeg(ux.byPlace, pid, p.Date)
+			}
+		}
+		for _, lb := range old.labels {
+			if _, ok := byLabel[lb]; !ok {
+				removeSeg(ux.byLabel, lb, p.Date)
+			}
+		}
+	}
 	for pid, vs := range byPlace {
 		di.places = append(di.places, pid)
-		insertSeg(ux.byPlace, pid, daySeg{date: p.Date, prevDate: prevDate, visits: vs})
+		insertSeg(ux.byPlace, pid, daySeg{date: p.Date, prevDate: di.prevDate, visits: vs})
 	}
 	for lb, vs := range byLabel {
 		di.labels = append(di.labels, lb)
-		insertSeg(ux.byLabel, lb, daySeg{date: p.Date, prevDate: prevDate, visits: vs})
+		insertSeg(ux.byLabel, lb, daySeg{date: p.Date, prevDate: di.prevDate, visits: vs})
 	}
 	ux.days[p.Date] = di
 }

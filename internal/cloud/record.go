@@ -3,6 +3,7 @@ package cloud
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -114,13 +115,21 @@ func appendRecord(dst []byte, r *record) []byte {
 }
 
 // appendTraceReplace appends the opTraceReplace record of a whole trace held
-// as its count and element run (userTrace.run): appendRecord's bytes for the
-// same observations, with the run copied instead of re-encoded.
-func appendTraceReplace(dst []byte, userID string, n int, run []byte) []byte {
-	e := frame.Encoder{Buf: append(dst, byte(opTraceReplace))}
+// as its count and element blocks (userTrace.blocks): appendRecord's bytes
+// for the same observations, with the blocks copied back to back instead of
+// re-encoded.
+func appendTraceReplace(dst []byte, userID string, n int, blocks [][]byte) []byte {
+	size := 1 + 2*binary.MaxVarintLen64 + len(userID)
+	for _, b := range blocks {
+		size += len(b)
+	}
+	e := frame.Encoder{Buf: append(slices.Grow(dst, size), byte(opTraceReplace))}
 	e.String(userID)
 	e.Uvarint(uint64(n))
-	return append(e.Buf, run...)
+	for _, b := range blocks {
+		e.Buf = append(e.Buf, b...)
+	}
+	return e.Buf
 }
 
 // encodeRecord returns r's encoding in a buffer of its own — what the engine
@@ -138,10 +147,25 @@ func applyEncoded(b []byte, apply func(*record) error) error {
 	return apply(rec)
 }
 
-// decodeRecord parses one record. Nothing in the result aliases b.
+// decodeRecord parses one record into a record of its own. Nothing in the
+// result aliases b.
 func decodeRecord(b []byte) (*record, error) {
+	r := new(record)
+	if err := r.decode(b); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decode parses one record into r, replacing every field. Nothing in r then
+// aliases b or r's previous fields, except that a trace record's
+// observations are decoded into the array r.Observations held: the
+// caller-owned buffer a replaying trace shard reuses from record to record,
+// so nothing may retain Observations past r's next decode.
+func (r *record) decode(b []byte) error {
+	obs := r.Observations
 	d := frame.NewDecoder(b)
-	r := &record{Op: op(d.Byte()), UserID: d.String()}
+	*r = record{Op: op(d.Byte()), UserID: d.String()}
 	switch r.Op {
 	case opRegister:
 		r.IMEI, r.Email = d.String(), d.String()
@@ -164,28 +188,28 @@ func decodeRecord(b []byte) (*record, error) {
 			p := &profile.DayProfile{}
 			decodeProfileBody(d, p)
 			if i > 0 && d.Err() == nil && p.Date <= r.Profiles[i-1].Date {
-				return nil, fmt.Errorf("cloud: sync_user record: day %q does not follow %q", p.Date, r.Profiles[i-1].Date)
+				return fmt.Errorf("cloud: sync_user record: day %q does not follow %q", p.Date, r.Profiles[i-1].Date)
 			}
 			r.Profiles = append(r.Profiles, p)
 		}
 		r.Encounters = decodeEncounters(d, &wireTimeChain{})
 	case opDropUser, opDropMeta, opTraceDrop:
 	case opTraceAppend, opTraceReplace:
-		r.Observations = trace.DecodeObservations(d)
+		r.Observations = trace.DecodeObservationsInto(d, obs)
 	default:
 		if len(b) > 0 {
 			// The leading bytes say what it is instead — a record of the
 			// JSON era opens {"op":"...
-			return nil, fmt.Errorf("cloud: unknown record %v, beginning %q", r.Op, b[:min(len(b), 32)])
+			return fmt.Errorf("cloud: unknown record %v, beginning %q", r.Op, b[:min(len(b), 32)])
 		}
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("cloud: %v record: %w", r.Op, err)
+		return fmt.Errorf("cloud: %v record: %w", r.Op, err)
 	}
 	if d.Rest() != 0 {
-		return nil, fmt.Errorf("cloud: %d trailing bytes after %v record", d.Rest(), r.Op)
+		return fmt.Errorf("cloud: %d trailing bytes after %v record", d.Rest(), r.Op)
 	}
-	return r, nil
+	return nil
 }
 
 // A snapshot is the same thing (DESIGN.md §8): per-user records in key order,
@@ -214,10 +238,12 @@ func writeSnapshot(w io.Writer, ids []string, appendRec func(dst []byte, id stri
 }
 
 // readSnapshot decodes a snapshot stream of want records into apply, one
-// record in memory at a time.
+// record in memory at a time: every record is decoded into the same one, so
+// apply must not retain a trace record's observations.
 func readSnapshot(r io.Reader, want op, apply func(*record) error) error {
 	br := bufio.NewReader(r)
 	var scratch []byte
+	var rec record
 	for {
 		b, err := frame.ReadVar(br, maxSnapshotRecord, &scratch)
 		if err == io.EOF {
@@ -226,12 +252,12 @@ func readSnapshot(r io.Reader, want op, apply func(*record) error) error {
 		if err != nil {
 			return fmt.Errorf("cloud: %v snapshot: %w", want, err)
 		}
-		rec, err := decodeRecord(b)
+		err = rec.decode(b)
 		if err == nil && rec.Op != want {
 			err = fmt.Errorf("cloud: %v record in a %v snapshot", rec.Op, want)
 		}
 		if err == nil {
-			err = apply(rec)
+			err = apply(&rec)
 		}
 		if err != nil {
 			return err

@@ -290,7 +290,7 @@ func TestStoreRecoveryTruncationProperty(t *testing.T) {
 	}
 }
 
-func copyTree(t *testing.T, src, dst string) {
+func copyTree(t testing.TB, src, dst string) {
 	t.Helper()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {

@@ -3,6 +3,7 @@ package cloud
 import (
 	"io"
 	"maps"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/storage"
@@ -82,25 +83,26 @@ func (d *dataState) RestoreStream(r io.Reader) error {
 }
 
 func (t *traceState) SnapshotView() (func(io.Writer) error, func(), error) {
-	// Copying each run's slice header (and count) freezes the trace's
-	// length; opTraceAppend only writes past that length (or into a grown
-	// array the view doesn't reference) and opTraceReplace swaps in a fresh
-	// run: no copy-on-write flag is needed. The encoder writes the runs
-	// verbatim — a run is the record's body, so nothing is re-encoded. An
-	// empty trace restores to nothing and is left out.
+	// Copying each trace's block headers (and count) freezes its length:
+	// opTraceAppend only writes past the last block's frozen length (or into
+	// a grown array or a new block the copy doesn't reference) and
+	// opTraceReplace swaps in fresh blocks, so no copy-on-write flag is
+	// needed. The encoder writes the blocks verbatim — laid end to end they
+	// are the record's body, so nothing is re-encoded. An empty trace
+	// restores to nothing and is left out.
 	type frozen struct {
-		n   int
-		run []byte
+		n      int
+		blocks [][]byte
 	}
 	users := make(map[string]frozen, len(t.users))
 	for id, u := range t.users {
 		if u.n > 0 {
-			users[id] = frozen{u.n, u.run}
+			users[id] = frozen{u.n, slices.Clone(u.blocks)}
 		}
 	}
 	encode := func(w io.Writer) error {
 		return writeSnapshot(w, appendKeys(nil, users), func(dst []byte, id string) []byte {
-			return appendTraceReplace(dst, id, users[id].n, users[id].run)
+			return appendTraceReplace(dst, id, users[id].n, users[id].blocks)
 		})
 	}
 	return encode, func() {}, nil

@@ -16,14 +16,13 @@ import (
 // places and profiles never rewrites the user's trace. The record it applies
 // is record.go's.
 
-// traceCheckpointEvery is K: a trace keeps its delta-chain position before
-// every K-th observation, so decoding a suffix parses at most K-1
-// observations it does not return.
+// traceCheckpointEvery is K: a trace is stored in blocks of K observations
+// and keeps its delta-chain position before each block, so decoding a suffix
+// parses at most K-1 observations it does not return.
 const traceCheckpointEvery = 64
 
-// traceCheckpoint is the chain position before one observation of a run.
+// traceCheckpoint is the chain position before one block of a trace.
 type traceCheckpoint struct {
-	off  int          // the observation's byte offset in the run
 	ns   int64        // the previous observation's instant (UnixNano)
 	cell world.CellID // and cell
 }
@@ -32,16 +31,20 @@ type traceCheckpoint struct {
 // the derived state the delta protocol needs: the chained hash of the whole
 // trace and a generation that bumps on every wholesale replace, so cached
 // discovery pipelines built over a previous generation can never be extended
-// across a rewrite. The run only ever grows in place (append) or is swapped
-// for a fresh one (replace), which is what lets a snapshot view share it.
+// across a rewrite. Only the last block ever grows in place (append), and a
+// replace swaps in fresh blocks, which is what lets a snapshot view share
+// them.
 type userTrace struct {
-	// run is the trace's element bytes: exactly what trace.AppendObservations
-	// writes after its count, chained from time 0 and the zero cell.
-	run    []byte
-	n      int               // observations in run
+	// blocks[j] holds the elements of observations [jK, jK+K), all encoded
+	// on one chain from time 0 and the zero cell: laid end to end, the
+	// blocks are exactly what trace.AppendObservations writes after its
+	// count. A trace grows block by block, so no append copies what an
+	// earlier one encoded.
+	blocks [][]byte
+	n      int               // observations in blocks
 	lastNs int64             // the last observation's instant and
 	last   world.CellID      // cell: where the next append's chain continues
-	ckpts  []traceCheckpoint // ckpts[j-1] is the position before observation j*K
+	ckpts  []traceCheckpoint // ckpts[j-1] is the position before blocks[j]
 	hash   uint64            // TraceHash of the trace, maintained incrementally
 	gen    uint64            // replace generation; derived, never journaled
 }
@@ -50,42 +53,53 @@ func (u *userTrace) status() TraceStatus {
 	return TraceStatus{Len: int64(u.n), Hash: u.hash, Gen: u.gen}
 }
 
-// extend encodes obs onto the end of the run, checkpointing every K-th
-// observation. Instants are all the encoding keeps, so the trace's copy of
-// an upload is canonical (instant) by construction.
+// extend encodes obs onto the end of the trace, opening a block (and a
+// checkpoint) at every K-th observation. Instants are all the encoding
+// keeps, so the trace's copy of an upload is canonical (instant) by
+// construction.
 func (u *userTrace) extend(obs []trace.GSMObservation) {
-	e := frame.Encoder{Buf: u.run}
-	e.SetChain(u.lastNs)
 	for len(obs) > 0 {
-		if u.n > 0 && u.n%traceCheckpointEvery == 0 {
-			u.ckpts = append(u.ckpts, traceCheckpoint{off: len(e.Buf), ns: u.lastNs, cell: u.last})
+		if u.n%traceCheckpointEvery == 0 {
+			var b []byte
+			if j := len(u.blocks); j > 0 {
+				u.ckpts = append(u.ckpts, traceCheckpoint{ns: u.lastNs, cell: u.last})
+				// Size the block like the one before it, with an eighth to
+				// spare for observations that encode longer.
+				prev := len(u.blocks[j-1])
+				b = make([]byte, 0, prev+prev/8)
+			}
+			u.blocks = append(u.blocks, b)
 		}
 		k := min(len(obs), traceCheckpointEvery-u.n%traceCheckpointEvery)
+		b := &u.blocks[len(u.blocks)-1]
+		e := frame.Encoder{Buf: *b}
+		e.SetChain(u.lastNs)
 		trace.AppendObservationElems(&e, &u.last, obs[:k])
+		*b = e.Buf
 		u.n += k
 		u.lastNs = obs[k-1].At.UnixNano()
 		obs = obs[k:]
 	}
-	u.run = e.Buf
 }
 
 // decode appends observations [from, to) of the trace to dst, starting at
-// the last checkpoint at or before from.
+// the block that holds from.
 func (u *userTrace) decode(dst []trace.GSMObservation, from, to int) []trace.GSMObservation {
 	if from >= to {
 		return dst
 	}
-	j := from / traceCheckpointEvery
-	var cp traceCheckpoint
-	if j > 0 {
-		cp = u.ckpts[j-1]
-	}
-	d := frame.NewDecoder(u.run[cp.off:])
-	d.SetChain(cp.ns)
-	base := j * traceCheckpointEvery
-	dst = trace.DecodeObservationElems(d, &cp.cell, dst, from-base, to-base)
-	if d.Err() != nil {
-		panic(fmt.Sprintf("cloud: resident trace run does not decode: %v", d.Err()))
+	for j := from / traceCheckpointEvery; j*traceCheckpointEvery < to; j++ {
+		var cp traceCheckpoint
+		if j > 0 {
+			cp = u.ckpts[j-1]
+		}
+		d := frame.NewDecoder(u.blocks[j])
+		d.SetChain(cp.ns)
+		base := j * traceCheckpointEvery
+		dst = trace.DecodeObservationElems(d, &cp.cell, dst, max(from-base, 0), min(to-base, traceCheckpointEvery))
+		if d.Err() != nil {
+			panic(fmt.Sprintf("cloud: resident trace block %d does not decode: %v", j, d.Err()))
+		}
 	}
 	return dst
 }
@@ -139,9 +153,12 @@ func (v *traceView) decode(from, to int) []trace.GSMObservation {
 
 // traceState is one shard of the trace keyspace.
 type traceState struct {
-	users   map[string]*userTrace
-	gens    uint64 // shard-wide generation source; only ever grows
-	scratch []byte // replace's encode buffer; apply runs under the shard lock
+	users map[string]*userTrace
+	gens  uint64 // shard-wide generation source; only ever grows
+	// rec is Apply's decode target. Apply runs under the shard lock, and
+	// apply never retains a record's observations, so replay decodes every
+	// record into it and its one observation array.
+	rec record
 }
 
 func newTraceState() *traceState {
@@ -159,7 +176,8 @@ func (t *traceState) ensure(userID string) *userTrace {
 }
 
 // apply is the single mutation path: live SyncTrace calls and crash-recovery
-// replay both go through it.
+// replay both go through it. It encodes rec.Observations and never retains
+// them.
 func (t *traceState) apply(rec *record) error {
 	switch rec.Op {
 	case opTraceAppend:
@@ -169,13 +187,10 @@ func (t *traceState) apply(rec *record) error {
 	case opTraceReplace:
 		u := t.ensure(rec.UserID)
 		t.gens++
-		// A fresh run, never the old one's array: a snapshot view may still
-		// be reading it. Encoded in scratch, then copied to its exact size.
-		fresh := userTrace{run: t.scratch[:0], hash: TraceHash(rec.Observations), gen: t.gens}
-		fresh.extend(rec.Observations)
-		t.scratch = fresh.run
-		fresh.run = bytes.Clone(fresh.run)
-		*u = fresh
+		// Fresh blocks, never the old ones: a snapshot view may still be
+		// reading them.
+		*u = userTrace{hash: TraceHash(rec.Observations), gen: t.gens}
+		u.extend(rec.Observations)
 	case opTraceDrop:
 		delete(t.users, rec.UserID)
 		t.gens++
@@ -185,7 +200,20 @@ func (t *traceState) apply(rec *record) error {
 	return nil
 }
 
-func (t *traceState) Apply(b []byte) error { return applyEncoded(b, t.apply) }
+// maxKeptObs bounds the observation array a trace shard keeps for its next
+// Apply: day-sized appends reuse it, and one outsized replace must not pin
+// its array for good.
+const maxKeptObs = 1 << 12
+
+func (t *traceState) Apply(b []byte) error {
+	if cap(t.rec.Observations) > maxKeptObs {
+		t.rec.Observations = nil
+	}
+	if err := t.rec.decode(b); err != nil {
+		return err
+	}
+	return t.apply(&t.rec)
+}
 
 func (t *traceState) Snapshot() ([]byte, error) { return snapshotBytes(t) }
 

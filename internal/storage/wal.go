@@ -17,6 +17,7 @@
 package storage
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -186,6 +187,10 @@ func (w *wal) Close() error {
 	return firstErr
 }
 
+// replayReadAhead bounds the buffer replayWAL reads a log through; a smaller
+// log gets a buffer of its own size.
+const replayReadAhead = 64 << 10
+
 // replayWAL reads every intact record in the log at path, feeding each
 // payload to apply, and truncates the file at the first torn or corrupt
 // frame (partial header, impossible length, short payload, CRC mismatch).
@@ -202,12 +207,20 @@ func replayWAL(path string, apply func([]byte) error) (records int, truncated bo
 		return 0, false, fmt.Errorf("storage: open wal for replay: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("storage: stat wal for replay: %w", err)
+	}
+	// ReadFixed makes two reads a record; through the read-ahead they are
+	// not two syscalls. good counts frame sizes, so the read-ahead does not
+	// move it.
+	br := bufio.NewReaderSize(f, int(min(fi.Size(), replayReadAhead)))
 
 	var good int64 // offset after the last intact record
 	var scratch []byte
 	torn := false
 	for {
-		payload, err := frame.ReadFixed(f, MaxRecordSize, 0, &scratch)
+		payload, err := frame.ReadFixed(br, MaxRecordSize, 0, &scratch)
 		if err != nil {
 			torn = err != io.EOF // anything but a clean end at a frame boundary
 			break

@@ -12,6 +12,8 @@ package trace
 // them exactly.
 
 import (
+	"slices"
+
 	"repro/internal/frame"
 	"repro/internal/world"
 )
@@ -38,19 +40,27 @@ func AppendObservations(e *BinaryEncoder, obs []GSMObservation) {
 // DecodeObservations decodes one observation block. An empty block decodes
 // to nil. On malformed input it returns nil and leaves the error on d.
 func DecodeObservations(d *BinaryDecoder) []GSMObservation {
-	n := d.Int()
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	// The count is attacker-controlled; size the initial allocation by what
-	// the remaining bytes could plausibly hold (>= 14 bytes per observation)
-	// and let append grow it if the data is real.
-	var prev world.CellID
-	out := DecodeObservationElems(d, &prev, make([]GSMObservation, 0, min(n, d.Rest()/14+1)), 0, n)
+	out := DecodeObservationsInto(d, nil)
 	if d.Err() != nil {
 		return nil
 	}
 	return out
+}
+
+// DecodeObservationsInto decodes one observation block into dst's array
+// (from dst[:0], grown as needed), so a caller that decodes block after
+// block reuses one buffer. An empty block decodes to dst[:0]. On malformed
+// input it stops and leaves the error on d.
+func DecodeObservationsInto(d *BinaryDecoder, dst []GSMObservation) []GSMObservation {
+	n := d.Int()
+	if d.Err() != nil || n == 0 {
+		return dst[:0]
+	}
+	// The count is attacker-controlled; size the buffer by what the
+	// remaining bytes could plausibly hold (>= 14 bytes per observation) and
+	// let append grow it if the data is real.
+	var prev world.CellID
+	return DecodeObservationElems(d, &prev, slices.Grow(dst[:0], min(n, d.Rest()/14+1)), 0, n)
 }
 
 // AppendObservationElems is the observation element encoder: per observation
