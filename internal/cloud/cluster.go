@@ -40,19 +40,17 @@ func (s *Store) checkShard(shard int) error {
 	return nil
 }
 
-// ApplyShippedBatch journals a contiguous run of replicated records verbatim
-// (cluster.Applier), grouped per shard so each shard pays one
-// group-commit wait for the whole run instead of one per record: a shard's
-// group is enqueued under one lock hold and acknowledged by one commit of
-// its last LSN (storage.AppendShippedBatch), where a per-record apply would
-// fsync once per record and stall the stream behind it. Stream order is
-// preserved within each shard, and per-shard WALs are the only place
+// ApplyShippedBatch applies and journals a contiguous run of replicated
+// records verbatim (cluster.Applier), grouped per shard so each shard pays
+// one group-commit wait for the whole run instead of one per record: a
+// shard's group is applied and enqueued under one lock hold and acknowledged
+// by one commit of its last LSN (storage.Engine.ApplyShipped). Stream order
+// is preserved within each shard, and per-shard WALs are the only place
 // replication order exists. Shipped records bypass the write gate: they
 // never enqueue on this node's own stream, and they only touch users owned
-// by the sending primary — disjoint from any export this node cuts. The
-// replay into in-memory state is deferred (storage.AppendShippedBatch):
-// durability is what the ack promises, and AdoptRing materializes them
-// before this node serves or exports the replicated users.
+// by the sending primary — disjoint from any export this node cuts. When the
+// call returns, every record is in this node's state, so a promoted follower
+// serves and exports replicated users with no catch-up step.
 func (s *Store) ApplyShippedBatch(recs []cluster.ShipRecord) error {
 	groups := map[int][][]byte{}
 	var order []int
@@ -66,7 +64,7 @@ func (s *Store) ApplyShippedBatch(recs []cluster.ShipRecord) error {
 		groups[rec.Shard] = append(groups[rec.Shard], rec.Rec)
 	}
 	for _, shard := range order {
-		if err := s.eng.AppendShippedBatch(shard, groups[shard]); err != nil {
+		if err := s.eng.ApplyShipped(shard, groups[shard]); err != nil {
 			return err
 		}
 	}
@@ -161,8 +159,9 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 // The caller must hold the write gate exclusively — the drop is the second
 // half of the export-then-drop pair, and only the gate makes the pair
 // atomic against writes (a write landing between the export snapshot and
-// the drop would be acknowledged and then deleted). The drops are journaled
-// but deliberately NOT shipped (storage.Engine.ApplyShipped): this node's follower
+// the drop would be acknowledged and then deleted). Each drop is applied and
+// journaled before the handoff acks, but deliberately NOT shipped
+// (storage.Engine.ApplyShipped, one record at a time): this node's follower
 // may be the very node that just imported the users as their new primary,
 // and a shipped drop would delete its primary copy. The follower's replica
 // copy goes stale instead — harmless, because serving is ring-gated, and
@@ -170,10 +169,8 @@ func (s *Store) exportUsersLocked(own func(uid string) bool) ([]cluster.ShipReco
 // a crash mid-drop leaves the user discoverable.
 func (s *Store) dropUsersLocked(uids []string) error {
 	for _, uid := range uids {
-		// Eager (not the deferred AppendShippedBatch path): the dropped users
-		// must vanish from in-memory state before the handoff acks.
 		drop := func(shard int, o op) error {
-			return s.eng.ApplyShipped(shard, encodeRecord(&record{Op: o, UserID: uid}))
+			return s.eng.ApplyShipped(shard, [][]byte{encodeRecord(&record{Op: o, UserID: uid})})
 		}
 		if err := drop(s.dataShard(uid), opDropUser); err != nil {
 			return err
@@ -444,12 +441,6 @@ func (cn *ClusterNode) AdoptRing(nr *cluster.Ring) error {
 	// Users handed off earlier whose ranges this version routes back here
 	// are no longer moved-away (the handoff back re-imports their data).
 	cn.store.clearMovedOwned(func(uid string) bool { return nr.PrimaryID(uid) == self })
-
-	// Users this node may now own could still sit in the deferred-replay
-	// queue; the ownership scan and any export below need them in state.
-	if err := cn.store.eng.MaterializeAll(); err != nil {
-		return fmt.Errorf("materialize replicas: %w", err)
-	}
 
 	if f, ok := nr.Follower(self); ok {
 		cn.ship.SetTarget(&f)

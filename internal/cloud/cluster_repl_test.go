@@ -395,13 +395,8 @@ func TestReplEpochMismatchForcesResync(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The resynced follower must hold every user wholesale. Shipped records
-	// are replayed lazily, so materialize before reading state — exactly
-	// what promotion does before serving.
+	// The resynced follower must hold every user wholesale.
 	fstore := follower.store
-	if err := fstore.eng.MaterializeAll(); err != nil {
-		t.Fatal(err)
-	}
 	if got, want := fstore.UserCount(), primary.UserCount(); got != want {
 		t.Fatalf("after resync follower has %d users, primary %d", got, want)
 	}

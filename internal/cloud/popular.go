@@ -111,10 +111,12 @@ func clusterPopular(all []sited, k int, radiusM float64) []PopularPlace {
 	var out []PopularPlace
 	for _, c := range clusters {
 		users := map[string]bool{}
+		voted := map[[2]string]bool{} // (label, user) pairs already counted
 		labelVotes := map[string]int{}
 		for _, m := range c.members {
 			users[m.user] = true
-			if m.label != "" {
+			if vote := [2]string{m.label, m.user}; m.label != "" && !voted[vote] {
+				voted[vote] = true
 				labelVotes[m.label]++
 			}
 		}
@@ -122,7 +124,8 @@ func clusterPopular(all []sited, k int, radiusM float64) []PopularPlace {
 			continue
 		}
 		pp := PopularPlace{Center: c.center, Users: len(users)}
-		// Reveal a label only when at least k members carry it.
+		// Reveal a label only when at least k distinct users carry it: one
+		// user's k same-labelled places are one vote, not k.
 		bestLabel, bestVotes := "", 0
 		for l, v := range labelVotes {
 			if v > bestVotes || (v == bestVotes && l < bestLabel) {

@@ -67,6 +67,25 @@ func TestPopularPlacesLabelAnonymity(t *testing.T) {
 	}
 }
 
+func TestPopularPlacesLabelCountsUsers(t *testing.T) {
+	store, cells, w := popularFixture(t)
+	// Alice labels three places at one spot; two other users have unlabelled
+	// places there. Three members carry the label but only one user does, so
+	// publishing it under k=3 would name Alice's flat.
+	label := "alice's flat"
+	store.SetPlaces("alice", []PlaceWire{placeAtTower(w, 10, label), placeAtTower(w, 10, label), placeAtTower(w, 10, label)})
+	store.SetPlaces("u2", []PlaceWire{placeAtTower(w, 10, "")})
+	store.SetPlaces("u3", []PlaceWire{placeAtTower(w, 10, "")})
+
+	out := PopularPlaces(store, cells, 3, 400)
+	if len(out) != 1 || out[0].Users != 3 {
+		t.Fatalf("clusters = %+v, want one of 3 users", out)
+	}
+	if out[0].Label != "" {
+		t.Errorf("one user's label published under k=3: %q", out[0].Label)
+	}
+}
+
 func TestPopularPlacesMinimumK(t *testing.T) {
 	store, cells, w := popularFixture(t)
 	store.SetPlaces("u1", []PlaceWire{placeAtTower(w, 5, "home")})

@@ -14,8 +14,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Applier is what the receiver needs from the node's store: journal one
-// contiguous run of shipped records verbatim into their shards, grouped so
+// Applier is what the receiver needs from the node's store: apply and journal
+// one contiguous run of shipped records verbatim into their shards, grouped so
 // each shard pays roughly one group-commit wait for the whole run. An error
 // reports the whole run as unapplied even though some shards' groups may
 // already be durable; that is safe because apply errors are terminal — a
@@ -256,8 +256,8 @@ func (r *Receiver) receive(w http.ResponseWriter, req *http.Request, what string
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Decoded records alias body, which stays reachable for as long as the
-	// engine parks them — no per-record copy.
+	// Decoded records alias body, which stays reachable until the engine has
+	// applied and journaled them — no per-record copy.
 	b, err := DecodeBatchBinary(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

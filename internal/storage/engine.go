@@ -77,18 +77,17 @@ type Options struct {
 	// Nil means the process-wide obs.Default() registry (what /metrics
 	// serves); tests inject their own for exact delta assertions.
 	Metrics *obs.Registry
-	// RecoverWorkers bounds how many shards Open recovers — and Close /
-	// MaterializeAll process — concurrently. 0 means
-	// min(shards, max(2, GOMAXPROCS)); 1 forces the serial behavior
-	// (benchmark baseline). Boot therefore costs roughly the largest shard,
-	// not the sum of all shards.
+	// RecoverWorkers bounds how many shards Open recovers — and Close
+	// processes — concurrently. 0 means min(shards, max(2, GOMAXPROCS)); 1
+	// forces the serial behavior (benchmark baseline). Boot therefore costs
+	// roughly the largest shard, not the sum of all shards.
 	RecoverWorkers int
 	// Repl, when set, receives every journaled record for shipment to a
 	// replica (see internal/cluster). Enqueue runs under the shard lock —
 	// the same critical section that fixes WAL order — so ship order per
 	// shard equals WAL order equals apply order. Records applied through
-	// ApplyShipped (i.e. records that are themselves replicas) bypass the
-	// sink: replication is one hop, never a chain.
+	// ApplyShipped (records that are themselves replicas) bypass the sink:
+	// replication is one hop, never a chain.
 	Repl ReplSink
 	// Format numbers the layout of the records and snapshot payloads the
 	// engine's owner writes — bytes the engine itself never interprets. It is
@@ -182,9 +181,6 @@ type shard struct {
 	w       *wal
 	c       *committer // nil in memory-only mode
 	since   int        // records appended since the last rotation
-	// pending holds replica records journaled via AppendShippedBatch but not
-	// yet replayed into state; materializeLocked drains it before any snapshot.
-	pending [][]byte
 	m       *engineMetrics
 }
 
@@ -461,9 +457,6 @@ func parseSeq(name, prefix, suffix string) (uint64, error) {
 // NumShards reports the shard count.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
-// Durable reports whether the engine journals to disk.
-func (e *Engine) Durable() bool { return e.opts.Dir != "" }
-
 // Mutate runs one mutation on shard i: apply mutates the in-memory state
 // under the shard's write lock and returns the record to journal (nil to
 // skip journaling, e.g. when the mutation turned out to be a no-op). The
@@ -476,127 +469,6 @@ func (e *Engine) Durable() bool { return e.opts.Dir != "" }
 // divergence cannot be repaired in place, so every later mutation fails
 // fast.
 func (e *Engine) Mutate(i int, apply func() ([]byte, error)) error {
-	return e.mutate(i, apply, true)
-}
-
-// ApplyShipped journals one replicated record on shard i verbatim: the
-// record bytes another node's engine produced are applied through the
-// shard state's replay path and appended to this engine's WAL unchanged,
-// which is what makes a caught-up follower's on-disk shards byte-identical
-// to the primary's. Shipped records are not re-enqueued on the replication
-// sink — replication is a single hop.
-func (e *Engine) ApplyShipped(i int, rec []byte) error {
-	return e.mutate(i, func() ([]byte, error) {
-		if err := e.shards[i].state.Apply(rec); err != nil {
-			return nil, err
-		}
-		return rec, nil
-	}, false)
-}
-
-// AppendShippedBatch journals a run of replicated records on shard i without
-// replaying them into the in-memory state: what a follower owes the primary
-// at ack time is durability, and deferring the replay drops most of the CPU
-// a replica spends per record. Parked records are drained through the
-// state's replay path before the next snapshot (compaction or close) and on
-// Materialize — promotion calls the latter before serving reads over
-// replicated users. The resulting WAL bytes and snapshots are identical to
-// the eager ApplyShipped path: WAL order is append order either way, and
-// shipped records only touch users the sending primary owns — disjoint from
-// this node's locally-written keys — so the deferred replay commutes with
-// local mutations. In memory-only mode there is no WAL to defer behind, so
-// the records are applied eagerly.
-//
-// The whole run pays one group-commit wait: every record is enqueued on the
-// committer under a single shard-lock hold (so WAL order is the run's
-// order), and the caller then commits the last record's LSN — the run goes
-// out in as few fsync batches as CommitMaxBatch allows, instead of each
-// record paying its own commit cycle. When the call returns nil, every record
-// in the run is in the WAL under the engine's fsync policy.
-func (e *Engine) AppendShippedBatch(i int, recs [][]byte) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	s := e.shards[i]
-	s.mu.Lock()
-	if err := s.sticky(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.w == nil {
-		for _, rec := range recs {
-			if err := s.state.Apply(rec); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-		s.mu.Unlock()
-		return nil
-	}
-	var lsn uint64
-	for _, rec := range recs {
-		lsn = s.c.enqueue(rec)
-	}
-	s.pending = append(s.pending, recs...)
-	s.since += len(recs)
-	compact := e.opts.CompactEvery > 0 && s.since >= e.opts.CompactEvery
-	s.mu.Unlock()
-
-	if err := s.c.commit(lsn); err != nil {
-		return err
-	}
-	if compact {
-		e.compactIfDue(i)
-	}
-	return nil
-}
-
-// Materialize replays shard i's parked replica records (see
-// AppendShippedBatch) into the in-memory state.
-func (e *Engine) Materialize(i int) error {
-	s := e.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.materializeLocked()
-}
-
-// MaterializeAll replays every shard's parked replica records concurrently
-// (bounded pool — promotion wants the whole store readable in the time the
-// largest shard takes); the first error is returned but all shards are
-// attempted.
-func (e *Engine) MaterializeAll() error {
-	return e.forEachShard(e.Materialize)
-}
-
-// materializeLocked drains the pending replica records in append order. On
-// error the already-applied prefix is dropped and the failing record kept,
-// so a retry does not double-apply.
-func (s *shard) materializeLocked() error {
-	for len(s.pending) > 0 {
-		if err := s.state.Apply(s.pending[0]); err != nil {
-			return fmt.Errorf("storage: materialize shipped record: %w", err)
-		}
-		s.pending = s.pending[1:]
-	}
-	s.pending = nil
-	return nil
-}
-
-// ApplyRecord journals one pre-encoded record on shard i through the full
-// primary mutation path: applied via the shard state's replay path, written
-// to the WAL, and enqueued on the replication sink like any local write.
-// Cluster handoff imports use it — a handed-off user's records must ship
-// onward to the importing node's own follower, unlike ApplyShipped records.
-func (e *Engine) ApplyRecord(i int, rec []byte) error {
-	return e.mutate(i, func() ([]byte, error) {
-		if err := e.shards[i].state.Apply(rec); err != nil {
-			return nil, err
-		}
-		return rec, nil
-	}, true)
-}
-
-func (e *Engine) mutate(i int, apply func() ([]byte, error), ship bool) error {
 	s := e.shards[i]
 	s.mu.Lock()
 	if err := s.sticky(); err != nil {
@@ -613,7 +485,7 @@ func (e *Engine) mutate(i int, apply func() ([]byte, error), ship bool) error {
 		return nil
 	}
 	var rtok uint64
-	if ship && e.opts.Repl != nil {
+	if e.opts.Repl != nil {
 		// Under the lock: per-shard ship order is frozen to WAL order here.
 		rtok = e.opts.Repl.Enqueue(i, rec)
 	}
@@ -644,6 +516,69 @@ func (e *Engine) mutate(i int, apply func() ([]byte, error), ship bool) error {
 		e.compactIfDue(i)
 	}
 	return nil
+}
+
+// ApplyShipped applies a run of replicated records on shard i and journals
+// them verbatim: the record bytes another node's engine produced go through
+// the shard state's replay path and into this engine's WAL unchanged, which
+// is what makes a caught-up follower's on-disk shards byte-identical to the
+// primary's. Shipped records are not re-enqueued on the replication sink —
+// replication is a single hop.
+//
+// Every record is applied and enqueued under one hold of the shard lock (so
+// WAL order is the run's order and equals apply order), and the call then
+// commits the last record's LSN: the run pays one group-commit wait instead
+// of one per record. If a record fails to apply, the records before it stay
+// applied, journaled and committed and the error is returned — the call is
+// one single-record call per record, stopping at the first error, sharing
+// one commit wait. When it returns nil, every record is in state and in the
+// WAL under the engine's fsync policy.
+func (e *Engine) ApplyShipped(i int, recs [][]byte) error {
+	s := e.shards[i]
+	s.mu.Lock()
+	if err := s.sticky(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	var lsn uint64
+	var err error
+	for _, rec := range recs {
+		if err = s.state.Apply(rec); err != nil {
+			break
+		}
+		if s.w != nil {
+			lsn = s.c.enqueue(rec)
+			s.since++
+		}
+	}
+	compact := lsn != 0 && e.opts.CompactEvery > 0 && s.since >= e.opts.CompactEvery
+	s.mu.Unlock()
+
+	if lsn == 0 {
+		return err
+	}
+	if cerr := s.c.commit(lsn); cerr != nil {
+		return cerr
+	}
+	if compact {
+		e.compactIfDue(i)
+	}
+	return err
+}
+
+// ApplyRecord journals one pre-encoded record on shard i through the full
+// primary mutation path: applied via the shard state's replay path, written
+// to the WAL, and enqueued on the replication sink like any local write. It
+// is the only entry point that ships another node's record onward: cluster
+// handoff imports use it, because a handed-off user's records must reach the
+// importing node's own follower, unlike ApplyShipped records.
+func (e *Engine) ApplyRecord(i int, rec []byte) error {
+	return e.Mutate(i, func() ([]byte, error) {
+		if err := e.shards[i].state.Apply(rec); err != nil {
+			return nil, err
+		}
+		return rec, nil
+	})
 }
 
 // compactIfDue compacts shard i if it is still over the auto-compaction
@@ -684,13 +619,12 @@ func (e *Engine) View(i int, read func()) {
 // minSince records since its last rotation, is left alone.
 //
 // Phase 1, under the shard lock (the only part writers ever wait on): drain
-// the commit queue, materialize parked replica records, capture a snapshot
-// encoder, and switch appends to a fresh wal-(N+1). The commit queue is
-// drained first because every queued record was applied to the state before
-// enqueue (so the snapshot captures it) but belongs in the old log, which
-// must hold it before that log can be retired; its writer then finds its LSN
-// durable and returns without a second append. New enqueues are blocked by
-// the write lock.
+// the commit queue, capture a snapshot encoder, and switch appends to a fresh
+// wal-(N+1). The commit queue is drained first because every queued record
+// was applied to the state before enqueue (so the snapshot captures it) but
+// belongs in the old log, which must hold it before that log can be retired;
+// its writer then finds its LSN durable and returns without a second append.
+// New enqueues are blocked by the write lock.
 //
 // Phase 2, off the shard lock, while writers proceed on wal-(N+1): close the
 // old log (flushing any unsynced tail — the retained generation must be
@@ -757,11 +691,6 @@ func (s *shard) rotateLocked(next uint64) (encode func(io.Writer) error, release
 	if err := s.c.drain(); err != nil {
 		// Poisoned: the in-memory state includes mutations the log rejected;
 		// snapshotting would persist the divergence as truth.
-		return nil, nil, err
-	}
-	if err := s.materializeLocked(); err != nil {
-		// Snapshotting now would drop the parked records when the old WAL
-		// (the only durable copy) is retired.
 		return nil, nil, err
 	}
 	release = func() {}

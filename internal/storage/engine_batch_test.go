@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// AppendShippedBatch is the receiver's journal path: one group-commit wait
-// for a whole run of shipped records instead of one per record. These tests pin that how a stream is cut into runs does not
-// show on disk — same WAL, same state — because the replication suite's
-// byte-identical-replica claim rests on that.
+// ApplyShipped is the receiver's apply path: one group-commit wait for a
+// whole run of shipped records instead of one per record. These tests pin
+// that how a stream is cut into runs does not show on disk — same WAL, same
+// state — because the replication suite's byte-identical-replica claim rests
+// on that, and that a run is in state as soon as the call returns.
 
 func dirBytes(t *testing.T, root string) map[string]string {
 	t.Helper()
@@ -33,10 +34,10 @@ func dirBytes(t *testing.T, root string) map[string]string {
 	return files
 }
 
-// TestAppendShippedBatchEquivalentToSerial drives the same record run
-// through N one-record AppendShippedBatch calls and through one N-record
-// call, and requires byte-identical directories and equal materialized state.
-func TestAppendShippedBatchEquivalentToSerial(t *testing.T) {
+// TestApplyShippedEquivalentToSerial drives the same record run through N
+// one-record ApplyShipped calls and through one N-record call, and requires
+// byte-identical directories and equal state.
+func TestApplyShippedEquivalentToSerial(t *testing.T) {
 	const shards = 2
 	recs := make([][][]byte, shards)
 	for i := 0; i < shards; i++ {
@@ -50,23 +51,17 @@ func TestAppendShippedBatchEquivalentToSerial(t *testing.T) {
 	serial, _ := openKV(t, serialDir, shards, opts)
 	for i := range recs {
 		for _, rec := range recs[i] {
-			if err := serial.AppendShippedBatch(i, [][]byte{rec}); err != nil {
-				t.Fatalf("serial append: %v", err)
+			if err := serial.ApplyShipped(i, [][]byte{rec}); err != nil {
+				t.Fatalf("serial apply: %v", err)
 			}
 		}
-	}
-	if err := serial.MaterializeAll(); err != nil {
-		t.Fatal(err)
 	}
 
 	batch, _ := openKV(t, batchDir, shards, opts)
 	for i := range recs {
-		if err := batch.AppendShippedBatch(i, recs[i]); err != nil {
-			t.Fatalf("batch append: %v", err)
+		if err := batch.ApplyShipped(i, recs[i]); err != nil {
+			t.Fatalf("batch apply: %v", err)
 		}
-	}
-	if err := batch.MaterializeAll(); err != nil {
-		t.Fatal(err)
 	}
 
 	// Close both (each compacts, snapshotting the state) and compare bytes.
@@ -101,13 +96,12 @@ func TestAppendShippedBatchEquivalentToSerial(t *testing.T) {
 	}
 }
 
-// TestAppendShippedBatchMemoryOnly pins the memory-only fallback: no WAL to
-// defer behind, so the run is applied eagerly and visible without
-// Materialize.
-func TestAppendShippedBatchMemoryOnly(t *testing.T) {
+// TestApplyShippedMemoryOnly pins the memory-only mode: the same apply loop
+// with nothing to journal.
+func TestApplyShippedMemoryOnly(t *testing.T) {
 	e, kvs := openKV(t, "", 1, Options{})
 	defer e.Close()
-	if err := e.AppendShippedBatch(0, [][]byte{kvRecord("a", "1"), kvRecord("b", "2")}); err != nil {
+	if err := e.ApplyShipped(0, [][]byte{kvRecord("a", "1"), kvRecord("b", "2")}); err != nil {
 		t.Fatal(err)
 	}
 	var a, b string
@@ -115,7 +109,59 @@ func TestAppendShippedBatchMemoryOnly(t *testing.T) {
 	if a != "1" || b != "2" {
 		t.Fatalf("memory batch state = %q/%q", a, b)
 	}
-	if err := e.AppendShippedBatch(0, nil); err != nil {
+	if err := e.ApplyShipped(0, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
+}
+
+// TestApplyShippedVisibleOnReturn pins apply-on-receipt on a durable engine:
+// a shipped run is readable through View as soon as the call returns, with
+// no catch-up step, and it is in the WAL — a reopen without a clean close
+// (so no compaction snapshot) replays it.
+func TestApplyShippedVisibleOnReturn(t *testing.T) {
+	dir := t.TempDir()
+	e, kvs := openKV(t, dir, 1, Options{Sync: SyncAlways, CompactEvery: -1})
+	if err := e.ApplyShipped(0, [][]byte{kvRecord("a", "1"), kvRecord("b", "2")}); err != nil {
+		t.Fatal(err)
+	}
+	var a, b string
+	e.View(0, func() { a, b = kvs[0].m["a"], kvs[0].m["b"] })
+	if a != "1" || b != "2" {
+		t.Fatalf("state after ApplyShipped = %q/%q, want 1/2", a, b)
+	}
+	// Crash: no Close, so no final compaction snapshot.
+
+	re, rkvs := openKV(t, dir, 1, Options{Sync: SyncAlways})
+	defer re.Close()
+	re.View(0, func() { a, b = rkvs[0].m["a"], rkvs[0].m["b"] })
+	if a != "1" || b != "2" {
+		t.Fatalf("replayed state = %q/%q, want 1/2", a, b)
+	}
+}
+
+// TestApplyShippedStopsAtFailingRecord pins the partial-run contract: when
+// record k fails to apply, records before it are applied, journaled and
+// committed, the error is returned, and nothing from record k on is kept.
+func TestApplyShippedStopsAtFailingRecord(t *testing.T) {
+	dir := t.TempDir()
+	e, kvs := openKV(t, dir, 1, Options{Sync: SyncAlways, CompactEvery: -1})
+	run := [][]byte{kvRecord("a", "1"), kvRecord("b", "2"), []byte("malformed"), kvRecord("c", "3")}
+	if err := e.ApplyShipped(0, run); err == nil {
+		t.Fatal("run with a malformed record applied without error")
+	}
+	check := func(what string, kv *kvState) {
+		t.Helper()
+		if kv.m["a"] != "1" || kv.m["b"] != "2" {
+			t.Errorf("%s: prefix a/b = %q/%q, want 1/2", what, kv.m["a"], kv.m["b"])
+		}
+		if _, ok := kv.m["c"]; ok {
+			t.Errorf("%s: record after the failing one was applied", what)
+		}
+	}
+	e.View(0, func() { check("live", kvs[0]) })
+	// Crash: no Close — the prefix must already be durable.
+
+	re, rkvs := openKV(t, dir, 1, Options{Sync: SyncAlways})
+	defer re.Close()
+	re.View(0, func() { check("replayed", rkvs[0]) })
 }

@@ -75,10 +75,10 @@ func TestEngineMemoryOnly(t *testing.T) {
 	e, kvs := openKV(t, "", 2, Options{})
 	kvSet(t, e, 0, kvs[0], "a", "1")
 	kvSet(t, e, 1, kvs[1], "b", "2")
-	if !e.Durable() {
-		// expected: memory-only
-	} else {
-		t.Fatal("empty dir should be memory-only")
+	for i, s := range e.shards {
+		if s.w != nil || s.c != nil {
+			t.Fatalf("shard %d of a memory-only engine has a WAL open", i)
+		}
 	}
 	var got string
 	e.View(0, func() { got = kvs[0].m["a"] })
